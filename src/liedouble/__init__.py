@@ -80,6 +80,7 @@ from .glnfactory import (
     gln_tn_trace_form,
     h_index,
     i_index,
+    representation_index,
     root_index,
     cartan_index,
     solvable_dim,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .liealg import LieAlgebra, StructureTensor
+from .liealg import LieAlgebra, StructureTensor, add_into, format_terms
 from .scalars import Scalar, ScalarParseError, scalar_parse
 
 __all__ = [
@@ -221,12 +221,7 @@ def parse_algebra_file(text: str) -> AlgebraFile:
                     raise AlgebraFileError(
                         f"unknown label {label!r}", line_no, rhs_offset + term_pos
                     )
-                total = coeffs.get(label)
-                total = value if total is None else total + value
-                if total:
-                    coeffs[label] = total
-                else:
-                    coeffs.pop(label, None)
+                add_into(coeffs, label, value)
         table[(left, right)] = coeffs
 
     if name is None:
@@ -248,30 +243,12 @@ def parse_algebra_file(text: str) -> AlgebraFile:
     return AlgebraFile(name, dim, tuple(labels), tuple(decls))
 
 
-def _format_term(label: str, value: Scalar) -> str:
-    text = str(value)
-    if text == "1":
-        return label
-    if text == "-1":
-        return "-" + label
-    if " " in text:
-        text = f"({text})"
-    return f"{text}*{label}"
-
-
 def format_algebra_file(algfile: AlgebraFile) -> str:
     lines = [f"algebra {algfile.name} dim {algfile.dim}"]
     if algfile.labels:
         lines.append("basis " + " ".join(algfile.labels))
     for decl in algfile.brackets:
-        if decl.terms:
-            parts = [_format_term(label, value) for label, value in decl.terms]
-            rhs = parts[0]
-            for piece in parts[1:]:
-                rhs += " - " + piece[1:] if piece.startswith("-") else " + " + piece
-        else:
-            rhs = "0"
-        lines.append(f"[{decl.left},{decl.right}] = {rhs}")
+        lines.append(f"[{decl.left},{decl.right}] = {format_terms(decl.terms)}")
     return "\n".join(lines) + "\n"
 
 

@@ -16,7 +16,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .liealg import LieAlgebra, Matrix, Violation, ViolationReport, StructureTensor
+from .liealg import (
+    LieAlgebra,
+    Matrix,
+    SparseTensor,
+    StructureTensor,
+    Violation,
+    ViolationReport,
+    _coerce_scalar,
+    add_into,
+)
 from .manin import ManinTriple
 from .scalars import Scalar, ZERO, ONE, rational
 
@@ -42,77 +51,18 @@ __all__ = [
 ]
 
 
-def _coerce(value) -> Scalar:
-    return value if isinstance(value, Scalar) else Scalar(value)
-
-
-def _add_into(acc: dict, key, value):
-    s = acc.get(key)
-    s = value if s is None else s + value
-    if s:
-        acc[key] = s
-    else:
-        acc.pop(key, None)
-
-
-class TwoTensor:
+class TwoTensor(SparseTensor):
     """Sparse element of g (x) g: map from index pair (q, r) to coefficient."""
 
-    __slots__ = ("_c",)
-
-    def __init__(self, coeffs=None):
-        data = {}
-        if coeffs:
-            for key, value in coeffs.items():
-                value = _coerce(value)
-                if value:
-                    data[key] = value
-        self._c = data
+    __slots__ = ()
 
     @classmethod
     def wedge(cls, p: int, q: int, coeff=ONE) -> TwoTensor:
-        coeff = _coerce(coeff)
+        coeff = _coerce_scalar(coeff)
         return cls({(p, q): coeff, (q, p): -coeff})
-
-    def items(self):
-        return sorted(self._c.items())
 
     def get(self, p: int, q: int) -> Scalar:
         return self._c.get((p, q), ZERO)
-
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def __bool__(self) -> bool:
-        return bool(self._c)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TwoTensor):
-            return NotImplemented
-        return self._c == other._c
-
-    def __hash__(self):
-        return hash(tuple(self.items()))
-
-    def __add__(self, other: TwoTensor) -> TwoTensor:
-        data = dict(self._c)
-        for key, value in other._c.items():
-            _add_into(data, key, value)
-        out = TwoTensor()
-        out._c = data
-        return out
-
-    def __neg__(self) -> TwoTensor:
-        return TwoTensor({k: -v for k, v in self._c.items()})
-
-    def __sub__(self, other: TwoTensor) -> TwoTensor:
-        return self + (-other)
-
-    def scale(self, factor) -> TwoTensor:
-        factor = _coerce(factor)
-        if not factor:
-            return TwoTensor()
-        return TwoTensor({k: factor * v for k, v in self._c.items()})
 
     def is_antisymmetric(self) -> bool:
         for (p, q), value in self._c.items():
@@ -139,60 +89,18 @@ class TwoTensor:
         for (p, q), value in self._c.items():
             for k, left in column(p):
                 for l, right in column(q):
-                    _add_into(acc, (k, l), value * left * right)
+                    add_into(acc, (k, l), value * left * right)
         return TwoTensor(acc)
 
-    def format(self, labels) -> str:
-        if not self._c:
-            return "0"
-        parts = []
-        for (p, q), value in self.items():
-            term = f"{labels[p]}(x){labels[q]}"
-            text = str(value)
-            if text == "1":
-                parts.append(term)
-            elif text == "-1":
-                parts.append("-" + term)
-            else:
-                if " " in text:
-                    text = f"({text})"
-                parts.append(f"{text}*{term}")
-        out = parts[0]
-        for piece in parts[1:]:
-            out += " - " + piece[1:] if piece.startswith("-") else " + " + piece
-        return out
 
-    def __repr__(self):
-        return f"TwoTensor({dict(self.items())!r})"
+class ThreeTensor(SparseTensor):
+    """Sparse element of g (x) g (x) g, not antisymmetrized.
 
+    Its text form writes every coefficient, units included, and joins the
+    terms with `` + `` whatever their sign.
+    """
 
-class ThreeTensor:
-    """Sparse element of g (x) g (x) g, not antisymmetrized."""
-
-    __slots__ = ("_c",)
-
-    def __init__(self, coeffs=None):
-        data = {}
-        if coeffs:
-            for key, value in coeffs.items():
-                value = _coerce(value)
-                if value:
-                    data[key] = value
-        self._c = data
-
-    def items(self):
-        return sorted(self._c.items())
-
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def __bool__(self) -> bool:
-        return bool(self._c)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ThreeTensor):
-            return NotImplemented
-        return self._c == other._c
+    __slots__ = ()
 
     def format(self, labels) -> str:
         if not self._c:
@@ -204,9 +112,6 @@ class ThreeTensor:
                 text = f"({text})"
             parts.append(f"{text}*{labels[p]}(x){labels[q]}(x){labels[r]}")
         return " + ".join(parts)
-
-    def __repr__(self):
-        return f"ThreeTensor({dict(self.items())!r})"
 
 
 class Cocommutator:
@@ -251,14 +156,14 @@ def cocommutator_from_triple(triple: ManinTriple) -> Cocommutator:
         # stored entry: c^{q,r}_p for each output p
         for p, value in vec.items():
             acc = entries.setdefault(p, {})
-            _add_into(acc, (q, r), -value)
-            _add_into(acc, (r, q), value)
+            add_into(acc, (q, r), -value)
+            add_into(acc, (r, q), value)
     for (q, r), vec in triple.plus.tensor.stored():
         # stored entry: f^p_{q,r} for each output p
         for p, value in vec.items():
             acc = entries.setdefault(m + p, {})
-            _add_into(acc, (m + q, m + r), value)
-            _add_into(acc, (m + r, m + q), -value)
+            add_into(acc, (m + q, m + r), value)
+            add_into(acc, (m + r, m + q), -value)
     return Cocommutator(2 * m, {k: TwoTensor(v) for k, v in entries.items()})
 
 
@@ -280,7 +185,7 @@ def express_in_basis(delta: Cocommutator, T: Matrix) -> Cocommutator:
             if not value:
                 continue
             for key, coeff in value.items():
-                _add_into(acc, key, weight * coeff)
+                add_into(acc, key, weight * coeff)
         if acc:
             entries[j] = TwoTensor(acc).transport(T_inv)
     return Cocommutator(delta.dim, entries)
@@ -313,11 +218,11 @@ def _act_on_two_tensor(alg: LieAlgebra, x: int, tensor: TwoTensor) -> TwoTensor:
         w = pair(x, p)
         if w:
             for k, coeff in w.items():
-                _add_into(acc, (k, q), value * coeff)
+                add_into(acc, (k, q), value * coeff)
         w = pair(x, q)
         if w:
             for k, coeff in w.items():
-                _add_into(acc, (p, k), value * coeff)
+                add_into(acc, (p, k), value * coeff)
     return TwoTensor(acc)
 
 
@@ -333,7 +238,7 @@ def check_cocycle(alg: LieAlgebra, delta: Cocommutator) -> ViolationReport:
             if coeffs:
                 for r, value in coeffs.items():
                     for key, coeff in delta.get(r).items():
-                        _add_into(lhs_acc, key, value * coeff)
+                        add_into(lhs_acc, key, value * coeff)
             lhs = TwoTensor(lhs_acc)
             rhs = _act_on_two_tensor(alg, p, delta.get(q)) - _act_on_two_tensor(
                 alg, q, delta.get(p)
@@ -393,13 +298,9 @@ class QuasitriangularReport:
 
 def schouten_bracket(alg: LieAlgebra, r: TwoTensor, s: TwoTensor | None = None) -> ThreeTensor:
     """[[r, s]] = [r_12, s_13] + [r_12, s_23] + [r_13, s_23] (+ r<->s when distinct)."""
-    if s is None or s is r:
-        left = right = list(r.items())
-        symmetric = True
-    else:
-        left = list(r.items())
-        right = list(s.items())
-        symmetric = False
+    symmetric = s is None or s is r
+    left = list(r.items())
+    right = left if symmetric else list(s.items())
     pair = alg.tensor.pair
     acc: dict[tuple[int, int, int], Scalar] = {}
 
@@ -410,15 +311,15 @@ def schouten_bracket(alg: LieAlgebra, r: TwoTensor, s: TwoTensor | None = None) 
                 w = pair(a1, a2)
                 if w:
                     for k, cv in w.items():
-                        _add_into(acc, (k, b1, b2), coeff * cv)
+                        add_into(acc, (k, b1, b2), coeff * cv)
                 w = pair(b1, a2)
                 if w:
                     for k, cv in w.items():
-                        _add_into(acc, (a1, k, b2), coeff * cv)
+                        add_into(acc, (a1, k, b2), coeff * cv)
                 w = pair(b1, b2)
                 if w:
                     for k, cv in w.items():
-                        _add_into(acc, (a1, a2, k), coeff * cv)
+                        add_into(acc, (a1, a2, k), coeff * cv)
 
     accumulate(left, right)
     if not symmetric:
@@ -437,15 +338,15 @@ def schouten_check(alg: LieAlgebra, r_skew: TwoTensor) -> QuasitriangularReport:
             w = pair(x, p)
             if w:
                 for k, cv in w.items():
-                    _add_into(acc, (k, q, r), value * cv)
+                    add_into(acc, (k, q, r), value * cv)
             w = pair(x, q)
             if w:
                 for k, cv in w.items():
-                    _add_into(acc, (p, k, r), value * cv)
+                    add_into(acc, (p, k, r), value * cv)
             w = pair(x, r)
             if w:
                 for k, cv in w.items():
-                    _add_into(acc, (p, q, k), value * cv)
+                    add_into(acc, (p, q, k), value * cv)
         if acc:
             violations.append(
                 Violation((x,), ThreeTensor(acc).format(alg.labels))
@@ -506,5 +407,5 @@ def identify_central(n: int, tensor: TwoTensor) -> TwoTensor:
 
     acc: dict[tuple[int, int], Scalar] = {}
     for (p, q), value in tensor.items():
-        _add_into(acc, (image(p), image(q)), value)
+        add_into(acc, (image(p), image(q)), value)
     return TwoTensor(acc)

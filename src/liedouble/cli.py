@@ -53,6 +53,7 @@ from .glnfactory import (
     gln_tn_trace_form,
     h_index,
     i_index,
+    representation_index,
 )
 from .liealg import LieAlgebra, Vector, Violation, structure_equal
 from .manin import (
@@ -336,14 +337,7 @@ def verify_suite(n: int) -> list[CheckResult]:
         killing = algebra.killing_form()
         trace = gln_tn_trace_form(n)
         rep = fundamental_representation(n)
-        rep_index = [h_index(n, i) for i in range(1, n + 1)]
-        rep_index += [
-            f_index(n, i, j)
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-            if j != i
-        ]
-        trace_of = {p: rep[k].trace() for k, p in enumerate(rep_index)}
+        trace_of = {p: rep[k].trace() for k, p in enumerate(representation_index(n))}
         bad: list[Violation] = []
         two_n = Scalar(2 * n)
         for p in range(algebra.dim):

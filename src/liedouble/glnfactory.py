@@ -42,7 +42,9 @@ from .liealg import (
     StructureTensor,
     Vector,
     Violation,
+    add_into,
     structure_equal,
+    trace_form,
 )
 from .manin import ManinTriple, build_double
 from fractions import Fraction
@@ -64,6 +66,7 @@ __all__ = [
     "build_gln_triple",
     "gln_change_of_basis",
     "fundamental_representation",
+    "representation_index",
     "build_gln_tn",
     "gln_tn_trace_form",
     "double_in_gln_basis",
@@ -149,11 +152,9 @@ def _solvable_brackets(n: int, kappa: Scalar, sign: int):
         for (k, l) in pairs[a + 1 :]:
             acc: dict[int, Scalar] = {}
             if j == k:
-                acc[root_index(n, i, l)] = Scalar(sign)
+                add_into(acc, root_index(n, i, l), Scalar(sign))
             if i == l:
-                out = acc.get(root_index(n, k, j), ZERO)
-                acc[root_index(n, k, j)] = out - Scalar(sign)
-            acc = {r: v for r, v in acc.items() if v}
+                add_into(acc, root_index(n, k, j), Scalar(-sign))
             if acc:
                 brackets[(root_index(n, i, j), root_index(n, k, l))] = acc
     return brackets
@@ -233,17 +234,19 @@ def fundamental_representation(n: int) -> list[Matrix]:
     return matrices
 
 
+def representation_index(n: int) -> list[int]:
+    """gl(n)+t_n index of each fundamental_representation(n) matrix, in order."""
+    index = [h_index(n, i) for i in range(1, n + 1)]
+    index += [f_index(n, i, j) for i in range(1, n + 1) for j in range(1, n + 1) if j != i]
+    return index
+
+
 def build_gln_tn(n: int) -> LieAlgebra:
     """gl(n) from fundamental-representation commutators, plus n central I_i."""
     if n < 1:
         raise ValueError("n must be at least 1")
     rep = fundamental_representation(n)
-    # map the representation list (H-block then F-block) to algebra indices
-    rep_index = [h_index(n, i) for i in range(1, n + 1)]
-    rep_index += [
-        f_index(n, i, j) for i in range(1, n + 1) for j in range(1, n + 1) if j != i
-    ]
-    algebra_to_rep = {alg_i: k for k, alg_i in enumerate(rep_index)}
+    algebra_to_rep = {alg_i: k for k, alg_i in enumerate(representation_index(n))}
 
     def decompose(mat: Matrix) -> dict[int, Scalar]:
         out: dict[int, Scalar] = {}
@@ -279,22 +282,11 @@ def gln_tn_trace_form(n: int) -> BilinearForm:
     """Fundamental trace form on the gl(n) block, extended by <I_i, I_j> = d_ij."""
     dim = gln_dim(n)
     gram = [[ZERO] * dim for _ in range(dim)]
-    rep = fundamental_representation(n)
-    rep_index = [h_index(n, i) for i in range(1, n + 1)]
-    rep_index += [
-        f_index(n, i, j) for i in range(1, n + 1) for j in range(1, n + 1) if j != i
-    ]
-    for a, p in enumerate(rep_index):
-        for b, q in enumerate(rep_index):
-            total = ZERO
-            for k in range(n):
-                for l in range(n):
-                    u = rep[a].entry(k, l)
-                    if u:
-                        v = rep[b].entry(l, k)
-                        if v:
-                            total = total + u * v
-            gram[p][q] = total
+    block = trace_form(fundamental_representation(n))
+    index = representation_index(n)
+    for a, p in enumerate(index):
+        for b, q in enumerate(index):
+            gram[p][q] = block.entry(a, b)
     for i in range(1, n + 1):
         gram[i_index(n, i)][i_index(n, i)] = ONE
     return BilinearForm(gram)

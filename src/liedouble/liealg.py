@@ -16,7 +16,10 @@ from dataclasses import dataclass, field
 from .scalars import Scalar, ZERO
 
 __all__ = [
+    "SparseTensor",
     "Vector",
+    "add_into",
+    "format_terms",
     "StructureTensor",
     "Matrix",
     "SingularMatrixError",
@@ -37,55 +40,63 @@ def _coerce_scalar(value) -> Scalar:
     return Scalar(value)
 
 
-def _format_coeff(coeff: Scalar, label: str) -> str:
-    text = str(coeff)
-    if text == "1":
-        return label
-    if text == "-1":
-        return "-" + label
-    if " " in text:
-        text = f"({text})"
-    return f"{text}*{label}"
+def add_into(acc: dict, key, value) -> None:
+    """Add ``value`` to ``acc[key]``, dropping the key when the sum is zero."""
+    s = acc.get(key)
+    s = value if s is None else s + value
+    if s:
+        acc[key] = s
+    else:
+        acc.pop(key, None)
 
 
-def _join_terms(terms: list[str]) -> str:
-    out = terms[0]
-    for term in terms[1:]:
-        if term.startswith("-"):
+def format_terms(pairs) -> str:
+    """Render (label, coefficient) pairs as ``c1*l1 + c2*l2 - ...``.
+
+    Unit coefficients are left out, a coefficient with more than one term
+    is parenthesized, a leading minus becomes a `` - `` separator, and no
+    pairs at all render as ``"0"``.
+    """
+    out = ""
+    for label, coeff in pairs:
+        text = str(coeff)
+        if text == "1":
+            term = label
+        elif text == "-1":
+            term = "-" + label
+        elif " " in text:
+            term = f"({text})*{label}"
+        else:
+            term = f"{text}*{label}"
+        if not out:
+            out = term
+        elif term.startswith("-"):
             out += " - " + term[1:]
         else:
             out += " + " + term
-    return out
+    return out or "0"
 
 
-class Vector:
-    """Sparse vector over basis indices; zero entries are never stored."""
+class SparseTensor:
+    """Sparse map from basis keys to nonzero scalars; zeros are never stored.
+
+    Keys are basis indices (a vector) or tuples of them (a tensor power).
+    Equality is per type, so tensors of different kinds never compare equal.
+    """
 
     __slots__ = ("_c",)
 
     def __init__(self, coeffs=None):
         data = {}
         if coeffs:
-            for index, value in coeffs.items():
+            for key, value in coeffs.items():
                 value = _coerce_scalar(value)
                 if value:
-                    data[index] = value
+                    data[key] = value
         self._c = data
-
-    @classmethod
-    def basis(cls, index: int) -> Vector:
-        vec = cls()
-        vec._c[index] = Scalar(1)
-        return vec
 
     def items(self):
         return sorted(self._c.items())
-
-    def get(self, index: int) -> Scalar:
-        return self._c.get(index, ZERO)
-
-    def indices(self):
-        return sorted(self._c)
 
     def is_zero(self) -> bool:
         return not self._c
@@ -94,45 +105,60 @@ class Vector:
         return bool(self._c)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Vector):
+        if type(other) is not type(self):
             return NotImplemented
         return self._c == other._c
 
     def __hash__(self):
         return hash(tuple(self.items()))
 
-    def __neg__(self) -> Vector:
-        return Vector({k: -v for k, v in self._c.items()})
+    def __neg__(self):
+        return type(self)({k: -v for k, v in self._c.items()})
 
-    def __add__(self, other: Vector) -> Vector:
+    def __add__(self, other):
         data = dict(self._c)
-        for k, v in other._c.items():
-            s = data.get(k)
-            s = v if s is None else s + v
-            if s:
-                data[k] = s
-            else:
-                data.pop(k, None)
-        vec = Vector()
-        vec._c = data
-        return vec
+        for key, value in other._c.items():
+            add_into(data, key, value)
+        out = type(self)()
+        out._c = data
+        return out
 
-    def __sub__(self, other: Vector) -> Vector:
+    def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, factor) -> Vector:
+    def scale(self, factor):
         factor = _coerce_scalar(factor)
         if not factor:
-            return Vector()
-        return Vector({k: factor * v for k, v in self._c.items()})
+            return type(self)()
+        return type(self)({k: factor * v for k, v in self._c.items()})
 
     def format(self, labels) -> str:
-        if not self._c:
-            return "0"
-        return _join_terms([_format_coeff(v, labels[k]) for k, v in self.items()])
+        """Terms ``c*l1(x)l2...`` with the labels of each key's indices."""
+        return format_terms(
+            ("(x)".join(labels[i] for i in key), value) for key, value in self.items()
+        )
 
     def __repr__(self):
-        return f"Vector({dict(self.items())!r})"
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class Vector(SparseTensor):
+    """Sparse vector: keys are plain basis indices."""
+
+    __slots__ = ()
+
+    @classmethod
+    def basis(cls, index: int) -> Vector:
+        return cls({index: Scalar(1)})
+
+    def get(self, index: int) -> Scalar:
+        return self._c.get(index, ZERO)
+
+    def indices(self):
+        return sorted(self._c)
+
+    def format(self, labels) -> str:
+        return format_terms((labels[k], v) for k, v in self.items())
 
 
 class StructureTensor:
@@ -263,8 +289,7 @@ class Matrix:
             for i in range(self.rows):
                 m = self._e[i][j]
                 if m:
-                    s = acc.get(i)
-                    acc[i] = m * v if s is None else s + m * v
+                    add_into(acc, i, m * v)
         return Vector(acc)
 
     def trace(self) -> Scalar:
@@ -434,13 +459,7 @@ class LieAlgebra:
                     continue
                 factor = xv * yv
                 for r, coeff in coeffs.items():
-                    term = factor * coeff
-                    s = acc.get(r)
-                    s = term if s is None else s + term
-                    if s:
-                        acc[r] = s
-                    else:
-                        acc.pop(r, None)
+                    add_into(acc, r, factor * coeff)
         return Vector(acc)
 
     def check_jacobi(self) -> ViolationReport:
@@ -456,13 +475,7 @@ class LieAlgebra:
                 if not w:
                     continue
                 for m, c2 in w.items():
-                    term = coeff * c2
-                    s = acc.get(m)
-                    s = term if s is None else s + term
-                    if s:
-                        acc[m] = s
-                    else:
-                        acc.pop(m, None)
+                    add_into(acc, m, coeff * c2)
 
         for p in range(self.dim):
             for q in range(p + 1, self.dim):

@@ -22,6 +22,7 @@ from .liealg import (
     StructureTensor,
     Violation,
     ViolationReport,
+    add_into,
 )
 from .scalars import Scalar, ZERO, ONE
 
@@ -83,30 +84,22 @@ def check_compatibility(f: StructureTensor, c: StructureTensor) -> ViolationRepo
 
     residual: dict[tuple[int, int, int, int], Scalar] = {}
 
-    def add(key, value):
-        s = residual.get(key)
-        s = value if s is None else s + value
-        if s:
-            residual[key] = s
-        else:
-            residual.pop(key, None)
-
     for cp, cq, cr, cv in c_triples:
         # term 1: + c^{p,q}_r f^r_{s,t}
         for s, t, fv in f_by_output.get(cr, ()):
-            add((cp, cq, s, t), cv * fv)
+            add_into(residual, (cp, cq, s, t), cv * fv)
         # term 2: - c^{p,r}_s f^q_{r,t}  (join r = c upper second = f lower first)
         for t, q, fv in f_by_first.get(cq, ()):
-            add((cp, q, cr, t), -(cv * fv))
+            add_into(residual, (cp, q, cr, t), -(cv * fv))
         # term 3: - c^{r,q}_s f^p_{r,t}  (join r = c upper first = f lower first)
         for t, p, fv in f_by_first.get(cp, ()):
-            add((p, cq, cr, t), -(cv * fv))
+            add_into(residual, (p, cq, cr, t), -(cv * fv))
         # term 4: - c^{p,r}_t f^q_{s,r}  (join r = c upper second = f lower second)
         for s, q, fv in f_by_second.get(cq, ()):
-            add((cp, q, s, cr), -(cv * fv))
+            add_into(residual, (cp, q, s, cr), -(cv * fv))
         # term 5: - c^{r,q}_t f^p_{s,r}  (join r = c upper first = f lower second)
         for s, p, fv in f_by_second.get(cp, ()):
-            add((p, cq, s, cr), -(cv * fv))
+            add_into(residual, (p, cq, s, cr), -(cv * fv))
 
     report = ViolationReport("compatibility")
     for key in sorted(residual):
@@ -183,23 +176,12 @@ def build_double(triple: ManinTriple) -> DoubleAlgebra:
                 if coeffs:
                     value = coeffs.get(p)
                     if value:
-                        key = m + r
-                        s = acc.get(key)
-                        s = value if s is None else s + value
-                        if s:
-                            acc[key] = s
-                        else:
-                            acc.pop(key, None)
+                        add_into(acc, m + r, value)
                 coeffs = c.pair(p, r)
                 if coeffs:
                     value = coeffs.get(q)
                     if value:
-                        s = acc.get(r)
-                        s = -value if s is None else s - value
-                        if s:
-                            acc[r] = s
-                        else:
-                            acc.pop(r, None)
+                        add_into(acc, r, -value)
             if acc:
                 # stored orientation is [Z_q, z^p] = -[z^p, Z_q]
                 brackets[(q, m + p)] = {r: -v for r, v in acc.items()}

@@ -106,6 +106,9 @@ class Scalar:
         )
 
     def __hash__(self):
+        # a rational equals the int or Fraction it names, so it hashes like one
+        if not (self._b or self._c or self._d):
+            return hash(self._a)
         return hash((self._a, self._b, self._c, self._d))
 
     def __neg__(self) -> Scalar:

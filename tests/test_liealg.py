@@ -14,6 +14,8 @@ from liedouble import (
     Scalar,
     SingularMatrixError,
     StructureTensor,
+    ThreeTensor,
+    TwoTensor,
     Vector,
     abelian,
     build_gln_tn,
@@ -305,3 +307,24 @@ def test_vector_format(pair3):
     vec = Vector({0: ONE, 2: Scalar(Fraction(-1, 2), Fraction(1, 2))})
     assert vec.format(plus.labels) == "Z1 + (-1/2 + 1/2*sqrt2)*Z3"
     assert Vector().format(plus.labels) == "0"
+    mixed = Scalar(Fraction(-1, 2), Fraction(1, 2))
+    vec = Vector({0: -1, 1: 1, 2: mixed})
+    assert vec.format(("A", "B", "C")) == "-A + B + (-1/2 + 1/2*sqrt2)*C"
+
+
+def test_two_tensor_format():
+    mixed = Scalar(Fraction(-1, 2), Fraction(1, 2))
+    tensor = TwoTensor({(0, 1): -1, (1, 0): 1, (2, 2): mixed, (0, 2): Fraction(3, 7)})
+    assert tensor.format(("A", "B", "C")) == (
+        "-A(x)B + 3/7*A(x)C + B(x)A + (-1/2 + 1/2*sqrt2)*C(x)C"
+    )
+    assert TwoTensor().format(("A", "B", "C")) == "0"
+
+
+def test_three_tensor_format():
+    mixed = Scalar(Fraction(-1, 2), Fraction(1, 2))
+    tensor = ThreeTensor({(0, 1, 2): 1, (1, 0, 2): -1, (2, 2, 2): mixed})
+    assert tensor.format(("A", "B", "C")) == (
+        "1*A(x)B(x)C + -1*B(x)A(x)C + (-1/2 + 1/2*sqrt2)*C(x)C(x)C"
+    )
+    assert ThreeTensor().format(("A", "B", "C")) == "0"

@@ -109,6 +109,8 @@ def test_hash_and_int_coercion():
     assert 2 * HALF_SQRT2 == SQRT2
     assert hash(Scalar(1)) == hash(Scalar(Fraction(2, 2)))
     assert len({ONE, Scalar(1), SQRT2}) == 2
+    assert len({ONE, 1}) == 1
+    assert hash(rational(1, 2)) == hash(Fraction(1, 2))
 
 
 def test_division_operators():
