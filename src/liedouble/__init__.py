@@ -94,5 +94,6 @@ from .algfile import (
     from_algebra,
     parse_algebra_file,
 )
+from .suite import CheckResult, verify_suite
 
 __version__ = "0.1.0"

@@ -12,9 +12,9 @@ Subcommands::
 ``--json`` switches to machine output: a single JSON document with sorted
 keys and canonical scalar strings (never floats).  Exit codes: 0 when all
 requested checks pass, 1 when a mathematical check fails, 2 on usage or
-parse errors.  The environment variable ``LIEDOUBLE_VERBOSITY`` (an integer,
-default 5) only controls how many counterexample lines the text renderer
-prints per failed check.
+parse errors, including ``--n`` outside 1..MAX_N.  The environment variable
+``LIEDOUBLE_VERBOSITY`` (an integer, default 5) only controls how many
+counterexample lines the text renderer prints per failed check.
 """
 
 from __future__ import annotations
@@ -23,89 +23,34 @@ import argparse
 import json
 import os
 import sys
-import time
-from dataclasses import dataclass, field
 
 from . import __version__
 from .algfile import AlgebraFileError, from_algebra, parse_algebra_file
 from .bialg import (
     TwoTensor,
     build_rmatrix,
-    check_cocycle,
-    check_cojacobi,
-    coboundary,
     cocommutator_from_triple,
     express_in_basis,
-    identify_central,
-    schouten_check,
     split_twist,
 )
 from .glnfactory import (
-    build_gln_tn,
     build_gln_triple,
     build_s_minus,
     build_s_plus,
-    check_chain_embedding,
-    f_index,
-    fundamental_representation,
     gln_change_of_basis,
     gln_labels,
-    gln_tn_trace_form,
-    h_index,
-    i_index,
-    representation_index,
 )
-from .liealg import LieAlgebra, Vector, Violation, structure_equal
-from .manin import (
-    ManinTriple,
-    build_double,
-    check_ad_invariance,
-    check_compatibility,
-    check_isotropic_pairing,
-)
-from .scalars import ONE, Scalar, ZERO, rational
+from .liealg import LieAlgebra
+from .manin import ManinTriple, build_double, check_compatibility
+from .suite import CARTAN_COEFFICIENT_NOTE, CheckResult, run_check, verify_suite
 
 REPORT_SCHEMA = "liedouble.report/1"
 EMIT_SCHEMA = "liedouble.emit/1"
 
-CARTAN_COEFFICIENT_NOTE = (
-    "Cartan twist coefficient derived exactly as i/2 per H_k^I_k under the "
-    "wedge convention a^b = a(x)b - b(x)a; the often-quoted i/4 would require "
-    "a half-normalized wedge that also halves the F-block coefficient to 1/4, "
-    "contradicting the verified value 1/2, so the derived i/2 is recorded."
-)
-
-
-@dataclass
-class CheckResult:
-    name: str
-    status: str  # "pass" | "fail"
-    counterexamples: list[Violation] = field(default_factory=list)
-    millis: int = 0
-    detail: str = ""
-    note: str = ""
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
-
-def _timed(func):
-    start = time.perf_counter()
-    value = func()
-    millis = int((time.perf_counter() - start) * 1000)
-    return value, millis
-
-
-def _from_violation_report(name, report, millis, detail="", note="") -> CheckResult:
-    return CheckResult(
-        name,
-        "pass" if report.ok else "fail",
-        list(report.violations),
-        millis,
-        detail,
-        note,
-    )
+# Largest accepted --n.  The suite's exhaustive loops grow like d^3 with
+# d = n(n+1) (check_ad_invariance visits every basis triple), so a larger n
+# runs for hours; the README and the benchmark go up to n = 8.
+MAX_N = 12
 
 
 def _two_tensor_entries(tensor: TwoTensor, labels) -> list[dict]:
@@ -132,242 +77,6 @@ def _algebra_payload(alg: LieAlgebra, name: str) -> dict:
             for (p, q), coeffs in alg.tensor.stored()
         ],
     }
-
-
-def verify_suite(n: int) -> list[CheckResult]:
-    """Every library check for the size-n factory construction."""
-    checks: list[CheckResult] = []
-    plus = build_s_plus(n)
-    minus = build_s_minus(n)
-
-    report, ms = _timed(plus.check_jacobi)
-    checks.append(_from_violation_report("jacobi_s_plus", report, ms))
-    report, ms = _timed(minus.check_jacobi)
-    checks.append(_from_violation_report("jacobi_s_minus", report, ms))
-
-    report, ms = _timed(lambda: check_compatibility(plus.tensor, minus.tensor))
-    checks.append(_from_violation_report("compatibility", report, ms))
-
-    triple = ManinTriple.unchecked(plus, minus)
-    double = build_double(triple)
-
-    report, ms = _timed(double.algebra.check_jacobi)
-    checks.append(_from_violation_report("jacobi_double", report, ms))
-    report, ms = _timed(lambda: check_isotropic_pairing(double))
-    checks.append(_from_violation_report("isotropic_pairing", report, ms))
-
-    invariance, ms = _timed(lambda: check_ad_invariance(double))
-    conventions = invariance.conventions()
-    checks.append(
-        CheckResult(
-            "ad_invariance_convention",
-            "pass" if conventions else "fail",
-            [] if conventions else invariance.invariant_counterexamples[:10],
-            ms,
-            detail="holds: " + (", ".join(conventions) if conventions else "neither"),
-        )
-    )
-
-    delta = cocommutator_from_triple(triple)
-    report, ms = _timed(lambda: check_cojacobi(delta, double.algebra.labels))
-    checks.append(_from_violation_report("cojacobi", report, ms))
-    report, ms = _timed(lambda: check_cocycle(double.algebra, delta))
-    checks.append(_from_violation_report("cocycle", report, ms))
-
-    T = gln_change_of_basis(n)
-    labels_hif = gln_labels(n)
-    start = time.perf_counter()
-    hif = double.algebra.change_of_basis(T, labels=labels_hif)
-    delta_hif = express_in_basis(delta, T)
-    rebase_ms = int((time.perf_counter() - start) * 1000)
-
-    def coboundary_check() -> CheckResult:
-        start = time.perf_counter()
-        _, r_skew = build_rmatrix(triple)
-        bad: list[Violation] = []
-        computed = coboundary(double.algebra, r_skew)
-        for p in range(double.algebra.dim):
-            if computed.get(p) != delta.get(p):
-                residual = computed.get(p) - delta.get(p)
-                bad.append(Violation((p,), residual.format(double.algebra.labels)))
-        r_skew_hif = r_skew.transport(T.inverse())
-        computed_hif = coboundary(hif, r_skew_hif)
-        for p in range(hif.dim):
-            if computed_hif.get(p) != delta_hif.get(p):
-                residual = computed_hif.get(p) - delta_hif.get(p)
-                bad.append(Violation((p,), residual.format(labels_hif)))
-        millis = int((time.perf_counter() - start) * 1000)
-        return CheckResult(
-            "coboundary_identity",
-            "pass" if not bad else "fail",
-            bad,
-            millis,
-            detail="checked in the paired basis and the H/I/F basis",
-        )
-
-    checks.append(coboundary_check())
-
-    _, r_skew = build_rmatrix(triple)
-    schouten, ms = _timed(lambda: schouten_check(double.algebra, r_skew))
-    checks.append(
-        CheckResult(
-            "schouten",
-            "pass" if schouten.ok else "fail",
-            schouten.violations[:10],
-            ms,
-            detail=f"verdict: {schouten.verdict}; {schouten.assumption}",
-        )
-    )
-
-    def rmatrix_conventions() -> CheckResult:
-        start = time.perf_counter()
-        bad: list[Violation] = []
-        r_skew_hif = r_skew.transport(T.inverse())
-        try:
-            r_standard, r_twist = split_twist(n, r_skew_hif)
-        except ValueError as err:
-            millis = int((time.perf_counter() - start) * 1000)
-            return CheckResult(
-                "rmatrix_conventions", "fail", [Violation((), str(err))], millis
-            )
-        if (r_standard + r_twist) != r_skew_hif:
-            bad.append(Violation((), "split does not re-sum to the skew r-matrix"))
-        half = rational(1, 2)
-        ihalf = Scalar(0, 0, 1) * half
-        for i in range(1, n + 1):
-            value = r_twist.get(h_index(n, i), i_index(n, i))
-            if value != ihalf:
-                bad.append(
-                    Violation(
-                        (h_index(n, i), i_index(n, i)),
-                        f"H{i}^I{i} coefficient {value}, expected 1/2*i",
-                    )
-                )
-            for j in range(i + 1, n + 1):
-                value = r_standard.get(f_index(n, j, i), f_index(n, i, j))
-                if value != half:
-                    bad.append(
-                        Violation(
-                            (f_index(n, j, i), f_index(n, i, j)),
-                            f"F{j}{i}^F{i}{j} coefficient {value}, expected 1/2",
-                        )
-                    )
-        millis = int((time.perf_counter() - start) * 1000)
-        return CheckResult(
-            "rmatrix_conventions",
-            "pass" if not bad else "fail",
-            bad,
-            millis,
-            note=CARTAN_COEFFICIENT_NOTE,
-        )
-
-    checks.append(rmatrix_conventions())
-
-    def twist_triviality() -> CheckResult:
-        start = time.perf_counter()
-        bad: list[Violation] = []
-        r_skew_hif = r_skew.transport(T.inverse())
-        r_standard, r_twist = split_twist(n, r_skew_hif)
-        twist_delta = coboundary(hif, r_twist)
-        standard_delta = coboundary(hif, r_standard)
-        ihalf = Scalar(0, 0, 1) * rational(1, 2)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i == j:
-                    continue
-                fij = f_index(n, i, j)
-                expected = TwoTensor.wedge(fij, i_index(n, i), -ihalf) + TwoTensor.wedge(
-                    fij, i_index(n, j), ihalf
-                )
-                got = twist_delta.get(fij)
-                if got != expected:
-                    bad.append(
-                        Violation(
-                            (fij,),
-                            f"twist coboundary of F{i}{j}: {(got - expected).format(labels_hif)}",
-                        )
-                    )
-                if not identify_central(n, got).is_zero():
-                    bad.append(
-                        Violation((fij,), f"twist image of F{i}{j} survives the quotient")
-                    )
-        for p in range(hif.dim):
-            if (standard_delta.get(p) + twist_delta.get(p)) != delta_hif.get(p):
-                bad.append(Violation((p,), "standard + twist coboundaries miss delta"))
-        millis = int((time.perf_counter() - start) * 1000)
-        return CheckResult(
-            "twist_triviality", "pass" if not bad else "fail", bad, millis
-        )
-
-    checks.append(twist_triviality())
-
-    def gln_match() -> CheckResult:
-        start = time.perf_counter()
-        expected = build_gln_tn(n)
-        ok = structure_equal(hif, expected)
-        bad: list[Violation] = []
-        if not ok:
-            got = dict(hif.tensor.stored())
-            want = dict(expected.tensor.stored())
-            for key in sorted(set(got) | set(want)):
-                if got.get(key) != want.get(key):
-                    residual = Vector(got.get(key, {})) - Vector(want.get(key, {}))
-                    bad.append(Violation(key, residual.format(labels_hif)))
-                    break
-        millis = int((time.perf_counter() - start) * 1000) + rebase_ms
-        return CheckResult("double_is_glntn", "pass" if ok else "fail", bad, millis)
-
-    checks.append(gln_match())
-
-    def chain() -> CheckResult:
-        report, ms = _timed(lambda: check_chain_embedding(n))
-        return CheckResult(
-            "chain_embedding",
-            "pass" if report.passed else "fail",
-            report.violations[:10],
-            ms,
-            detail=f"inclusion into the size-{n + 1} construction",
-        )
-
-    checks.append(chain())
-
-    def forms() -> CheckResult:
-        start = time.perf_counter()
-        algebra = build_gln_tn(n)
-        killing = algebra.killing_form()
-        trace = gln_tn_trace_form(n)
-        rep = fundamental_representation(n)
-        trace_of = {p: rep[k].trace() for k, p in enumerate(representation_index(n))}
-        bad: list[Violation] = []
-        two_n = Scalar(2 * n)
-        for p in range(algebra.dim):
-            for q in range(algebra.dim):
-                if p in trace_of and q in trace_of:
-                    expected = two_n * trace.entry(p, q) - Scalar(2) * trace_of[p] * trace_of[q]
-                else:
-                    expected = ZERO
-                if killing.entry(p, q) != expected:
-                    bad.append(
-                        Violation((p, q), str(killing.entry(p, q) - expected))
-                    )
-        center_ok = trace.entry(i_index(n, 1), i_index(n, 1)) == ONE
-        if not center_ok:
-            bad.append(Violation((i_index(n, 1),), "central trace pairing missing"))
-        millis = int((time.perf_counter() - start) * 1000)
-        return CheckResult(
-            "forms_comparison",
-            "pass" if not bad else "fail",
-            bad,
-            millis,
-            detail=(
-                "killing = 2n*trace - 2*(tr x tr) on the gl block and vanishes "
-                "on the center; the extended trace form pairs the center by delta"
-            ),
-        )
-
-    checks.append(forms())
-    checks.sort(key=lambda check: check.name)
-    return checks
 
 
 def _checks_payload(command: str, checks: list[CheckResult]) -> dict:
@@ -433,7 +142,12 @@ def _print_checks_text(checks: list[CheckResult], stream) -> None:
                 stream.write(f"    ... {hidden} more\n")
 
 
-def _exit_code(checks: list[CheckResult]) -> int:
+def _report(command: str, checks: list[CheckResult], args, stdout) -> int:
+    """Print the checks as JSON or text; exit 0 when all pass, else 1."""
+    if args.json:
+        _print_json(_checks_payload(command, checks), stdout)
+    else:
+        _print_checks_text(checks, stdout)
     return 0 if all(check.passed for check in checks) else 1
 
 
@@ -442,51 +156,39 @@ def _load_algebra(path: str) -> LieAlgebra:
         return parse_algebra_file(handle.read()).to_algebra()
 
 
+def _load_pair(args) -> tuple[LieAlgebra, LieAlgebra]:
+    plus = _load_algebra(args.plus)
+    minus = _load_algebra(args.minus)
+    if plus.dim != minus.dim:
+        raise AlgebraFileError(
+            f"paired files declare different dimensions {plus.dim} and {minus.dim}", 1
+        )
+    return plus, minus
+
+
 def _cmd_check_jacobi(args, stdout) -> int:
     algebra = _load_algebra(args.file)
-    report, ms = _timed(algebra.check_jacobi)
-    checks = [_from_violation_report("jacobi", report, ms)]
-    command = f"check-jacobi {args.file}"
-    if args.json:
-        _print_json(_checks_payload(command, checks), stdout)
-    else:
-        _print_checks_text(checks, stdout)
-    return _exit_code(checks)
+    checks = [run_check("jacobi", lambda: algebra.check_jacobi().violations)]
+    return _report(f"check-jacobi {args.file}", checks, args, stdout)
 
 
 def _cmd_compat(args, stdout) -> int:
-    plus = _load_algebra(args.plus)
-    minus = _load_algebra(args.minus)
-    if plus.dim != minus.dim:
-        raise AlgebraFileError(
-            f"paired files declare different dimensions {plus.dim} and {minus.dim}", 1
+    plus, minus = _load_pair(args)
+    checks = [
+        run_check(
+            "compatibility", lambda: check_compatibility(plus.tensor, minus.tensor).violations
         )
-    report, ms = _timed(lambda: check_compatibility(plus.tensor, minus.tensor))
-    checks = [_from_violation_report("compatibility", report, ms)]
-    command = f"compat --plus {args.plus} --minus {args.minus}"
-    if args.json:
-        _print_json(_checks_payload(command, checks), stdout)
-    else:
-        _print_checks_text(checks, stdout)
-    return _exit_code(checks)
+    ]
+    return _report(f"compat --plus {args.plus} --minus {args.minus}", checks, args, stdout)
 
 
 def _cmd_double(args, stdout) -> int:
-    plus = _load_algebra(args.plus)
-    minus = _load_algebra(args.minus)
-    if plus.dim != minus.dim:
-        raise AlgebraFileError(
-            f"paired files declare different dimensions {plus.dim} and {minus.dim}", 1
-        )
-    report = check_compatibility(plus.tensor, minus.tensor)
+    plus, minus = _load_pair(args)
     command = f"double --plus {args.plus} --minus {args.minus}"
+    report = check_compatibility(plus.tensor, minus.tensor)
     if not report.ok:
-        checks = [_from_violation_report("compatibility", report, 0)]
-        if args.json:
-            _print_json(_checks_payload(command, checks), stdout)
-        else:
-            _print_checks_text(checks, stdout)
-        return 1
+        checks = [CheckResult("compatibility", "fail", list(report.violations))]
+        return _report(command, checks, args, stdout)
     double = build_double(ManinTriple(plus, minus))
     if args.json:
         payload = _algebra_payload(double.algebra, "double")
@@ -501,12 +203,7 @@ def _cmd_gln(args, stdout) -> int:
     n = args.n
     command = f"gln --n {n} --emit {args.emit}"
     if args.emit == "report":
-        checks = verify_suite(n)
-        if args.json:
-            _print_json(_checks_payload(command, checks), stdout)
-        else:
-            _print_checks_text(checks, stdout)
-        return _exit_code(checks)
+        return _report(command, verify_suite(n), args, stdout)
 
     if args.emit in ("splus", "sminus"):
         algebra = build_s_plus(n) if args.emit == "splus" else build_s_minus(n)
@@ -579,13 +276,7 @@ def _cmd_gln(args, stdout) -> int:
 
 
 def _cmd_verify(args, stdout) -> int:
-    checks = verify_suite(args.n)
-    command = f"verify --n {args.n}"
-    if args.json:
-        _print_json(_checks_payload(command, checks), stdout)
-    else:
-        _print_checks_text(checks, stdout)
-    return _exit_code(checks)
+    return _report(f"verify --n {args.n}", verify_suite(args.n), args, stdout)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -639,8 +330,9 @@ def run_command(argv, stdout=None, stderr=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help/--version
         return int(exc.code or 0)
-    if getattr(args, "n", None) is not None and args.n < 1:
-        stderr.write("error: --n must be at least 1\n")
+    n = getattr(args, "n", None)
+    if n is not None and not 1 <= n <= MAX_N:
+        stderr.write(f"error: --n must be between 1 and {MAX_N}\n")
         return 2
     try:
         return args.handler(args, stdout)

@@ -49,7 +49,7 @@ from .liealg import (
 from .manin import ManinTriple, build_double
 from fractions import Fraction
 
-from .scalars import HALF_SQRT2, ONE, Scalar, ZERO
+from .scalars import HALF_SQRT2, MINUS_ONE, ONE, Scalar, ZERO
 
 __all__ = [
     "solvable_dim",
@@ -71,6 +71,7 @@ __all__ = [
     "gln_tn_trace_form",
     "double_in_gln_basis",
     "delta_in_gln_basis",
+    "first_bracket_difference",
     "verify_double_is_gln",
     "check_chain_embedding",
     "GlnMatchReport",
@@ -221,60 +222,45 @@ def gln_change_of_basis(n: int) -> Matrix:
     return Matrix.from_columns(dim, [Vector(col) for col in columns])
 
 
+def _matrix_units(n: int) -> list[tuple[int, int]]:
+    """(i, j) of each gl(n) basis element E_ij: H_i = E_ii first, then F_ij (i != j)."""
+    units = [(i, i) for i in range(1, n + 1)]
+    units += [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if j != i]
+    return units
+
+
+def _unit_index(n: int, i: int, j: int) -> int:
+    return h_index(n, i) if i == j else f_index(n, i, j)
+
+
 def fundamental_representation(n: int) -> list[Matrix]:
     """n x n matrices for the gl(n) block: H_i = E_ii, F_ij = E_ij (i != j)."""
-
-    def unit(i: int, j: int) -> Matrix:
-        return Matrix(
-            [[ONE if (r, s) == (i - 1, j - 1) else ZERO for s in range(n)] for r in range(n)]
-        )
-
-    matrices = [unit(i, i) for i in range(1, n + 1)]
-    matrices += [unit(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if j != i]
-    return matrices
+    return [
+        Matrix([[ONE if (r, s) == (i - 1, j - 1) else ZERO for s in range(n)] for r in range(n)])
+        for i, j in _matrix_units(n)
+    ]
 
 
 def representation_index(n: int) -> list[int]:
     """gl(n)+t_n index of each fundamental_representation(n) matrix, in order."""
-    index = [h_index(n, i) for i in range(1, n + 1)]
-    index += [f_index(n, i, j) for i in range(1, n + 1) for j in range(1, n + 1) if j != i]
-    return index
+    return [_unit_index(n, i, j) for i, j in _matrix_units(n)]
 
 
 def build_gln_tn(n: int) -> LieAlgebra:
-    """gl(n) from fundamental-representation commutators, plus n central I_i."""
+    """gl(n) from [E_ij, E_kl] = d_jk E_il - d_li E_kj, plus n central I_i."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    rep = fundamental_representation(n)
-    algebra_to_rep = {alg_i: k for k, alg_i in enumerate(representation_index(n))}
-
-    def decompose(mat: Matrix) -> dict[int, Scalar]:
-        out: dict[int, Scalar] = {}
-        for r in range(n):
-            for s in range(n):
-                value = mat.entry(r, s)
-                if value:
-                    index = h_index(n, r + 1) if r == s else f_index(n, r + 1, s + 1)
-                    out[index] = value
-        return out
-
+    units = _matrix_units(n)
     brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
-    indices = sorted(algebra_to_rep)
-    for a_pos, p in enumerate(indices):
-        mp = rep[algebra_to_rep[p]]
-        for q in indices[a_pos + 1 :]:
-            mq = rep[algebra_to_rep[q]]
-            comm = mp * mq
-            comm2 = mq * mp
-            diff = Matrix(
-                [
-                    [comm.entry(r, s) - comm2.entry(r, s) for s in range(n)]
-                    for r in range(n)
-                ]
-            )
-            vec = decompose(diff)
-            if vec:
-                brackets[(p, q)] = vec
+    for a, (i, j) in enumerate(units):
+        for k, l in units[a + 1 :]:
+            acc: dict[int, Scalar] = {}
+            if j == k:
+                add_into(acc, _unit_index(n, i, l), ONE)
+            if l == i:
+                add_into(acc, _unit_index(n, k, j), MINUS_ONE)
+            if acc:
+                brackets[(_unit_index(n, i, j), _unit_index(n, k, l))] = acc
     return LieAlgebra(gln_labels(n), StructureTensor(brackets))
 
 
@@ -316,25 +302,37 @@ class GlnMatchReport:
     detail: str = ""
 
 
+def first_bracket_difference(a: LieAlgebra, b: LieAlgebra):
+    """First stored pair (p, q), in sorted order, whose bracket differs in a and b.
+
+    Returns ``(key, bracket in a, bracket in b)`` with the brackets as
+    Vectors, or None when the two bracket tables are equal.
+    """
+    got = dict(a.tensor.stored())
+    want = dict(b.tensor.stored())
+    for key in sorted(set(got) | set(want)):
+        if got.get(key) != want.get(key):
+            return key, Vector(got.get(key, {})), Vector(want.get(key, {}))
+    return None
+
+
 def verify_double_is_gln(n: int) -> GlnMatchReport:
     """Build the triple, double and basis change, then compare tensors exactly."""
     rebased = double_in_gln_basis(n)
     expected = build_gln_tn(n)
     if structure_equal(rebased, expected):
         return GlnMatchReport(n, True)
-    got = dict(rebased.tensor.stored())
-    want = dict(expected.tensor.stored())
-    for key in sorted(set(got) | set(want)):
-        if got.get(key) != want.get(key):
-            labels = expected.labels
-            left = Vector(got.get(key, {})).format(labels)
-            right = Vector(want.get(key, {})).format(labels)
-            return GlnMatchReport(
-                n,
-                False,
-                f"first differing bracket at pair {key}: built {left}, expected {right}",
-            )
-    return GlnMatchReport(n, False, "tensors differ only in dimension bookkeeping")
+    difference = first_bracket_difference(rebased, expected)
+    if difference is None:
+        return GlnMatchReport(n, False, "tensors differ only in dimension bookkeeping")
+    key, built, want = difference
+    labels = expected.labels
+    return GlnMatchReport(
+        n,
+        False,
+        f"first differing bracket at pair {key}: built {built.format(labels)}, "
+        f"expected {want.format(labels)}",
+    )
 
 
 @dataclass
@@ -347,15 +345,9 @@ class ChainReport:
 
 
 def _embedding_map(m: int) -> dict[int, int]:
-    big = m + 1
-    mapping = {}
-    for i in range(1, m + 1):
-        mapping[h_index(m, i)] = h_index(big, i)
-        mapping[i_index(m, i)] = i_index(big, i)
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            if i != j:
-                mapping[f_index(m, i, j)] = f_index(big, i, j)
+    """Index of each size-m generator E_ij, I_i among the size-(m+1) ones."""
+    mapping = {_unit_index(m, i, j): _unit_index(m + 1, i, j) for i, j in _matrix_units(m)}
+    mapping.update({i_index(m, i): i_index(m + 1, i) for i in range(1, m + 1)})
     return mapping
 
 

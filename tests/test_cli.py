@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from liedouble.cli import CARTAN_COEFFICIENT_NOTE, run_command
+import liedouble.suite as suite
+from liedouble.cli import CARTAN_COEFFICIENT_NOTE, MAX_N, run_command
 
 RANK_TWO_PLUS = """algebra splus2 dim 3
 basis Z1 Z2 Z3
@@ -206,6 +207,20 @@ def test_exit_code_2_on_missing_file():
     code, _, err = run(["check-jacobi", "/nonexistent/file.alg"])
     assert code == 2
     assert "error:" in err
+
+
+def test_n_above_max_n_exits_2_before_building(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("nothing may be built for an out-of-range --n")
+
+    monkeypatch.setattr(suite, "build_s_plus", fail)
+    too_big = str(MAX_N + 1)
+    for argv in (["verify", "--n", too_big], ["gln", "--n", too_big, "--emit", "report"]):
+        code, out, err = run(argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: --n must be between 1 and {MAX_N}\n"
+    code, out, _ = run(["gln", "--n", str(MAX_N), "--emit", "splus"])
+    assert code == 0 and out.startswith("algebra splus")
 
 
 def test_exit_code_2_on_usage_error():

@@ -28,6 +28,7 @@ from liedouble import (
     gln_tn_trace_form,
     h_index,
     i_index,
+    representation_index,
     root_index,
     solvable_dim,
     solvable_labels,
@@ -239,6 +240,36 @@ def dict_to_tensor(brackets):
 def test_build_gln_tn_matches_closed_form():
     for n in (1, 2, 3, 4):
         assert structure_equal(build_gln_tn(n), closed_form_gln_tn(n)), n
+
+
+def commutator_gln_tn(n: int) -> LieAlgebra:
+    """Generic-path oracle: A*B - B*A over the fundamental representation,
+    read back entry by entry through representation_index."""
+    rep = fundamental_representation(n)
+    index = representation_index(n)
+    entry_index = {
+        (r, s): index[k]
+        for k, mat in enumerate(rep)
+        for r in range(n)
+        for s in range(n)
+        if mat.entry(r, s)
+    }
+    brackets = {}
+    for a in range(len(rep)):
+        for b in range(a + 1, len(rep)):
+            left, right = rep[a] * rep[b], rep[b] * rep[a]
+            brackets[(index[a], index[b])] = {
+                entry_index[(r, s)]: left.entry(r, s) - right.entry(r, s)
+                for r in range(n)
+                for s in range(n)
+                if left.entry(r, s) != right.entry(r, s)
+            }
+    return LieAlgebra(gln_labels(n), dict_to_tensor(brackets))
+
+
+def test_build_gln_tn_matches_matrix_commutators():
+    for n in (1, 2, 3, 4, 5):
+        assert structure_equal(build_gln_tn(n), commutator_gln_tn(n)), n
 
 
 def test_build_gln_tn_rank_two_table():
