@@ -12,6 +12,10 @@ zero bracket.  Antisymmetry is implied: declaring both ``[A,B]`` and
 ``[B,A]`` is an error, as is redeclaring a pair.  Parsing canonicalizes
 immediately (brackets and terms sorted by basis index, scalars in canonical
 text form), so a parsed file round-trips byte-for-byte through the printer.
+
+Input is bounded: ``k`` is at most :data:`MAX_DIM` and an integer literal
+has at most :data:`liedouble.scalars.MAX_LITERAL_DIGITS` digits.  Larger
+input raises :class:`AlgebraFileError`, which the CLI reports with exit 2.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .liealg import LieAlgebra, StructureTensor, add_into, format_terms
 from .scalars import Scalar, ScalarParseError, scalar_parse
 
 __all__ = [
+    "MAX_DIM",
     "AlgebraFileError",
     "BracketDecl",
     "AlgebraFile",
@@ -30,6 +35,12 @@ __all__ = [
     "format_algebra_file",
     "from_algebra",
 ]
+
+# Largest accepted ``dim``: the double the gl(n) factory emits at the CLI's
+# largest n (n = 12, dimension n^2 + n).  It is checked on the header line,
+# before any label is read; a check-jacobi over it already visits
+# dim^3 / 6 triples.
+MAX_DIM = 156
 
 _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _RESERVED = {"sqrt2", "i"}
@@ -166,7 +177,14 @@ def parse_algebra_file(text: str) -> AlgebraFile:
                     line_no,
                 )
             name = match.group(1)
-            dim = int(match.group(2))
+            digits = match.group(2).lstrip("0") or "0"
+            if len(digits) > len(str(MAX_DIM)) or int(digits) > MAX_DIM:
+                raise AlgebraFileError(
+                    f"dim exceeds the limit of {MAX_DIM}",
+                    line_no,
+                    len(raw) - len(raw.lstrip()) + match.start(2) + 1,
+                )
+            dim = int(digits)
             continue
         if line.startswith("basis"):
             if seen_basis:

@@ -328,25 +328,45 @@ def schouten_bracket(alg: LieAlgebra, r: TwoTensor, s: TwoTensor | None = None) 
 
 
 def schouten_check(alg: LieAlgebra, r_skew: TwoTensor) -> QuasitriangularReport:
-    """Compute [[r, r]] and test its invariance under every ad_x (x basis)."""
+    """Compute [[r, r]] and test its invariance under every ad_x (x basis).
+
+    ad_x acts on one slot of a term at a time, and only where [x, s] is
+    nonzero for the basis index s in that slot.  The terms are indexed by
+    the index in each slot, so for each x only the slot values s with
+    [x, s] != 0 are visited.  The few distinct products value * cv are
+    computed once per call.
+    """
     schouten = schouten_bracket(alg, r_skew)
     pair = alg.tensor.pair
+    # One object per distinct coefficient value, so that the product table
+    # can be keyed on object ids: a Scalar hash costs as much as a few dozen
+    # dict lookups, and every Scalar here is hashed only once per call.
+    # Each object stays alive (in this table or in alg) while its id is used.
+    canonical: dict[Scalar, Scalar] = {}
+    by_slot: list[dict[int, list]] = [{}, {}, {}]
+    for key, value in schouten.items():
+        value = canonical.setdefault(value, value)
+        for slot in range(3):
+            by_slot[slot].setdefault(key[slot], []).append((key, value))
+    cv_ids: dict[int, int] = {}  # id of a bracket coefficient -> id of its canonical value
+    products: dict[tuple[int, int], Scalar] = {}
     violations: list[Violation] = []
     for x in range(alg.dim):
         acc: dict[tuple[int, int, int], Scalar] = {}
-        for (p, q, r), value in schouten.items():
-            w = pair(x, p)
-            if w:
-                for k, cv in w.items():
-                    add_into(acc, (k, q, r), value * cv)
-            w = pair(x, q)
-            if w:
-                for k, cv in w.items():
-                    add_into(acc, (p, k, r), value * cv)
-            w = pair(x, r)
-            if w:
-                for k, cv in w.items():
-                    add_into(acc, (p, q, k), value * cv)
+        for slot, terms_at in enumerate(by_slot):
+            for s, terms in terms_at.items():
+                w = pair(x, s)
+                if not w:
+                    continue
+                for key, value in terms:
+                    for k, cv in w.items():
+                        cv_id = cv_ids.get(id(cv))
+                        if cv_id is None:
+                            cv_id = cv_ids[id(cv)] = id(canonical.setdefault(cv, cv))
+                        product = products.get((id(value), cv_id))
+                        if product is None:
+                            product = products[(id(value), cv_id)] = value * cv
+                        add_into(acc, key[:slot] + (k,) + key[slot + 1 :], product)
         if acc:
             violations.append(
                 Violation((x,), ThreeTensor(acc).format(alg.labels))

@@ -48,8 +48,8 @@ REPORT_SCHEMA = "liedouble.report/1"
 EMIT_SCHEMA = "liedouble.emit/1"
 
 # Largest accepted --n.  The suite's exhaustive loops grow like d^3 with
-# d = n(n+1) (check_ad_invariance visits every basis triple), so a larger n
-# runs for hours; the README and the benchmark go up to n = 8.
+# d = n(n+1) (check_jacobi visits every basis triple p < q < r), so a larger
+# n runs for hours; the README and the benchmark go up to n = 8.
 MAX_N = 12
 
 

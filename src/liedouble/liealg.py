@@ -301,37 +301,45 @@ class Matrix:
         return total
 
     def _eliminated(self, augment: bool):
+        """Gauss-Jordan over sparse rows; returns (inverse rows or None, det).
+
+        Each working row is a ``{column: Scalar}`` dict holding only its
+        nonzero entries, with the augmented identity in columns n..2n-1.
+        The pivot is the first row at or below ``col`` with a nonzero entry
+        there, and scaling and elimination touch only the pivot row's stored
+        entries: every skipped product has a zero factor.
+        """
         n = self.rows
-        work = [row[:] for row in self._e]
-        aug = [[Scalar(1) if i == j else ZERO for j in range(n)] for i in range(n)] if augment else None
+        work = [{j: v for j, v in enumerate(row) if v} for row in self._e]
+        if augment:
+            for i, row in enumerate(work):
+                row[n + i] = Scalar(1)
         det = Scalar(1)
         for col in range(n):
             pivot_row = None
             for r in range(col, n):
-                if work[r][col]:
+                if col in work[r]:
                     pivot_row = r
                     break
             if pivot_row is None:
                 return None, ZERO
             if pivot_row != col:
                 work[col], work[pivot_row] = work[pivot_row], work[col]
-                if aug is not None:
-                    aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
                 det = -det
             pivot = work[col][col]
             det = det * pivot
             inv = pivot.inverse()
-            work[col] = [v * inv for v in work[col]]
-            if aug is not None:
-                aug[col] = [v * inv for v in aug[col]]
-            for r in range(n):
-                if r == col or not work[r][col]:
+            pivot_entries = [(j, v * inv) for j, v in work[col].items()]
+            work[col] = dict(pivot_entries)
+            for r, row in enumerate(work):
+                factor = row.get(col)
+                if r == col or factor is None:
                     continue
-                factor = work[r][col]
-                work[r] = [v - factor * w for v, w in zip(work[r], work[col])]
-                if aug is not None:
-                    aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-        return aug, det
+                for j, w in pivot_entries:
+                    add_into(row, j, -(factor * w))
+        if not augment:
+            return None, det
+        return [[row.get(n + j, ZERO) for j in range(n)] for row in work], det
 
     def determinant(self) -> Scalar:
         if self.rows != self.cols:

@@ -22,6 +22,7 @@ import re
 from fractions import Fraction
 
 __all__ = [
+    "MAX_LITERAL_DIGITS",
     "Scalar",
     "ScalarParseError",
     "scalar_parse",
@@ -249,6 +250,12 @@ class ScalarParseError(ValueError):
         self.position = position
 
 
+# Longest accepted integer literal.  Python refuses to convert integers of
+# more than 4300 decimal digits to or from text by default, and a check
+# multiplies two coefficients before printing a residual, so literals are
+# capped well below half of that: any product of two of them still prints.
+MAX_LITERAL_DIGITS = 1000
+
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|(sqrt2\b|i\b)|([()+\-*/]))")
 
 
@@ -265,6 +272,12 @@ def _tokenize(text: str):
         number, atom, op = match.groups()
         start = match.end() - len((number or atom or op))
         if number is not None:
+            if len(number) > MAX_LITERAL_DIGITS:
+                raise ScalarParseError(
+                    f"integer literal of {len(number)} digits exceeds the limit of "
+                    f"{MAX_LITERAL_DIGITS}",
+                    start,
+                )
             tokens.append(("num", int(number), start))
         elif atom is not None:
             tokens.append(("atom", atom, start))

@@ -1,0 +1,299 @@
+"""The sparse verify kernels against the dense loops they replaced.
+
+``Matrix.inverse``/``determinant``, ``check_ad_invariance`` and
+``schouten_check`` skip entries and triples that are provably zero.  Each
+reference below is the dense loop the library used before, kept verbatim
+in substance; the fast kernel must return exactly what it returns: equal
+values, the same counterexamples in the same order, the same verdicts.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from liedouble import (
+    NOT_INVARIANT,
+    QUASITRIANGULAR,
+    TRIANGULAR,
+    ZERO,
+    BilinearForm,
+    LieAlgebra,
+    Matrix,
+    Scalar,
+    SingularMatrixError,
+    ThreeTensor,
+    TwoTensor,
+    Violation,
+    build_double,
+    build_gln_triple,
+    build_rmatrix,
+    check_ad_invariance,
+    gln_change_of_basis,
+    schouten_bracket,
+    schouten_check,
+)
+from liedouble.manin import DoubleAlgebra
+
+# --- reference implementations -------------------------------------------
+
+
+def dense_eliminated(entries, augment: bool):
+    """Dense Gauss-Jordan: returns (inverse rows or None, determinant)."""
+    n = len(entries)
+    work = [list(row) for row in entries]
+    aug = [[Scalar(1) if i == j else ZERO for j in range(n)] for i in range(n)] if augment else None
+    det = Scalar(1)
+    for col in range(n):
+        pivot_row = None
+        for r in range(col, n):
+            if work[r][col]:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            return None, ZERO
+        if pivot_row != col:
+            work[col], work[pivot_row] = work[pivot_row], work[col]
+            if aug is not None:
+                aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+            det = -det
+        pivot = work[col][col]
+        det = det * pivot
+        inv = pivot.inverse()
+        work[col] = [v * inv for v in work[col]]
+        if aug is not None:
+            aug[col] = [v * inv for v in aug[col]]
+        for r in range(n):
+            if r == col or not work[r][col]:
+                continue
+            factor = work[r][col]
+            work[r] = [v - factor * w for v, w in zip(work[r], work[col])]
+            if aug is not None:
+                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
+    return aug, det
+
+
+def dense_ad_invariance(double):
+    """Both conventions over all dim^3 basis triples."""
+    alg = double.algebra
+    pairing = double.pairing
+    pair = alg.tensor.pair
+
+    def paired(coeffs, index):
+        total = ZERO
+        for r, v in (coeffs or {}).items():
+            m = pairing.entry(r, index)
+            if m:
+                total = total + v * m
+        return total
+
+    plus_bad, minus_bad = [], []
+    for a in range(alg.dim):
+        for b in range(alg.dim):
+            for c in range(alg.dim):
+                lhs = paired(pair(a, b), c)
+                rhs = paired(pair(b, c), a)
+                if lhs != rhs:
+                    plus_bad.append(Violation((a, b, c), str(lhs - rhs)))
+                if lhs != -rhs:
+                    minus_bad.append(Violation((a, b, c), str(lhs + rhs)))
+    return plus_bad, minus_bad
+
+
+def dense_schouten_check(alg, r_skew):
+    """(verdict, schouten, violations) with every term visited for every x."""
+    schouten = schouten_bracket(alg, r_skew)
+    pair = alg.tensor.pair
+    violations = []
+    for x in range(alg.dim):
+        acc = {}
+        for (p, q, r), value in schouten.items():
+            for slot, s in enumerate((p, q, r)):
+                for k, cv in (pair(x, s) or {}).items():
+                    key = ((p, q, r)[:slot]) + (k,) + ((p, q, r)[slot + 1 :])
+                    acc[key] = acc.get(key, ZERO) + value * cv
+        acc = {key: value for key, value in acc.items() if value}
+        if acc:
+            violations.append(Violation((x,), ThreeTensor(acc).format(alg.labels)))
+    if violations:
+        verdict = NOT_INVARIANT
+    elif schouten:
+        verdict = QUASITRIANGULAR
+    else:
+        verdict = TRIANGULAR
+    return verdict, schouten, violations
+
+
+# --- Gauss-Jordan -----------------------------------------------------------
+
+nonzero = st.builds(
+    lambda a, b, c, d: Scalar(a, Fraction(b, 2), c, d),
+    st.integers(-3, 3),
+    st.integers(-2, 2),
+    st.integers(-2, 2),
+    st.integers(-1, 1),
+).filter(bool)
+
+
+@st.composite
+def square_matrices(draw):
+    """Sparse or dense square matrices; some singular, some needing swaps."""
+    n = draw(st.integers(1, 5))
+    density = draw(st.sampled_from([0.25, 0.6, 1.0]))
+    rows = [
+        [draw(nonzero) if draw(st.floats(0, 1)) < density else ZERO for _ in range(n)]
+        for _ in range(n)
+    ]
+    shape = draw(st.sampled_from(["plain", "swap", "repeated_row", "zero_column"]))
+    if shape == "swap" and n > 1:
+        rows[0][0] = ZERO
+        rows[n - 1][0] = draw(nonzero)
+    elif shape == "repeated_row" and n > 1:
+        factor = draw(nonzero)
+        rows[n - 1] = [factor * v for v in rows[0]]
+    elif shape == "zero_column":
+        column = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[column] = ZERO
+    return rows
+
+
+def assert_matches_dense(rows):
+    matrix = Matrix(rows)
+    aug, det = dense_eliminated(rows, augment=True)
+    assert matrix.determinant() == det
+    assert dense_eliminated(rows, augment=False)[1] == det
+    if aug is None or not det:
+        with pytest.raises(SingularMatrixError):
+            matrix.inverse()
+    else:
+        inverse = matrix.inverse()
+        assert inverse == Matrix(aug)
+        assert matrix * inverse == Matrix.identity(len(rows))
+
+
+@settings(deadline=None, max_examples=80)
+@given(square_matrices())
+def test_gauss_jordan_matches_dense_reference(rows):
+    assert_matches_dense(rows)
+
+
+def test_gauss_jordan_cases_that_need_each_branch():
+    one, two, i = Scalar(1), Scalar(2), Scalar(0, 0, 1)
+    assert_matches_dense([[ZERO, one], [one, ZERO]])  # swap at the first column
+    assert_matches_dense([[one, two], [two, Scalar(4)]])  # singular after elimination
+    assert_matches_dense([[ZERO, ZERO], [ZERO, one]])  # no pivot at all
+    assert_matches_dense([[i, one, ZERO], [ZERO, ZERO, two], [one, ZERO, Scalar(0, 1)]])
+
+
+def test_gauss_jordan_matches_dense_on_the_gln_basis_change():
+    T = gln_change_of_basis(3)
+    rows = [[T.entry(i, j) for j in range(T.cols)] for i in range(T.rows)]
+    assert_matches_dense(rows)
+
+
+# --- ad-invariance ------------------------------------------------------------
+
+
+def doctored_double(n: int, scales: dict, pairing_entries: dict) -> DoubleAlgebra:
+    """The gl(n) double with some bracket constants scaled and the pairing changed.
+
+    ``scales`` maps a stored pair's position to a factor for its first
+    constant; ``pairing_entries`` maps (p, q) to a symmetric Gram entry.
+    """
+    double = build_double(build_gln_triple(n))
+    alg = double.algebra
+    stored = list(alg.tensor.stored())
+    brackets = {}
+    for position, (key, coeffs) in enumerate(stored):
+        coeffs = dict(coeffs)
+        if position in scales:
+            first = min(coeffs)
+            coeffs[first] = coeffs[first] * scales[position]
+        brackets[key] = coeffs
+    gram = [[double.pairing.entry(p, q) for q in range(alg.dim)] for p in range(alg.dim)]
+    for (p, q), value in pairing_entries.items():
+        gram[p][q] = gram[q][p] = value
+    return DoubleAlgebra(
+        LieAlgebra.from_brackets(alg.labels, brackets), BilinearForm(gram), double.origin
+    )
+
+
+def assert_ad_invariance_matches_dense(double):
+    report = check_ad_invariance(double)
+    plus_bad, minus_bad = dense_ad_invariance(double)
+    assert report.invariant_counterexamples == plus_bad
+    assert report.anti_invariant_counterexamples == minus_bad
+    assert report.invariant_holds == (not plus_bad)
+    assert report.anti_invariant_holds == (not minus_bad)
+    return report
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ad_invariance_matches_dense_on_gln_doubles(n):
+    report = assert_ad_invariance_matches_dense(build_double(build_gln_triple(n)))
+    assert "invariant" in report.conventions()
+
+
+def test_ad_invariance_matches_dense_on_the_worked_double(double3):
+    assert_ad_invariance_matches_dense(double3)
+
+
+def test_ad_invariance_matches_dense_when_both_conventions_fail():
+    double = doctored_double(
+        3, {0: Scalar(3), 4: Scalar(0, 1), 7: Scalar(-1)}, {(0, 1): Scalar(1), (2, 9): Scalar(0, 0, 1)}
+    )
+    report = assert_ad_invariance_matches_dense(double)
+    assert report.conventions() == ()
+    assert report.invariant_counterexamples and report.anti_invariant_counterexamples
+
+
+def test_ad_invariance_matches_dense_off_the_bracket_support():
+    # a pairing entry that pairs a generator with itself puts nonzero
+    # <[a,b],c> on triples outside the hyperbolic pattern
+    double = doctored_double(3, {}, {(3, 3): Scalar(2), (1, 11): Scalar(-1)})
+    report = assert_ad_invariance_matches_dense(double)
+    assert not report.invariant_holds
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    scales=st.dictionaries(st.integers(0, 8), nonzero, max_size=3),
+    pairing_entries=st.dictionaries(
+        st.tuples(st.integers(0, 5), st.integers(0, 5)), nonzero, max_size=2
+    ),
+)
+def test_ad_invariance_matches_dense_on_random_doctored_doubles(scales, pairing_entries):
+    assert_ad_invariance_matches_dense(doctored_double(2, scales, pairing_entries))
+
+
+# --- Schouten -------------------------------------------------------------------
+
+
+def assert_schouten_matches_dense(alg, r_skew):
+    report = schouten_check(alg, r_skew)
+    verdict, schouten, violations = dense_schouten_check(alg, r_skew)
+    assert report.schouten == schouten
+    assert report.violations == violations
+    assert report.verdict == verdict
+    return report
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_schouten_matches_dense_on_gln(n):
+    triple = build_gln_triple(n)
+    _, r_skew = build_rmatrix(triple)
+    assert assert_schouten_matches_dense(build_double(triple).algebra, r_skew).ok
+
+
+@pytest.mark.parametrize("n, doubled", [(2, [0]), (2, [1, 3]), (3, [0, 3, 7, 10])])
+def test_schouten_matches_dense_with_doubled_entries(n, doubled):
+    triple = build_gln_triple(n)
+    _, r_skew = build_rmatrix(triple)
+    entries = dict(r_skew.items())
+    for position, key in enumerate(sorted(entries)):
+        if position in doubled:
+            entries[key] = entries[key] * 2
+    report = assert_schouten_matches_dense(build_double(triple).algebra, TwoTensor(entries))
+    assert report.verdict == NOT_INVARIANT
+    assert report.violations

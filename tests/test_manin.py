@@ -298,3 +298,19 @@ def test_manin_structure_covariant_under_contragredient_changes():
         assert cocommutator_from_triple(moved) == express_in_basis(
             cocommutator_from_triple(triple), D
         )
+
+
+def test_unchecked_triple_skips_validation_and_equals_checked(pair3):
+    plus, minus = pair3
+    checked = ManinTriple(plus, minus)
+    unchecked = ManinTriple.unchecked(plus, minus)
+    assert unchecked == checked
+    assert repr(unchecked) == repr(checked)
+    assert hash(unchecked) == hash(checked)
+    # validation is an init-only flag, not a field
+    assert "validate" not in repr(checked)
+    broken = LieAlgebra.from_brackets(minus.labels, {(0, 1): {2: ONE}, (0, 2): {2: -K}, (1, 2): {2: K}})
+    with pytest.raises(CompatibilityError):
+        ManinTriple(plus, broken)
+    assert ManinTriple.unchecked(plus, broken).minus is broken
+    assert ManinTriple(plus, broken, validate=False).minus is broken
