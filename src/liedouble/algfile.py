@@ -13,9 +13,10 @@ zero bracket.  Antisymmetry is implied: declaring both ``[A,B]`` and
 immediately (brackets and terms sorted by basis index, scalars in canonical
 text form), so a parsed file round-trips byte-for-byte through the printer.
 
-Input is bounded: ``k`` is at most :data:`MAX_DIM` and an integer literal
-has at most :data:`liedouble.scalars.MAX_LITERAL_DIGITS` digits.  Larger
-input raises :class:`AlgebraFileError`, which the CLI reports with exit 2.
+Input is bounded: ``k`` is at most :data:`MAX_DIM`, and an integer literal
+and every numerator and denominator of a coefficient's value have at most
+:data:`liedouble.scalars.MAX_LITERAL_DIGITS` digits.  Larger input raises
+:class:`AlgebraFileError`, which the CLI reports with exit 2.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ __all__ = [
 # before any label is read; a check-jacobi over it already visits
 # dim^3 / 6 triples.
 MAX_DIM = 156
+
+# Longest coefficient text quoted in full in a parse error.
+_QUOTED_TEXT = 40
 
 _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _RESERVED = {"sqrt2", "i"}
@@ -148,9 +152,10 @@ def _parse_term(term: str, line: int, column: int):
     try:
         value = scalar_parse(scalar_text)
     except ScalarParseError as err:
-        raise AlgebraFileError(
-            f"bad coefficient {scalar_text.strip()!r}: {err}", line, column
-        ) from err
+        quoted = scalar_text.strip()
+        if len(quoted) > _QUOTED_TEXT:
+            quoted = quoted[: _QUOTED_TEXT - 3] + "..."
+        raise AlgebraFileError(f"bad coefficient {quoted!r}: {err}", line, column) from err
     return label, value
 
 

@@ -14,6 +14,7 @@ part alone (the report states this assumption).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from .liealg import (
@@ -25,6 +26,7 @@ from .liealg import (
     ViolationReport,
     _coerce_scalar,
     add_into,
+    product_table,
 )
 from .manin import ManinTriple
 from .scalars import Scalar, ZERO, ONE, rational
@@ -72,6 +74,7 @@ class TwoTensor(SparseTensor):
 
     def transport(self, inverse_basis_map: Matrix) -> TwoTensor:
         """Rewrite coordinates through the inverse change-of-basis matrix."""
+        mul = product_table()
         columns: dict[int, list] = {}
 
         def column(index):
@@ -89,7 +92,7 @@ class TwoTensor(SparseTensor):
         for (p, q), value in self._c.items():
             for k, left in column(p):
                 for l, right in column(q):
-                    add_into(acc, (k, l), value * left * right)
+                    add_into(acc, (k, l), mul(mul(value, left), right))
         return TwoTensor(acc)
 
 
@@ -177,6 +180,7 @@ def express_in_basis(delta: Cocommutator, T: Matrix) -> Cocommutator:
     if T.rows != delta.dim or T.cols != delta.dim:
         raise ValueError("change-of-basis matrix has wrong shape")
     T_inv = T.inverse()
+    mul = product_table()
     entries = {}
     for j in range(delta.dim):
         acc: dict[tuple[int, int], Scalar] = {}
@@ -185,7 +189,7 @@ def express_in_basis(delta: Cocommutator, T: Matrix) -> Cocommutator:
             if not value:
                 continue
             for key, coeff in value.items():
-                add_into(acc, key, weight * coeff)
+                add_into(acc, key, mul(weight, coeff))
         if acc:
             entries[j] = TwoTensor(acc).transport(T_inv)
     return Cocommutator(delta.dim, entries)
@@ -210,7 +214,7 @@ def check_cojacobi(delta: Cocommutator, labels=None) -> ViolationReport:
     return report
 
 
-def _act_on_two_tensor(alg: LieAlgebra, x: int, tensor: TwoTensor) -> TwoTensor:
+def _act_on_two_tensor(alg: LieAlgebra, x: int, tensor: TwoTensor, mul=operator.mul) -> TwoTensor:
     """(ad_x (x) 1 + 1 (x) ad_x) applied to a TwoTensor, x a basis index."""
     pair = alg.tensor.pair
     acc: dict[tuple[int, int], Scalar] = {}
@@ -218,11 +222,11 @@ def _act_on_two_tensor(alg: LieAlgebra, x: int, tensor: TwoTensor) -> TwoTensor:
         w = pair(x, p)
         if w:
             for k, coeff in w.items():
-                add_into(acc, (k, q), value * coeff)
+                add_into(acc, (k, q), mul(value, coeff))
         w = pair(x, q)
         if w:
             for k, coeff in w.items():
-                add_into(acc, (p, k), value * coeff)
+                add_into(acc, (p, k), mul(value, coeff))
     return TwoTensor(acc)
 
 
@@ -231,6 +235,7 @@ def check_cocycle(alg: LieAlgebra, delta: Cocommutator) -> ViolationReport:
     if delta.dim != alg.dim:
         raise ValueError("cocommutator dimension does not match the algebra")
     report = ViolationReport("cocycle")
+    mul = product_table()
     for p in range(alg.dim):
         for q in range(p + 1, alg.dim):
             lhs_acc: dict[tuple[int, int], Scalar] = {}
@@ -238,10 +243,10 @@ def check_cocycle(alg: LieAlgebra, delta: Cocommutator) -> ViolationReport:
             if coeffs:
                 for r, value in coeffs.items():
                     for key, coeff in delta.get(r).items():
-                        add_into(lhs_acc, key, value * coeff)
+                        add_into(lhs_acc, key, mul(value, coeff))
             lhs = TwoTensor(lhs_acc)
-            rhs = _act_on_two_tensor(alg, p, delta.get(q)) - _act_on_two_tensor(
-                alg, q, delta.get(p)
+            rhs = _act_on_two_tensor(alg, p, delta.get(q), mul) - _act_on_two_tensor(
+                alg, q, delta.get(p), mul
             )
             residual = lhs - rhs
             if residual:
@@ -264,9 +269,10 @@ def build_rmatrix(triple: ManinTriple) -> tuple[TwoTensor, TwoTensor]:
 
 def coboundary(alg: LieAlgebra, r_skew: TwoTensor) -> Cocommutator:
     """delta(x) = (ad_x (x) 1 + 1 (x) ad_x)(r_skew) on every basis element."""
+    mul = product_table()
     entries = {}
     for x in range(alg.dim):
-        value = _act_on_two_tensor(alg, x, r_skew)
+        value = _act_on_two_tensor(alg, x, r_skew, mul)
         if value:
             entries[x] = value
     return Cocommutator(alg.dim, entries)
@@ -302,24 +308,25 @@ def schouten_bracket(alg: LieAlgebra, r: TwoTensor, s: TwoTensor | None = None) 
     left = list(r.items())
     right = left if symmetric else list(s.items())
     pair = alg.tensor.pair
+    mul = product_table()
     acc: dict[tuple[int, int, int], Scalar] = {}
 
     def accumulate(first, second):
         for (a1, b1), v1 in first:
             for (a2, b2), v2 in second:
-                coeff = v1 * v2
+                coeff = mul(v1, v2)
                 w = pair(a1, a2)
                 if w:
                     for k, cv in w.items():
-                        add_into(acc, (k, b1, b2), coeff * cv)
+                        add_into(acc, (k, b1, b2), mul(coeff, cv))
                 w = pair(b1, a2)
                 if w:
                     for k, cv in w.items():
-                        add_into(acc, (a1, k, b2), coeff * cv)
+                        add_into(acc, (a1, k, b2), mul(coeff, cv))
                 w = pair(b1, b2)
                 if w:
                     for k, cv in w.items():
-                        add_into(acc, (a1, a2, k), coeff * cv)
+                        add_into(acc, (a1, a2, k), mul(coeff, cv))
 
     accumulate(left, right)
     if not symmetric:
@@ -333,23 +340,15 @@ def schouten_check(alg: LieAlgebra, r_skew: TwoTensor) -> QuasitriangularReport:
     ad_x acts on one slot of a term at a time, and only where [x, s] is
     nonzero for the basis index s in that slot.  The terms are indexed by
     the index in each slot, so for each x only the slot values s with
-    [x, s] != 0 are visited.  The few distinct products value * cv are
-    computed once per call.
+    [x, s] != 0 are visited.
     """
     schouten = schouten_bracket(alg, r_skew)
     pair = alg.tensor.pair
-    # One object per distinct coefficient value, so that the product table
-    # can be keyed on object ids: a Scalar hash costs as much as a few dozen
-    # dict lookups, and every Scalar here is hashed only once per call.
-    # Each object stays alive (in this table or in alg) while its id is used.
-    canonical: dict[Scalar, Scalar] = {}
+    mul = product_table()
     by_slot: list[dict[int, list]] = [{}, {}, {}]
     for key, value in schouten.items():
-        value = canonical.setdefault(value, value)
         for slot in range(3):
             by_slot[slot].setdefault(key[slot], []).append((key, value))
-    cv_ids: dict[int, int] = {}  # id of a bracket coefficient -> id of its canonical value
-    products: dict[tuple[int, int], Scalar] = {}
     violations: list[Violation] = []
     for x in range(alg.dim):
         acc: dict[tuple[int, int, int], Scalar] = {}
@@ -360,13 +359,7 @@ def schouten_check(alg: LieAlgebra, r_skew: TwoTensor) -> QuasitriangularReport:
                     continue
                 for key, value in terms:
                     for k, cv in w.items():
-                        cv_id = cv_ids.get(id(cv))
-                        if cv_id is None:
-                            cv_id = cv_ids[id(cv)] = id(canonical.setdefault(cv, cv))
-                        product = products.get((id(value), cv_id))
-                        if product is None:
-                            product = products[(id(value), cv_id)] = value * cv
-                        add_into(acc, key[:slot] + (k,) + key[slot + 1 :], product)
+                        add_into(acc, key[:slot] + (k,) + key[slot + 1 :], mul(value, cv))
         if acc:
             violations.append(
                 Violation((x,), ThreeTensor(acc).format(alg.labels))

@@ -101,11 +101,21 @@ def root_index(n: int, i: int, j: int) -> int:
     return n + (i - 1) * n - i * (i - 1) // 2 + (j - i - 1)
 
 
+def _pair_label(n: int, prefix: str, i: int, j: int) -> str:
+    """Label of the size-n generator with index pair (i, j): ``F12``, or ``F1_12`` from n = 10.
+
+    Without the separator ``F1,11`` and ``F11,1`` would both read ``F111``.
+    """
+    return f"{prefix}{i}_{j}" if n >= 10 else f"{prefix}{i}{j}"
+
+
 def solvable_labels(n: int, lower: bool = False) -> tuple[str, ...]:
     cartan = "x" if lower else "X"
     root = "y" if lower else "Y"
     labels = [f"{cartan}{i}" for i in range(1, n + 1)]
-    labels += [f"{root}{i}{j}" for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    labels += [
+        _pair_label(n, root, i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+    ]
     return tuple(labels)
 
 
@@ -134,7 +144,9 @@ def f_index(n: int, i: int, j: int) -> int:
 def gln_labels(n: int) -> tuple[str, ...]:
     labels = [f"H{i}" for i in range(1, n + 1)]
     labels += [f"I{i}" for i in range(1, n + 1)]
-    labels += [f"F{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1) if j != i]
+    labels += [
+        _pair_label(n, "F", i, j) for i in range(1, n + 1) for j in range(1, n + 1) if j != i
+    ]
     return tuple(labels)
 
 

@@ -11,6 +11,7 @@ operation is a pure function, so values can be shared freely.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from .scalars import Scalar, ZERO
@@ -19,6 +20,7 @@ __all__ = [
     "SparseTensor",
     "Vector",
     "add_into",
+    "product_table",
     "format_terms",
     "StructureTensor",
     "Matrix",
@@ -48,6 +50,37 @@ def add_into(acc: dict, key, value) -> None:
         acc[key] = s
     else:
         acc.pop(key, None)
+
+
+def product_table():
+    """Return ``mul(x, y)``, equal to ``x * y``, that computes each value pair once.
+
+    A kernel over the gl(n) double multiplies a handful of distinct values
+    (0, +-1, +-sqrt2/2, +-i/2, ...) thousands of times, and a Scalar product
+    costs as much as a few dozen dict lookups.  The table hashes each operand
+    object once, maps it to one canonical object per value and keys the
+    products on the ids of those canonical objects.  It keeps every operand
+    it has seen alive for as long as it lives, so no id is reused while it is
+    a key.  Make one table per kernel call and let it go with the call.
+    """
+    canonical: dict[Scalar, Scalar] = {}
+    seen: dict[int, tuple[Scalar, int]] = {}  # id(operand) -> (operand, id of its value)
+    products: dict[tuple[int, int], Scalar] = {}
+
+    def value_id(x) -> int:
+        entry = seen.get(id(x))
+        if entry is None:
+            entry = seen[id(x)] = (x, id(canonical.setdefault(x, x)))
+        return entry[1]
+
+    def mul(x, y):
+        key = (value_id(x), value_id(y))
+        product = products.get(key)
+        if product is None:
+            product = products[key] = x * y
+        return product
+
+    return mul
 
 
 def format_terms(pairs) -> str:
@@ -254,9 +287,6 @@ class Matrix:
     def column(self, j: int) -> Vector:
         return Vector({i: self._e[i][j] for i in range(self.rows)})
 
-    def transpose(self) -> Matrix:
-        return Matrix([[self._e[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -282,6 +312,9 @@ class Matrix:
         return Matrix(out)
 
     def apply(self, vec: Vector) -> Vector:
+        return self._apply(vec, operator.mul)
+
+    def _apply(self, vec: Vector, mul) -> Vector:
         acc: dict[int, Scalar] = {}
         for j, v in vec.items():
             if j >= self.cols:
@@ -289,7 +322,7 @@ class Matrix:
             for i in range(self.rows):
                 m = self._e[i][j]
                 if m:
-                    add_into(acc, i, m * v)
+                    add_into(acc, i, mul(m, v))
         return Vector(acc)
 
     def trace(self) -> Scalar:
@@ -384,21 +417,8 @@ class BilinearForm:
     def matrix(self) -> Matrix:
         return Matrix(self._m)
 
-    def evaluate(self, x: Vector, y: Vector) -> Scalar:
-        total = ZERO
-        for i, xv in x.items():
-            row = self._m[i]
-            for j, yv in y.items():
-                m = row[j]
-                if m:
-                    total = total + xv * m * yv
-        return total
-
     def determinant(self) -> Scalar:
         return self.matrix().determinant()
-
-    def is_degenerate(self) -> bool:
-        return not self.determinant()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BilinearForm):
@@ -457,6 +477,9 @@ class LieAlgebra:
         return Vector(coeffs) if coeffs else Vector()
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
+        return self._bracket(x, y, operator.mul)
+
+    def _bracket(self, x: Vector, y: Vector, mul) -> Vector:
         acc: dict[int, Scalar] = {}
         for p, xv in x.items():
             self._check_index(p)
@@ -465,15 +488,16 @@ class LieAlgebra:
                 coeffs = self.tensor.pair(p, q)
                 if not coeffs:
                     continue
-                factor = xv * yv
+                factor = mul(xv, yv)
                 for r, coeff in coeffs.items():
-                    add_into(acc, r, factor * coeff)
+                    add_into(acc, r, mul(factor, coeff))
         return Vector(acc)
 
     def check_jacobi(self) -> ViolationReport:
         """Exhaustively test [[e_p,e_q],e_r] + cyclic = 0 over all p<q<r."""
         report = ViolationReport("jacobi")
         pair = self.tensor.pair
+        mul = product_table()
 
         def accumulate(acc, inner, outer_index):
             if not inner:
@@ -483,7 +507,7 @@ class LieAlgebra:
                 if not w:
                     continue
                 for m, c2 in w.items():
-                    add_into(acc, m, coeff * c2)
+                    add_into(acc, m, mul(coeff, c2))
 
         for p in range(self.dim):
             for q in range(p + 1, self.dim):
@@ -498,17 +522,6 @@ class LieAlgebra:
                             Violation((p, q, r), residual.format(self.labels))
                         )
         return report
-
-    def adjoint_matrix(self, p: int) -> Matrix:
-        """Matrix of ad(e_p): column q holds [e_p, e_q]."""
-        self._check_index(p)
-        out = [[ZERO] * self.dim for _ in range(self.dim)]
-        for q in range(self.dim):
-            coeffs = self.tensor.pair(p, q)
-            if coeffs:
-                for r, v in coeffs.items():
-                    out[r][q] = v
-        return Matrix(out)
 
     def killing_form(self) -> BilinearForm:
         """K(p, q) = trace(ad(e_p) ad(e_q)), computed sparsely."""
@@ -535,13 +548,14 @@ class LieAlgebra:
         if T.rows != self.dim or T.cols != self.dim:
             raise ValueError("change-of-basis matrix has wrong shape")
         T_inv = T.inverse()
+        mul = product_table()
         columns = [T.column(j) for j in range(self.dim)]
         brackets = {}
         for p in range(self.dim):
             for q in range(p + 1, self.dim):
-                w = self.bracket(columns[p], columns[q])
+                w = self._bracket(columns[p], columns[q], mul)
                 if w:
-                    new_w = T_inv.apply(w)
+                    new_w = T_inv._apply(w, mul)
                     if new_w:
                         brackets[(p, q)] = {r: v for r, v in new_w.items()}
         return LieAlgebra(labels if labels is not None else self.labels, StructureTensor(brackets))

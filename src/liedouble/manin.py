@@ -23,6 +23,7 @@ from .liealg import (
     Violation,
     ViolationReport,
     add_into,
+    product_table,
 )
 from .scalars import Scalar, ZERO, ONE
 
@@ -268,6 +269,7 @@ def check_ad_invariance(double: DoubleAlgebra) -> InvarianceReport:
                 for c in partners[r]:
                     candidates.add((x, y, c))  # <[x,y],c> side
                     candidates.add((c, x, y))  # <c,[x,y]> side
+    mul = product_table()
 
     def paired(coeffs, index) -> Scalar:
         if not coeffs:
@@ -276,7 +278,7 @@ def check_ad_invariance(double: DoubleAlgebra) -> InvarianceReport:
         for r, v in coeffs.items():
             m = pairing.entry(r, index)
             if m:
-                total = total + v * m
+                total = total + mul(v, m)
         return total
 
     plus_bad: list[Violation] = []

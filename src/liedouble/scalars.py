@@ -71,10 +71,6 @@ class Scalar:
         return self._d
 
     @classmethod
-    def from_rational(cls, numerator, denominator=1) -> Scalar:
-        return cls(Fraction(numerator, denominator))
-
-    @classmethod
     def parse(cls, text: str) -> Scalar:
         return scalar_parse(text)
 
@@ -88,9 +84,6 @@ class Scalar:
 
     def is_zero(self) -> bool:
         return not (self._a or self._b or self._c or self._d)
-
-    def is_rational(self) -> bool:
-        return not (self._b or self._c or self._d)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -250,11 +243,13 @@ class ScalarParseError(ValueError):
         self.position = position
 
 
-# Longest accepted integer literal.  Python refuses to convert integers of
-# more than 4300 decimal digits to or from text by default, and a check
-# multiplies two coefficients before printing a residual, so literals are
-# capped well below half of that: any product of two of them still prints.
+# Longest accepted integer literal, and the most digits of a numerator or
+# denominator in any value the parser computes.  Python refuses to convert
+# integers of more than 4300 decimal digits to or from text by default, and
+# a check multiplies two coefficients before printing a residual, so both
+# are capped well below half of that: any product of two values still prints.
 MAX_LITERAL_DIGITS = 1000
+_VALUE_LIMIT = 10**MAX_LITERAL_DIGITS
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|(sqrt2\b|i\b)|([()+\-*/]))")
 
@@ -309,6 +304,18 @@ class _Parser:
         self.index += 1
         return token
 
+    @staticmethod
+    def bounded(value: Scalar, pos: int) -> Scalar:
+        """``value``, unless a component has too many digits to print later."""
+        for part in (value._a, value._b, value._c, value._d):
+            if abs(part.numerator) >= _VALUE_LIMIT or part.denominator >= _VALUE_LIMIT:
+                raise ScalarParseError(
+                    f"value exceeds the limit of {MAX_LITERAL_DIGITS} digits in a "
+                    "numerator or denominator",
+                    pos,
+                )
+        return value
+
     def parse(self) -> Scalar:
         value = self.expr()
         kind, text, pos = self.peek()
@@ -319,11 +326,11 @@ class _Parser:
     def expr(self) -> Scalar:
         value = self.term()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, pos = self.peek()
             if kind == "op" and text in "+-":
                 self.advance()
                 rhs = self.term()
-                value = value + rhs if text == "+" else value - rhs
+                value = self.bounded(value + rhs if text == "+" else value - rhs, pos)
             else:
                 return value
 
@@ -335,11 +342,11 @@ class _Parser:
                 self.advance()
                 rhs = self.unary()
                 if text == "*":
-                    value = value * rhs
+                    value = self.bounded(value * rhs, pos)
                 else:
                     if rhs.is_zero():
                         raise ScalarParseError("division by zero", pos)
-                    value = value / rhs
+                    value = self.bounded(value / rhs, pos)
             else:
                 return value
 

@@ -39,7 +39,7 @@ from .glnfactory import (
     i_index,
     representation_index,
 )
-from .liealg import Violation
+from .liealg import Violation, product_table
 from .manin import (
     ManinTriple,
     build_double,
@@ -100,6 +100,7 @@ def _rmatrix_conventions(n: int, r_skew_hif: TwoTensor) -> list[Violation]:
     except ValueError as err:
         return [Violation((), str(err))]
     bad: list[Violation] = []
+    labels = gln_labels(n)
     if (r_standard + r_twist) != r_skew_hif:
         bad.append(Violation((), "split does not re-sum to the skew r-matrix"))
     half = rational(1, 2)
@@ -114,12 +115,13 @@ def _rmatrix_conventions(n: int, r_skew_hif: TwoTensor) -> list[Violation]:
                 )
             )
         for j in range(i + 1, n + 1):
-            value = r_standard.get(f_index(n, j, i), f_index(n, i, j))
+            fji, fij = f_index(n, j, i), f_index(n, i, j)
+            value = r_standard.get(fji, fij)
             if value != half:
                 bad.append(
                     Violation(
-                        (f_index(n, j, i), f_index(n, i, j)),
-                        f"F{j}{i}^F{i}{j} coefficient {value}, expected 1/2",
+                        (fji, fij),
+                        f"{labels[fji]}^{labels[fij]} coefficient {value}, expected 1/2",
                     )
                 )
     return bad
@@ -145,12 +147,13 @@ def _twist_triviality(n: int, hif, r_skew_hif: TwoTensor, delta_hif) -> list[Vio
                 bad.append(
                     Violation(
                         (fij,),
-                        f"twist coboundary of F{i}{j}: {(got - expected).format(hif.labels)}",
+                        f"twist coboundary of {hif.labels[fij]}: "
+                        f"{(got - expected).format(hif.labels)}",
                     )
                 )
             if not identify_central(n, got).is_zero():
                 bad.append(
-                    Violation((fij,), f"twist image of F{i}{j} survives the quotient")
+                    Violation((fij,), f"twist image of {hif.labels[fij]} survives the quotient")
                 )
     for p in range(hif.dim):
         if (standard_delta.get(p) + twist_delta.get(p)) != delta_hif.get(p):
@@ -175,11 +178,12 @@ def _forms_comparison(n: int) -> list[Violation]:
     rep = fundamental_representation(n)
     trace_of = {p: rep[k].trace() for k, p in enumerate(representation_index(n))}
     bad: list[Violation] = []
-    two_n = Scalar(2 * n)
+    mul = product_table()
+    two_n, two = Scalar(2 * n), Scalar(2)
     for p in range(algebra.dim):
         for q in range(algebra.dim):
             if p in trace_of and q in trace_of:
-                expected = two_n * trace.entry(p, q) - Scalar(2) * trace_of[p] * trace_of[q]
+                expected = mul(two_n, trace.entry(p, q)) - mul(mul(two, trace_of[p]), trace_of[q])
             else:
                 expected = ZERO
             if killing.entry(p, q) != expected:

@@ -6,6 +6,7 @@ from liedouble import (
     AlgebraFileError,
     Scalar,
     Vector,
+    build_gln_tn,
     build_s_plus,
     format_algebra_file,
     from_algebra,
@@ -154,3 +155,14 @@ def test_from_algebra_roundtrip():
     rebuilt = reparsed.to_algebra()
     assert rebuilt.tensor == algebra.tensor
     assert rebuilt.labels == algebra.labels
+
+
+def test_roundtrip_of_gln_tn_at_n_11():
+    # two-digit indices: the labels F1_11 and F11_1 must survive the printer
+    algebra = build_gln_tn(11)
+    text = from_algebra(algebra, "gl11").to_text()
+    assert "F1_11" in text and "F11_1" in text
+    parsed = parse_algebra_file(text)
+    assert parsed.labels == algebra.labels
+    assert parsed.to_algebra().tensor == algebra.tensor
+    assert parsed.to_text() == text

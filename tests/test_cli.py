@@ -223,6 +223,13 @@ def test_n_above_max_n_exits_2_before_building(monkeypatch):
     assert code == 0 and out.startswith("algebra splus")
 
 
+def test_gln_report_at_n_11_passes():
+    # from n = 10 on, F and Y labels separate their two indices: F1_11 vs F11_1
+    code, out, err = run(["gln", "--n", "11", "--emit", "report"])
+    assert (code, err) == (0, "")
+    assert out.count("[PASS]") == 15
+
+
 def test_exit_code_2_on_usage_error():
     code, _, _ = run(["gln", "--n", "2", "--emit", "nonsense"])
     assert code == 2

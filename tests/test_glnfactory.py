@@ -361,11 +361,15 @@ def test_normalization_is_load_bearing():
     assert not structure_equal(rebased, build_gln_tn(2))
 
 
+def transpose(mat: Matrix) -> Matrix:
+    return Matrix([[mat.entry(i, j) for i in range(mat.rows)] for j in range(mat.cols)])
+
+
 def test_trace_form_extension_reproduces_pairing():
     for n in (2, 3):
         pairing = build_double(build_gln_triple(n)).pairing.matrix()
         T = gln_change_of_basis(n)
-        transported = T.transpose() * pairing * T
+        transported = transpose(T) * pairing * T
         assert BilinearForm(transported) == gln_tn_trace_form(n)
 
 

@@ -1,12 +1,17 @@
-"""The sparse verify kernels against the dense loops they replaced.
+"""The verify kernels against the plain loops they replaced.
 
 ``Matrix.inverse``/``determinant``, ``check_ad_invariance`` and
 ``schouten_check`` skip entries and triples that are provably zero.  Each
 reference below is the dense loop the library used before, kept verbatim
 in substance; the fast kernel must return exactly what it returns: equal
 values, the same counterexamples in the same order, the same verdicts.
+
+The kernels that multiply through ``liealg.product_table`` are run a
+second time with the table replaced by plain ``*`` and must agree.
 """
 
+import gc
+import operator
 from fractions import Fraction
 
 import pytest
@@ -24,15 +29,22 @@ from liedouble import (
     SingularMatrixError,
     ThreeTensor,
     TwoTensor,
+    Cocommutator,
     Violation,
     build_double,
     build_gln_triple,
     build_rmatrix,
     check_ad_invariance,
+    check_cocycle,
+    coboundary,
+    cocommutator_from_triple,
+    express_in_basis,
     gln_change_of_basis,
     schouten_bracket,
     schouten_check,
 )
+from liedouble import bialg, liealg, manin, suite
+from liedouble.liealg import product_table
 from liedouble.manin import DoubleAlgebra
 
 # --- reference implementations -------------------------------------------
@@ -297,3 +309,146 @@ def test_schouten_matches_dense_with_doubled_entries(n, doubled):
     report = assert_schouten_matches_dense(build_double(triple).algebra, TwoTensor(entries))
     assert report.verdict == NOT_INVARIANT
     assert report.violations
+
+
+# --- product tables ---------------------------------------------------------------
+
+
+def test_product_table_on_equal_values_in_distinct_objects():
+    mul = product_table()
+    x1, x2 = Scalar(1, Fraction(1, 2)), Scalar(1, Fraction(1, 2))
+    y1, y2 = Scalar(0, 0, 3, -1), Scalar(0, 0, 3, -1)
+    assert x1 is not x2 and y1 is not y2
+    assert mul(x1, y1) == x1 * y1
+    assert mul(x2, y2) is mul(x1, y1)  # one product per pair of values
+    assert mul(y2, x1) == y1 * x1
+    assert mul(x1, Scalar(2)) == Scalar(2, 1)
+
+
+def test_product_table_when_temporaries_are_dropped():
+    # each operand is freed by the caller at once, so CPython hands its
+    # memory, and with it its id, to the next Scalar of the same size
+    mul = product_table()
+    for k in range(300):
+        assert mul(Scalar(k, 1), Scalar(0, 0, k % 7 + 1)) == Scalar(k, 1) * Scalar(0, 0, k % 7 + 1)
+        gc.collect(0)
+    for k in range(300):
+        assert mul(Scalar(k, 1), Scalar(0, 0, k % 7 + 1)) == Scalar(k, 1) * Scalar(0, 0, k % 7 + 1)
+
+
+def plain_products(func, *args):
+    """``func(*args)`` with every product table replaced by plain ``*``."""
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (liealg, manin, bialg, suite):
+            patch.setattr(module, "product_table", lambda: operator.mul)
+        return func(*args)
+
+
+def algebra_key(alg):
+    return alg.dim, alg.labels, alg.tensor
+
+
+def assert_kernels_match_plain(alg, delta, r_skew, T, pairing):
+    """Every kernel routed through a table equals its plain-``*`` loop."""
+    cases = [
+        (lambda a: a.check_jacobi(), alg),
+        (lambda a, t: algebra_key(a.change_of_basis(t)), alg, T),
+        (lambda r, t: r.transport(t.inverse()), r_skew, T),
+        (express_in_basis, delta, T),
+        (check_cocycle, alg, delta),
+        (coboundary, alg, r_skew),
+        (schouten_bracket, alg, r_skew),
+        (schouten_check, alg, r_skew),
+        (check_ad_invariance, DoubleAlgebra(alg, pairing, None)),
+    ]
+    for func, *args in cases:
+        assert func(*args) == plain_products(func, *args)
+
+
+def gln_case(n):
+    triple = build_gln_triple(n)
+    double = build_double(triple)
+    _, r_skew = build_rmatrix(triple)
+    return (
+        double.algebra,
+        cocommutator_from_triple(triple),
+        r_skew,
+        gln_change_of_basis(n),
+        double.pairing,
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_tabled_kernels_match_plain_products_on_gln(n):
+    assert_kernels_match_plain(*gln_case(n))
+    assert suite._forms_comparison(n) == plain_products(suite._forms_comparison, n) == []
+
+
+def test_tabled_kernels_are_tabled():
+    counted = []
+    original = Scalar.__mul__
+
+    def counting(self, other):
+        counted.append(1)
+        return original(self, other)
+
+    alg, delta, *_ = gln_case(3)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Scalar, "__mul__", counting)
+        check_cocycle(alg, delta)
+        tabled = len(counted)
+        plain_products(check_cocycle, alg, delta)
+    assert 0 < tabled < len(counted) - tabled
+
+
+# many distinct values, so that most lookups of the tables miss
+distinct = st.builds(
+    lambda a, b, c, d, den: Scalar(Fraction(a, den), b, Fraction(c, den + 1), d),
+    st.integers(-40, 40),
+    st.integers(-3, 3),
+    st.integers(-40, 40),
+    st.integers(-2, 2),
+    st.integers(1, 9),
+).filter(bool)
+
+
+@st.composite
+def random_kernel_inputs(draw):
+    """A random sparse bracket table (rarely a Lie algebra), cocommutator,
+    skew two-tensor, invertible basis change and symmetric pairing."""
+    dim = draw(st.integers(2, 5))
+    pairs = [(p, q) for p in range(dim) for q in range(p + 1, dim)]
+    brackets = {}
+    for key in draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))):
+        brackets[key] = draw(
+            st.dictionaries(st.integers(0, dim - 1), distinct, min_size=1, max_size=3)
+        )
+    alg = LieAlgebra.from_brackets([f"e{k}" for k in range(dim)], brackets)
+
+    def skew():
+        entries = {}
+        for p, q in draw(st.lists(st.sampled_from(pairs), unique=True, max_size=4)):
+            value = draw(distinct)
+            entries[(p, q)], entries[(q, p)] = value, -value
+        return TwoTensor(entries)
+
+    delta = Cocommutator(dim, {x: skew() for x in range(dim)})
+    r_skew = skew()
+    rows = [[ZERO] * dim for _ in range(dim)]
+    for i in range(dim):
+        rows[i][i] = draw(distinct)
+        for j in range(i):
+            rows[i][j] = draw(st.one_of(st.just(ZERO), distinct))
+    order = draw(st.permutations(range(dim)))
+    T = Matrix([rows[k] for k in order])
+    gram = [[ZERO] * dim for _ in range(dim)]
+    index = st.integers(0, dim - 1)
+    for p, q in draw(st.lists(st.tuples(index, index), max_size=4)):
+        gram[p][q] = gram[q][p] = draw(distinct)
+    return alg, delta, r_skew, T, BilinearForm(gram)
+
+
+@settings(deadline=None, max_examples=40)
+@given(random_kernel_inputs())
+def test_tabled_kernels_match_plain_products_on_random_algebras(inputs):
+    assert_kernels_match_plain(*inputs)

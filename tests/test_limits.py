@@ -1,14 +1,22 @@
 """Documented input limits: oversized input fails fast with a parse error.
 
-No test allocates at a limit: the checks run on the literal's digit count
-and the header's ``dim`` before anything is built.
+No test allocates at a limit: the checks run on the literal's digit count,
+each computed value's digit count and the header's ``dim`` before anything
+is built.
 """
 
 import io
 
 import pytest
 
-from liedouble import AlgebraFileError, ScalarParseError, gln_labels, parse_algebra_file
+from liedouble import (
+    AlgebraFileError,
+    ScalarParseError,
+    f_index,
+    gln_labels,
+    parse_algebra_file,
+    solvable_labels,
+)
 from liedouble.algfile import MAX_DIM
 from liedouble.cli import MAX_N, run_command
 from liedouble.scalars import MAX_LITERAL_DIGITS, scalar_parse
@@ -53,6 +61,43 @@ def test_long_coefficient_in_a_file_exits_2(tmp_path):
 
 def test_max_dim_admits_the_largest_emitted_double():
     assert MAX_DIM >= len(gln_labels(MAX_N))
+    for n in range(1, MAX_N + 2):
+        plus, minus = solvable_labels(n), solvable_labels(n, lower=True)
+        for labels in (plus, minus, plus + minus, gln_labels(n)):
+            assert len(set(labels)) == len(labels), n
+    assert gln_labels(9)[-1] == "F98"  # labels up to n = 9 are unchanged
+    assert f_index(11, 1, 11) != f_index(11, 11, 1)
+    assert gln_labels(11)[f_index(11, 1, 11)] == "F1_11"
+    assert gln_labels(11)[f_index(11, 11, 1)] == "F11_1"
+
+
+def test_coefficient_value_is_bounded_like_a_literal():
+    nines = "9" * MAX_LITERAL_DIGITS
+    assert scalar_parse(f"1/{nines} + {nines}*i").c == 10**MAX_LITERAL_DIGITS - 1
+    for text in (f"({nines})*({nines})", f"1/{nines}/7", f"1/{nines} + 1/7"):
+        with pytest.raises(ScalarParseError, match="value exceeds the limit"):
+            scalar_parse(text)
+
+
+def test_coefficient_of_too_many_digits_exits_2_before_the_double(tmp_path):
+    product = "*".join(["(" + "9" * MAX_LITERAL_DIGITS + ")"] * 5)
+    plus = tmp_path / "plus.alg"
+    plus.write_text(f"algebra p dim 2\nbasis A B\n[A,B] = {product}*B\n", encoding="utf-8")
+    minus = tmp_path / "minus.alg"
+    minus.write_text("algebra m dim 2\nbasis a b\n", encoding="utf-8")
+    code, out, err = run(["double", "--plus", str(plus), "--minus", str(minus)])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert err.startswith("error: line 3, column 8: bad coefficient")
+    assert "value exceeds the limit" in err
+
+
+def test_bad_coefficient_error_quotes_a_short_prefix():
+    with pytest.raises(AlgebraFileError) as info:
+        parse_algebra_file("algebra a dim 2\nbasis A B\n[A,B] = " + "3" * 5000 + "*B\n")
+    message = str(info.value)
+    assert "'" + "3" * 37 + "...'" in message
+    assert len(message) < 200
 
 
 def test_dim_above_the_limit_exits_2_on_the_header(tmp_path):
