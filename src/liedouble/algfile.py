@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 
 from .liealg import LieAlgebra, StructureTensor, add_into, format_terms
-from .scalars import Scalar, ScalarParseError, scalar_parse
+from .scalars import Scalar, ScalarParseError, _quoted, scalar_parse
 
 __all__ = [
     "MAX_DIM",
@@ -42,9 +42,6 @@ __all__ = [
 # before any label is read; a check-jacobi over it already visits
 # dim^3 / 6 triples.
 MAX_DIM = 156
-
-# Longest coefficient text quoted in full in a parse error.
-_QUOTED_TEXT = 40
 
 _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _RESERVED = {"sqrt2", "i"}
@@ -152,10 +149,8 @@ def _parse_term(term: str, line: int, column: int):
     try:
         value = scalar_parse(scalar_text)
     except ScalarParseError as err:
-        quoted = scalar_text.strip()
-        if len(quoted) > _QUOTED_TEXT:
-            quoted = quoted[: _QUOTED_TEXT - 3] + "..."
-        raise AlgebraFileError(f"bad coefficient {quoted!r}: {err}", line, column) from err
+        quoted = _quoted(scalar_text.strip())
+        raise AlgebraFileError(f"bad coefficient {quoted}: {err}", line, column) from err
     return label, value
 
 

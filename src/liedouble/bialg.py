@@ -80,12 +80,7 @@ class TwoTensor(SparseTensor):
         def column(index):
             col = columns.get(index)
             if col is None:
-                col = [
-                    (k, inverse_basis_map.entry(k, index))
-                    for k in range(inverse_basis_map.rows)
-                    if inverse_basis_map.entry(k, index)
-                ]
-                columns[index] = col
+                col = columns[index] = inverse_basis_map.column(index).items()
             return col
 
         acc: dict[tuple[int, int], Scalar] = {}

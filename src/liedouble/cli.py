@@ -49,8 +49,8 @@ EMIT_SCHEMA = "liedouble.emit/1"
 
 # Largest accepted --n.  The suite's exhaustive loops grow like d^3 with
 # d = n(n+1) (check_jacobi visits every basis triple p < q < r).  On a shared
-# 2-core x86-64 VM with Python 3.11, verify takes about 10 s at n = 10, 15 s
-# at n = 11 and 21 s at n = 12; CI runs n = 12.
+# 2-core x86-64 VM with Python 3.11, verify takes about 5 s at n = 10, 7 s
+# at n = 11 and 10 s at n = 12; CI runs n = 12.
 MAX_N = 12
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 
-from .scalars import Scalar, ZERO
+from .scalars import ONE, Scalar, ZERO
 
 __all__ = [
     "SparseTensor",
@@ -254,100 +254,115 @@ class SingularMatrixError(ValueError):
 
 
 class Matrix:
-    """Dense exact matrix over Q(i, sqrt2)."""
+    """Exact matrix over Q(i, sqrt2) that stores only its nonzero entries.
 
-    __slots__ = ("rows", "cols", "_e")
+    Each row is a ``{column: Scalar}`` dict and a column index maps each
+    column to its ``{row: Scalar}`` dict, so products, applications and
+    eliminations visit the stored entries only.
+    """
+
+    __slots__ = ("rows", "cols", "_r", "_c")
 
     def __init__(self, entries):
-        self._e = [[_coerce_scalar(v) for v in row] for row in entries]
-        self.rows = len(self._e)
-        self.cols = len(self._e[0]) if self._e else 0
-        if any(len(row) != self.cols for row in self._e):
+        entries = [[_coerce_scalar(v) for v in row] for row in entries]
+        cols = len(entries[0]) if entries else 0
+        if any(len(row) != cols for row in entries):
             raise ValueError("ragged matrix rows")
+        self._set_rows([{j: v for j, v in enumerate(row) if v} for row in entries], cols)
+
+    def _set_rows(self, rows: list[dict], cols: int) -> None:
+        self.rows = len(rows)
+        self.cols = cols
+        self._r = rows
+        self._c = [{} for _ in range(cols)]
+        for i, row in enumerate(rows):
+            for j, v in row.items():
+                self._c[j][i] = v
+
+    @classmethod
+    def _of_rows(cls, rows: list[dict], cols: int) -> Matrix:
+        """The matrix whose rows hold these nonzero entries; takes the dicts."""
+        mat = cls.__new__(cls)
+        mat._set_rows(rows, cols)
+        return mat
 
     @classmethod
     def identity(cls, n: int) -> Matrix:
-        return cls([[Scalar(1) if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls._of_rows([{i: ONE} for i in range(n)], n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> Matrix:
-        return cls([[ZERO] * cols for _ in range(rows)])
+        return cls._of_rows([{} for _ in range(rows)], cols)
 
     @classmethod
     def from_columns(cls, dim: int, columns) -> Matrix:
-        mat = [[ZERO] * len(columns) for _ in range(dim)]
+        rows: list[dict] = [{} for _ in range(dim)]
         for j, col in enumerate(columns):
             for i, v in col.items():
-                mat[i][j] = _coerce_scalar(v)
-        return cls(mat)
+                if not 0 <= i < dim:
+                    raise IndexError(f"row index {i} out of range for {dim} rows")
+                v = _coerce_scalar(v)
+                if v:
+                    rows[i][j] = v
+        return cls._of_rows(rows, len(columns))
 
     def entry(self, i: int, j: int) -> Scalar:
-        return self._e[i][j]
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column index {j} out of range for {self.cols} columns")
+        return self._r[i].get(j, ZERO)
 
     def column(self, j: int) -> Vector:
-        return Vector({i: self._e[i][j] for i in range(self.rows)})
+        return Vector(self._c[j])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.rows == other.rows and self.cols == other.cols and self._e == other._e
+        return self.rows == other.rows and self.cols == other.cols and self._r == other._r
 
     def __mul__(self, other: Matrix) -> Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("matrix dimension mismatch")
-        out = [[ZERO] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            row = self._e[i]
-            for k in range(self.cols):
-                a = row[k]
-                if not a:
-                    continue
-                other_row = other._e[k]
-                for j in range(other.cols):
-                    b = other_row[j]
-                    if b:
-                        out[i][j] = out[i][j] + a * b
-        return Matrix(out)
-
-    def apply(self, vec: Vector) -> Vector:
-        return self._apply(vec, operator.mul)
+        out = []
+        for row in self._r:
+            acc: dict[int, Scalar] = {}
+            for k, a in row.items():
+                for j, b in other._r[k].items():
+                    add_into(acc, j, a * b)
+            out.append(acc)
+        return Matrix._of_rows(out, other.cols)
 
     def _apply(self, vec: Vector, mul) -> Vector:
         acc: dict[int, Scalar] = {}
         for j, v in vec.items():
             if j >= self.cols:
                 raise IndexError(f"vector index {j} out of range for {self.cols} columns")
-            for i in range(self.rows):
-                m = self._e[i][j]
-                if m:
-                    add_into(acc, i, mul(m, v))
+            for i, m in self._c[j].items():
+                add_into(acc, i, mul(m, v))
         return Vector(acc)
 
     def trace(self) -> Scalar:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
-        total = ZERO
-        for i in range(self.rows):
-            total = total + self._e[i][i]
-        return total
+        return sum((row[i] for i, row in enumerate(self._r) if i in row), ZERO)
 
     def _eliminated(self, augment: bool):
         """Gauss-Jordan over sparse rows; returns (inverse rows or None, det).
 
-        Each working row is a ``{column: Scalar}`` dict holding only its
-        nonzero entries, with the augmented identity in columns n..2n-1.
-        The pivot is the first row at or below ``col`` with a nonzero entry
-        there, and scaling and elimination touch only the pivot row's stored
-        entries: every skipped product has a zero factor.
+        Each working row is a copy of a stored row, with the augmented
+        identity in columns n..2n-1.  The pivot is the first row at or below
+        ``col`` with a nonzero entry there, and scaling and elimination touch
+        only the pivot row's stored entries: every skipped product has a zero
+        factor.  The returned inverse rows hold their nonzero entries only.
         """
         n = self.rows
-        work = [{j: v for j, v in enumerate(row) if v} for row in self._e]
+        mul = product_table()
+        work = [dict(row) for row in self._r]
         if augment:
             for i, row in enumerate(work):
-                row[n + i] = Scalar(1)
-        det = Scalar(1)
+                row[n + i] = ONE
+        det = ONE
         for col in range(n):
             pivot_row = None
             for r in range(col, n):
@@ -362,17 +377,18 @@ class Matrix:
             pivot = work[col][col]
             det = det * pivot
             inv = pivot.inverse()
-            pivot_entries = [(j, v * inv) for j, v in work[col].items()]
+            pivot_entries = [(j, mul(v, inv)) for j, v in work[col].items()]
             work[col] = dict(pivot_entries)
             for r, row in enumerate(work):
                 factor = row.get(col)
                 if r == col or factor is None:
                     continue
+                factor = -factor
                 for j, w in pivot_entries:
-                    add_into(row, j, -(factor * w))
+                    add_into(row, j, mul(factor, w))
         if not augment:
             return None, det
-        return [[row.get(n + j, ZERO) for j in range(n)] for row in work], det
+        return [{j - n: v for j, v in row.items() if j >= n} for row in work], det
 
     def determinant(self) -> Scalar:
         if self.rows != self.cols:
@@ -386,7 +402,7 @@ class Matrix:
         aug, det = self._eliminated(augment=True)
         if aug is None or not det:
             raise SingularMatrixError("matrix is singular")
-        return Matrix(aug)
+        return Matrix._of_rows(aug, self.rows)
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
@@ -524,23 +540,30 @@ class LieAlgebra:
         return report
 
     def killing_form(self) -> BilinearForm:
-        """K(p, q) = trace(ad(e_p) ad(e_q)), computed sparsely."""
-        pair = self.tensor.pair
+        """K(p, q) = trace(ad(e_p) ad(e_q)), over the stored brackets only.
+
+        (ad e_p) has the entry c at (k, l) when [e_p, e_l] = ... + c*e_k, so
+        K(p, q) sums (ad e_p)[k, l] * (ad e_q)[l, k].  The entries of every
+        ad e_p are grouped by position, and each position (k, l) is paired
+        with its transpose (l, k): only nonzero products are formed.
+        """
+        at: dict[tuple[int, int], list] = {}  # (k, l) -> [(p, (ad e_p)[k, l])]
+        for (p, l), coeffs in self.tensor._view.items():
+            for k, c in coeffs.items():
+                at.setdefault((k, l), []).append((p, c))
+        mul = product_table()
+        acc: dict[tuple[int, int], Scalar] = {}
+        for (k, l), left in at.items():
+            right = at.get((l, k))
+            if not right:
+                continue
+            for p, a in left:
+                for q, b in right:
+                    if p <= q:
+                        add_into(acc, (p, q), mul(a, b))
         gram = [[ZERO] * self.dim for _ in range(self.dim)]
-        for p in range(self.dim):
-            for q in range(p, self.dim):
-                total = ZERO
-                for l in range(self.dim):
-                    w = pair(p, l)
-                    if not w:
-                        continue
-                    for k, a in w.items():
-                        bv = pair(q, k)
-                        if bv:
-                            b = bv.get(l)
-                            if b:
-                                total = total + a * b
-                gram[p][q] = gram[q][p] = total
+        for (p, q), value in acc.items():
+            gram[p][q] = gram[q][p] = value
         return BilinearForm(gram)
 
     def change_of_basis(self, T: Matrix, labels=None) -> LieAlgebra:
@@ -597,14 +620,16 @@ def trace_form(rep) -> BilinearForm:
             raise ValueError("representation matrices must be square and equal-sized")
     gram = [[ZERO] * dim for _ in range(dim)]
     for p in range(dim):
+        left = rep[p]._r
         for q in range(p, dim):
-            total = ZERO
-            for k in range(size):
-                for l in range(size):
-                    a = rep[p].entry(k, l)
-                    if a:
-                        b = rep[q].entry(l, k)
-                        if b:
-                            total = total + a * b
-            gram[p][q] = gram[q][p] = total
+            right = rep[q]._r
+            gram[p][q] = gram[q][p] = sum(
+                (
+                    a * right[l][k]
+                    for k, row in enumerate(left)
+                    for l, a in row.items()
+                    if k in right[l]
+                ),
+                ZERO,
+            )
     return BilinearForm(gram)

@@ -86,12 +86,13 @@ class Scalar:
         return not (self._a or self._b or self._c or self._d)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self._a or self._b or self._c or self._d)
 
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         return (
             self._a == other._a
             and self._b == other._b
@@ -100,36 +101,51 @@ class Scalar:
         )
 
     def __hash__(self):
-        # a rational equals the int or Fraction it names, so it hashes like one
-        if not (self._b or self._c or self._d):
-            return hash(self._a)
-        return hash((self._a, self._b, self._c, self._d))
+        a, b, c, d = self._a, self._b, self._c, self._d
+        if not (b or c or d):
+            # a rational equals the int or Fraction it names, so it hashes like one
+            return hash(a.numerator) if a.denominator == 1 else hash(a)
+        return hash(
+            (a.numerator, a.denominator, b.numerator, b.denominator,
+             c.numerator, c.denominator, d.numerator, d.denominator)
+        )
+
+    # Addition, subtraction and negation skip zero components: a Fraction
+    # operation costs a microsecond, and most components in the gl(n) checks
+    # are zero.
 
     def __neg__(self) -> Scalar:
-        return Scalar(-self._a, -self._b, -self._c, -self._d)
+        a, b, c, d = self._a, self._b, self._c, self._d
+        return _scalar(-a if a else a, -b if b else b, -c if c else c, -d if d else d)
 
     def __add__(self, other) -> Scalar:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Scalar(
-            self._a + other._a,
-            self._b + other._b,
-            self._c + other._c,
-            self._d + other._d,
+        if type(other) is not Scalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a1, b1, c1, d1 = self._a, self._b, self._c, self._d
+        a2, b2, c2, d2 = other._a, other._b, other._c, other._d
+        return _scalar(
+            a1 + a2 if a1 and a2 else a1 or a2,
+            b1 + b2 if b1 and b2 else b1 or b2,
+            c1 + c2 if c1 and c2 else c1 or c2,
+            d1 + d2 if d1 and d2 else d1 or d2,
         )
 
     __radd__ = __add__
 
     def __sub__(self, other) -> Scalar:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Scalar(
-            self._a - other._a,
-            self._b - other._b,
-            self._c - other._c,
-            self._d - other._d,
+        if type(other) is not Scalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a1, b1, c1, d1 = self._a, self._b, self._c, self._d
+        a2, b2, c2, d2 = other._a, other._b, other._c, other._d
+        return _scalar(
+            (a1 - a2 if a1 else -a2) if a2 else a1,
+            (b1 - b2 if b1 else -b2) if b2 else b1,
+            (c1 - c2 if c1 else -c2) if c2 else c1,
+            (d1 - d2 if d1 else -d2) if d2 else d1,
         )
 
     def __rsub__(self, other) -> Scalar:
@@ -146,9 +162,9 @@ class Scalar:
         a2, b2, c2, d2 = other._a, other._b, other._c, other._d
         # fast path: both values purely rational
         if not (b1 or c1 or d1 or b2 or c2 or d2):
-            return Scalar(a1 * a2)
+            return _scalar(a1 * a2, _F0, _F0, _F0)
         # (sqrt2)^2 = 2, i^2 = -1, (i*sqrt2)^2 = -2
-        return Scalar(
+        return _scalar(
             a1 * a2 + 2 * b1 * b2 - c1 * c2 - 2 * d1 * d2,
             a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
             a1 * c2 + c1 * a2 + 2 * b1 * d2 + 2 * d1 * b2,
@@ -170,7 +186,7 @@ class Scalar:
         nrm = p * p - 2 * q * q
         ip = p / nrm
         iq = -q / nrm
-        return Scalar(
+        return _scalar(
             a * ip + 2 * b * iq,
             a * iq + b * ip,
             -(c * ip + 2 * d * iq),
@@ -222,6 +238,13 @@ class Scalar:
         return out
 
 
+def _scalar(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Scalar:
+    """The Scalar with these components, which must already be Fractions."""
+    value = object.__new__(Scalar)
+    value._a, value._b, value._c, value._d = a, b, c, d
+    return value
+
+
 ZERO = Scalar()
 ONE = Scalar(1)
 MINUS_ONE = Scalar(-1)
@@ -250,6 +273,17 @@ class ScalarParseError(ValueError):
 # are capped well below half of that: any product of two values still prints.
 MAX_LITERAL_DIGITS = 1000
 _VALUE_LIMIT = 10**MAX_LITERAL_DIGITS
+
+# Longest token or coefficient text quoted in full in a parse error; the
+# algebra file parser quotes with the same limit.
+_QUOTED_TEXT = 40
+
+
+def _quoted(text: str) -> str:
+    """``repr`` of ``text``, cut to ``_QUOTED_TEXT`` characters ending in ``...``."""
+    if len(text) > _QUOTED_TEXT:
+        text = text[: _QUOTED_TEXT - 3] + "..."
+    return repr(text)
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|(sqrt2\b|i\b)|([()+\-*/]))")
 
@@ -320,7 +354,7 @@ class _Parser:
         value = self.expr()
         kind, text, pos = self.peek()
         if kind != "end":
-            raise ScalarParseError(f"unexpected token {text!r}", pos)
+            raise ScalarParseError(f"unexpected token {_quoted(str(text))}", pos)
         return value
 
     def expr(self) -> Scalar:

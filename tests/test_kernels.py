@@ -1,10 +1,12 @@
 """The verify kernels against the plain loops they replaced.
 
-``Matrix.inverse``/``determinant``, ``check_ad_invariance`` and
-``schouten_check`` skip entries and triples that are provably zero.  Each
-reference below is the dense loop the library used before, kept verbatim
-in substance; the fast kernel must return exactly what it returns: equal
-values, the same counterexamples in the same order, the same verdicts.
+The sparse ``Matrix`` (``Matrix.inverse``/``determinant`` among its
+methods), ``LieAlgebra.killing_form``, ``trace_form``,
+``check_ad_invariance`` and ``schouten_check`` skip entries and triples that
+are provably zero.  Each reference below is the dense loop the library used
+before, kept verbatim in substance; the fast kernel must return exactly what
+it returns: equal values, the same counterexamples in the same order, the
+same verdicts.
 
 The kernels that multiply through ``liealg.product_table`` are run a
 second time with the table replaced by plain ``*`` and must agree.
@@ -40,8 +42,11 @@ from liedouble import (
     cocommutator_from_triple,
     express_in_basis,
     gln_change_of_basis,
+    build_gln_tn,
+    fundamental_representation,
     schouten_bracket,
     schouten_check,
+    trace_form,
 )
 from liedouble import bialg, liealg, manin, suite
 from liedouble.liealg import product_table
@@ -83,6 +88,41 @@ def dense_eliminated(entries, augment: bool):
             if aug is not None:
                 aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
     return aug, det
+
+
+def dense_killing_form(alg):
+    """K(p, q) = trace(ad(e_p) ad(e_q)) with a bracket lookup for every (p, q, l)."""
+    pair = alg.tensor.pair
+    gram = [[ZERO] * alg.dim for _ in range(alg.dim)]
+    for p in range(alg.dim):
+        for q in range(p, alg.dim):
+            total = ZERO
+            for l in range(alg.dim):
+                w = pair(p, l)
+                if not w:
+                    continue
+                for k, a in w.items():
+                    bv = pair(q, k)
+                    if bv:
+                        b = bv.get(l)
+                        if b:
+                            total = total + a * b
+            gram[p][q] = gram[q][p] = total
+    return BilinearForm(gram)
+
+
+def dense_trace_form(rep):
+    """B(p, q) = trace(rep[p] * rep[q]) over every entry of every matrix."""
+    rep = list(rep)
+    gram = [[ZERO] * len(rep) for _ in rep]
+    for p, a in enumerate(rep):
+        for q, b in enumerate(rep):
+            total = ZERO
+            for k in range(a.rows):
+                for l in range(a.cols):
+                    total = total + a.entry(k, l) * b.entry(l, k)
+            gram[p][q] = total
+    return BilinearForm(gram)
 
 
 def dense_ad_invariance(double):
@@ -198,10 +238,98 @@ def test_gauss_jordan_cases_that_need_each_branch():
     assert_matches_dense([[i, one, ZERO], [ZERO, ZERO, two], [one, ZERO, Scalar(0, 1)]])
 
 
+def dense_product(left, right):
+    return [
+        [
+            sum((left[i][k] * right[k][j] for k in range(len(right))), ZERO)
+            for j in range(len(right[0]))
+        ]
+        for i in range(len(left))
+    ]
+
+
+@st.composite
+def rectangular_rows(draw, rows=None, cols=None):
+    """Rows of Scalars with explicit zeros, some of them ``Scalar(0)`` copies."""
+    rows = draw(st.integers(1, 4)) if rows is None else rows
+    cols = draw(st.integers(1, 4)) if cols is None else cols
+    zero = st.sampled_from([ZERO, Scalar(0), Scalar(Fraction(0), 0, 0, 0)])
+    return [[draw(st.one_of(zero, nonzero)) for _ in range(cols)] for _ in range(rows)]
+
+
+def assert_matrix_is(matrix, rows):
+    """``matrix`` holds exactly the dense ``rows``, zeros included."""
+    assert (matrix.rows, matrix.cols) == (len(rows), len(rows[0]))
+    for i, row in enumerate(rows):
+        for j, value in enumerate(row):
+            assert matrix.entry(i, j) == value
+    for j in range(matrix.cols):
+        column = matrix.column(j)
+        assert dict(column.items()) == {i: row[j] for i, row in enumerate(rows) if row[j]}
+    assert matrix == Matrix(rows)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_sparse_matrix_matches_dense_rows(data):
+    rows = data.draw(rectangular_rows())
+    n, m = len(rows), len(rows[0])
+    matrix = Matrix(rows)
+    assert_matrix_is(matrix, rows)
+    columns = [{i: rows[i][j] for i in range(n)} for j in range(m)]  # zeros passed explicitly
+    assert_matrix_is(Matrix.from_columns(n, columns), rows)
+    other = data.draw(rectangular_rows(rows=m))
+    assert_matrix_is(matrix * Matrix(other), dense_product(rows, other))
+    changed = [list(row) for row in rows]
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, m - 1))
+    changed[i][j] = changed[i][j] + Scalar(1)
+    assert (Matrix(changed) == matrix) == (changed == rows)
+    if n == m:
+        assert matrix.trace() == sum((rows[k][k] for k in range(n)), ZERO)
+        assert_matches_dense(rows)
+
+
+def test_sparse_matrix_edges():
+    assert Matrix.zeros(2, 3) == Matrix([[ZERO] * 3, [ZERO] * 3])
+    assert Matrix.identity(2) == Matrix([[Scalar(1), ZERO], [ZERO, Scalar(1)]])
+    assert Matrix.zeros(2, 3) != Matrix.zeros(3, 2)
+    assert Matrix([]).rows == Matrix([]).cols == 0
+    with pytest.raises(ValueError):
+        Matrix([[ZERO, ZERO], [ZERO]])
+    with pytest.raises(IndexError):
+        Matrix.identity(2).entry(0, 2)
+    with pytest.raises(IndexError):
+        Matrix.from_columns(2, [{2: Scalar(1)}])
+
+
 def test_gauss_jordan_matches_dense_on_the_gln_basis_change():
     T = gln_change_of_basis(3)
     rows = [[T.entry(i, j) for j in range(T.cols)] for i in range(T.rows)]
     assert_matches_dense(rows)
+
+
+# --- Killing and trace forms -------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_killing_form_matches_dense_on_gln_tn(n):
+    algebra = build_gln_tn(n)
+    assert algebra.killing_form() == dense_killing_form(algebra)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_trace_form_matches_dense_on_the_fundamental_representation(n):
+    rep = fundamental_representation(n)
+    assert trace_form(rep) == dense_trace_form(rep)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_trace_form_matches_dense_on_random_matrices(data):
+    size = data.draw(st.integers(1, 3))
+    count = data.draw(st.integers(1, 4))
+    rep = [Matrix(data.draw(rectangular_rows(size, size))) for _ in range(count)]
+    assert trace_form(rep) == dense_trace_form(rep)
 
 
 # --- ad-invariance ------------------------------------------------------------
@@ -353,6 +481,9 @@ def assert_kernels_match_plain(alg, delta, r_skew, T, pairing):
     cases = [
         (lambda a: a.check_jacobi(), alg),
         (lambda a, t: algebra_key(a.change_of_basis(t)), alg, T),
+        (lambda t: t.inverse(), T),
+        (lambda t: t.determinant(), T),
+        (lambda a: a.killing_form(), alg),
         (lambda r, t: r.transport(t.inverse()), r_skew, T),
         (express_in_basis, delta, T),
         (check_cocycle, alg, delta),
@@ -452,3 +583,10 @@ def random_kernel_inputs(draw):
 @given(random_kernel_inputs())
 def test_tabled_kernels_match_plain_products_on_random_algebras(inputs):
     assert_kernels_match_plain(*inputs)
+
+
+@settings(deadline=None, max_examples=40)
+@given(random_kernel_inputs())
+def test_killing_form_matches_dense_on_random_algebras(inputs):
+    alg = inputs[0]
+    assert alg.killing_form() == dense_killing_form(alg)

@@ -121,3 +121,17 @@ def test_dim_at_the_limit_is_accepted():
     parsed = parse_algebra_file(f"algebra top dim {MAX_DIM}\nbasis {labels}\n")
     assert parsed.dim == MAX_DIM
     assert parse_algebra_file("algebra zero dim 000\n").dim == 0
+
+
+def test_unexpected_token_error_quotes_a_short_prefix(tmp_path):
+    with pytest.raises(ScalarParseError) as info:
+        scalar_parse("5 " + "9" * MAX_LITERAL_DIGITS)
+    assert str(info.value) == "unexpected token '" + "9" * 37 + "...' (at position 2)"
+    assert info.value.position == 2
+    path = tmp_path / "token.alg"
+    text = "algebra a dim 2\nbasis A B\n[A,B] = 5 " + "9" * MAX_LITERAL_DIGITS + "*B\n"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(["check-jacobi", str(path)])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert len(err) < 200

@@ -81,3 +81,60 @@ def test_rational_scalars_hash_like_the_numbers_they_equal(q):
 def test_parse_of_print_is_the_identity(x):
     assert scalar_parse(str(x)) == x
     assert str(scalar_parse(str(x))) == str(x)
+
+
+def components(x):
+    return (x.a, x.b, x.c, x.d)
+
+
+@settings(deadline=None)
+@given(any_scalar, any_scalar)
+def test_zero_skipping_arithmetic_matches_componentwise_fractions(x, y):
+    # the reference: every component added, subtracted or negated, zeros too
+    pairs = list(zip(components(x), components(y)))
+    for got, want in (
+        (x + y, [p + q for p, q in pairs]),
+        (x - y, [p - q for p, q in pairs]),
+        (-x, [-p for p in components(x)]),
+    ):
+        assert components(got) == tuple(want)
+        assert all(type(part) is Fraction for part in components(got))
+
+
+@settings(deadline=None)
+@given(any_scalar)
+def test_zero_and_negation_laws(x):
+    assert x + 0 == x
+    assert 0 + x == x
+    assert x - 0 == x
+    assert x + ZERO == x
+    assert -(-x) == x
+    zero = x + (-x)
+    assert zero == ZERO
+    assert zero.is_zero()
+    assert not zero
+    assert not (x - x)
+    assert bool(x) == (x != ZERO)
+
+
+@settings(deadline=None)
+@given(st.integers(-50, 50), st.integers(1, 12))
+def test_hash_agrees_with_equality_for_integer_valued_and_negative_rationals(p, q):
+    value = Scalar(Fraction(p, q))
+    assert hash(value) == hash(Fraction(p, q))
+    assert hash(-value) == hash(Fraction(-p, q))
+    if p % q == 0:
+        assert hash(value) == hash(p // q)
+        assert value == p // q
+    # the same value reached through arithmetic, zero components included
+    reached = (value + Scalar(0, 1, 1, 1)) - Scalar(0, 1, 1, 1)
+    assert reached == value
+    assert hash(reached) == hash(value)
+
+
+def test_hash_of_minus_one():
+    # CPython hashes -1 as -2; a Scalar -1 must follow the int
+    for value in (Scalar(-1), -ONE, ZERO - ONE, Scalar(0, 0, 1) * Scalar(0, 0, 1)):
+        assert value == -1
+        assert hash(value) == hash(-1) == hash(Fraction(-1))
+        assert len({value, -1, Fraction(-1)}) == 1
