@@ -153,8 +153,14 @@ def _report(command: str, checks: list[CheckResult], args, stdout) -> int:
 
 
 def _load_algebra(path: str) -> LieAlgebra:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_algebra_file(handle.read()).to_algebra()
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        head = data[: err.start].decode("utf-8").split("\n")
+        raise AlgebraFileError(f"not UTF-8: {err.reason}", len(head), len(head[-1]) + 1) from None
+    return parse_algebra_file(text).to_algebra()
 
 
 def _load_pair(args) -> tuple[LieAlgebra, LieAlgebra]:

@@ -49,7 +49,7 @@ from .liealg import (
 from .manin import ManinTriple, build_double
 from fractions import Fraction
 
-from .scalars import HALF_SQRT2, MINUS_ONE, ONE, Scalar, ZERO
+from .scalars import HALF_SQRT2, MINUS_ONE, ONE, Scalar
 
 __all__ = [
     "solvable_dim",
@@ -248,7 +248,7 @@ def _unit_index(n: int, i: int, j: int) -> int:
 def fundamental_representation(n: int) -> list[Matrix]:
     """n x n matrices for the gl(n) block: H_i = E_ii, F_ij = E_ij (i != j)."""
     return [
-        Matrix([[ONE if (r, s) == (i - 1, j - 1) else ZERO for s in range(n)] for r in range(n)])
+        Matrix._of_rows([{j - 1: ONE} if r == i - 1 else {} for r in range(n)], n)
         for i, j in _matrix_units(n)
     ]
 
@@ -279,15 +279,15 @@ def build_gln_tn(n: int) -> LieAlgebra:
 def gln_tn_trace_form(n: int) -> BilinearForm:
     """Fundamental trace form on the gl(n) block, extended by <I_i, I_j> = d_ij."""
     dim = gln_dim(n)
-    gram = [[ZERO] * dim for _ in range(dim)]
-    block = trace_form(fundamental_representation(n))
+    rows: list[dict] = [{} for _ in range(dim)]
+    block = trace_form(fundamental_representation(n)).matrix()
     index = representation_index(n)
     for a, p in enumerate(index):
-        for b, q in enumerate(index):
-            gram[p][q] = block.entry(a, b)
+        for b, value in block.row(a).items():
+            rows[p][index[b]] = value
     for i in range(1, n + 1):
-        gram[i_index(n, i)][i_index(n, i)] = ONE
-    return BilinearForm(gram)
+        rows[i_index(n, i)][i_index(n, i)] = ONE
+    return BilinearForm(Matrix._of_rows(rows, dim))
 
 
 def double_in_gln_basis(n: int, triple: ManinTriple | None = None) -> LieAlgebra:

@@ -149,15 +149,18 @@ class SparseTensor:
         return type(self)({k: -v for k, v in self._c.items()})
 
     def __add__(self, other):
+        return self._combined(other, negate=False)
+
+    def __sub__(self, other):
+        return self._combined(other, negate=True)
+
+    def _combined(self, other, negate: bool):
         data = dict(self._c)
         for key, value in other._c.items():
-            add_into(data, key, value)
+            add_into(data, key, -value if negate else value)
         out = type(self)()
         out._c = data
         return out
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def scale(self, factor):
         factor = _coerce_scalar(factor)
@@ -253,6 +256,11 @@ class SingularMatrixError(ValueError):
     pass
 
 
+def _check_index(index: int, size: int, kind: str) -> None:
+    if not 0 <= index < size:
+        raise IndexError(f"{kind} index {index} out of range for {size} {kind}s")
+
+
 class Matrix:
     """Exact matrix over Q(i, sqrt2) that stores only its nonzero entries.
 
@@ -299,19 +307,23 @@ class Matrix:
         rows: list[dict] = [{} for _ in range(dim)]
         for j, col in enumerate(columns):
             for i, v in col.items():
-                if not 0 <= i < dim:
-                    raise IndexError(f"row index {i} out of range for {dim} rows")
+                _check_index(i, dim, "row")
                 v = _coerce_scalar(v)
                 if v:
                     rows[i][j] = v
         return cls._of_rows(rows, len(columns))
 
     def entry(self, i: int, j: int) -> Scalar:
-        if not 0 <= j < self.cols:
-            raise IndexError(f"column index {j} out of range for {self.cols} columns")
+        _check_index(i, self.rows, "row")
+        _check_index(j, self.cols, "column")
         return self._r[i].get(j, ZERO)
 
+    def row(self, i: int) -> Vector:
+        _check_index(i, self.rows, "row")
+        return Vector(self._r[i])
+
     def column(self, j: int) -> Vector:
+        _check_index(j, self.cols, "column")
         return Vector(self._c[j])
 
     def __eq__(self, other) -> bool:
@@ -409,32 +421,38 @@ class Matrix:
 
 
 class BilinearForm:
-    """Symmetric bilinear form given by its exact Gram matrix."""
+    """Symmetric bilinear form given by its exact Gram matrix, a sparse :class:`Matrix`."""
 
-    __slots__ = ("dim", "_m")
+    __slots__ = ("_m",)
 
     def __init__(self, matrix):
-        if isinstance(matrix, Matrix):
-            entries = [[matrix.entry(i, j) for j in range(matrix.cols)] for i in range(matrix.rows)]
-        else:
-            entries = [[_coerce_scalar(v) for v in row] for row in matrix]
-        self.dim = len(entries)
-        if any(len(row) != self.dim for row in entries):
+        if not isinstance(matrix, Matrix):
+            rows = [list(row) for row in matrix]
+            if any(len(row) != len(rows) for row in rows):
+                raise ValueError("bilinear form matrix must be square")
+            matrix = Matrix(rows)
+        if matrix.rows != matrix.cols:
             raise ValueError("bilinear form matrix must be square")
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if entries[i][j] != entries[j][i]:
-                    raise ValueError(f"bilinear form not symmetric at ({i},{j})")
-        self._m = entries
+        # Symmetric iff each row equals its column.  At the first i where they
+        # differ every differing j is above i, or row j would have differed.
+        for i, (row, col) in enumerate(zip(matrix._r, matrix._c)):
+            if row != col:
+                j = min(j for j in row.keys() | col.keys() if row.get(j) != col.get(j))
+                raise ValueError(f"bilinear form not symmetric at ({i},{j})")
+        self._m = matrix
+
+    @property
+    def dim(self) -> int:
+        return self._m.rows
 
     def entry(self, i: int, j: int) -> Scalar:
-        return self._m[i][j]
+        return self._m.entry(i, j)
 
     def matrix(self) -> Matrix:
-        return Matrix(self._m)
+        return self._m
 
     def determinant(self) -> Scalar:
-        return self.matrix().determinant()
+        return self._m.determinant()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BilinearForm):
@@ -561,10 +579,10 @@ class LieAlgebra:
                 for q, b in right:
                     if p <= q:
                         add_into(acc, (p, q), mul(a, b))
-        gram = [[ZERO] * self.dim for _ in range(self.dim)]
+        rows: list[dict] = [{} for _ in range(self.dim)]
         for (p, q), value in acc.items():
-            gram[p][q] = gram[q][p] = value
-        return BilinearForm(gram)
+            rows[p][q] = rows[q][p] = value
+        return BilinearForm(Matrix._of_rows(rows, self.dim))
 
     def change_of_basis(self, T: Matrix, labels=None) -> LieAlgebra:
         """Rewrite brackets in the basis whose vectors are the columns of T."""
@@ -611,25 +629,13 @@ def structure_equal(a: LieAlgebra, b: LieAlgebra) -> bool:
 def trace_form(rep) -> BilinearForm:
     """Gram matrix B(p, q) = trace(rep[p] * rep[q]) of a matrix representation."""
     rep = list(rep)
-    dim = len(rep)
-    if dim == 0:
-        return BilinearForm([])
-    size = rep[0].rows
     for mat in rep:
-        if mat.rows != mat.cols or mat.rows != size:
+        if mat.rows != mat.cols or mat.rows != rep[0].rows:
             raise ValueError("representation matrices must be square and equal-sized")
-    gram = [[ZERO] * dim for _ in range(dim)]
-    for p in range(dim):
-        left = rep[p]._r
-        for q in range(p, dim):
-            right = rep[q]._r
-            gram[p][q] = gram[q][p] = sum(
-                (
-                    a * right[l][k]
-                    for k, row in enumerate(left)
-                    for l, a in row.items()
-                    if k in right[l]
-                ),
-                ZERO,
-            )
-    return BilinearForm(gram)
+    rows: list[dict] = [{} for _ in rep]
+    for p, left in enumerate(rep):
+        for q in range(p, len(rep)):
+            value = (left * rep[q]).trace()
+            if value:
+                rows[p][q] = rows[q][p] = value
+    return BilinearForm(Matrix._of_rows(rows, len(rep)))

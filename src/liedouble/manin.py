@@ -19,6 +19,7 @@ from dataclasses import InitVar, dataclass, field
 from .liealg import (
     BilinearForm,
     LieAlgebra,
+    Matrix,
     StructureTensor,
     Violation,
     ViolationReport,
@@ -151,11 +152,8 @@ class DoubleAlgebra:
 
 
 def _hyperbolic_pairing(m: int) -> BilinearForm:
-    gram = [[ZERO] * (2 * m) for _ in range(2 * m)]
-    for p in range(m):
-        gram[p][m + p] = ONE
-        gram[m + p][p] = ONE
-    return BilinearForm(gram)
+    rows = [{(p + m) % (2 * m): ONE} for p in range(2 * m)]
+    return BilinearForm(Matrix._of_rows(rows, 2 * m))
 
 
 def build_double(triple: ManinTriple) -> DoubleAlgebra:
@@ -168,24 +166,12 @@ def build_double(triple: ManinTriple) -> DoubleAlgebra:
         brackets[(p, q)] = dict(vec)
     for (p, q), vec in c.stored():
         brackets[(m + p, m + q)] = {m + r: v for r, v in vec.items()}
-    for p in range(m):
-        for q in range(m):
-            acc: dict[int, Scalar] = {}
-            # [z^p, Z_q] = f^p_{q,r} z^r - c^{p,r}_q Z_r
-            for r in range(m):
-                coeffs = f.pair(q, r)
-                if coeffs:
-                    value = coeffs.get(p)
-                    if value:
-                        add_into(acc, m + r, value)
-                coeffs = c.pair(p, r)
-                if coeffs:
-                    value = coeffs.get(q)
-                    if value:
-                        add_into(acc, r, -value)
-            if acc:
-                # stored orientation is [Z_q, z^p] = -[z^p, Z_q]
-                brackets[(q, m + p)] = {r: -v for r, v in acc.items()}
+    # [Z_q, z^p] = -[z^p, Z_q] = -f^p_{q,r} z^r + c^{p,r}_q Z_r.  Every f
+    # and c entry fills its own slot, so no two of them are summed.
+    for q, r, p, v in _tensor_triples(f):
+        brackets.setdefault((q, m + p), {})[m + r] = -v
+    for p, r, q, v in _tensor_triples(c):
+        brackets.setdefault((q, m + p), {})[r] = v
     labels = tuple(triple.plus.labels)
     right = list(triple.minus.labels)
     while set(labels) & set(right):
@@ -205,20 +191,16 @@ def check_isotropic_pairing(double: DoubleAlgebra) -> ViolationReport:
         )
         return report
     for p in range(2 * m):
-        for q in range(2 * m):
-            value = pairing.entry(p, q)
-            same_block = (p < m) == (q < m)
-            if same_block:
-                if value:
-                    report.violations.append(
-                        Violation((p, q), f"isotropy: {value}")
-                    )
-            else:
-                expected = ONE if (p % m) == (q % m) else ZERO
-                if value != expected:
-                    report.violations.append(
-                        Violation((p, q), f"duality: {value - expected}")
-                    )
+        row = pairing.matrix().row(p)
+        dual = (p + m) % (2 * m)
+        for q in sorted({*row.indices(), dual}):
+            value = row.get(q)
+            if (p < m) == (q < m):
+                report.violations.append(Violation((p, q), f"isotropy: {value}"))
+            elif q != dual:
+                report.violations.append(Violation((p, q), f"duality: {value}"))
+            elif value != ONE:
+                report.violations.append(Violation((p, q), f"duality: {value - ONE}"))
     if report.violations and not pairing.determinant():
         report.violations.append(Violation((), "nondegeneracy: determinant is 0"))
     report.violations.sort(key=lambda v: v.indices)
@@ -261,7 +243,7 @@ def check_ad_invariance(double: DoubleAlgebra) -> InvarianceReport:
     pairing = double.pairing
     dim = alg.dim
     pair = alg.tensor.pair
-    partners = [[c for c in range(dim) if pairing.entry(r, c)] for r in range(dim)]
+    partners = [pairing.matrix().row(r).indices() for r in range(dim)]
     candidates = set()
     for (p, q), coeffs in alg.tensor.stored():
         for x, y in ((p, q), (q, p)):

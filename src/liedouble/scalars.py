@@ -70,10 +70,6 @@ class Scalar:
     def d(self) -> Fraction:
         return self._d
 
-    @classmethod
-    def parse(cls, text: str) -> Scalar:
-        return scalar_parse(text)
-
     @staticmethod
     def _coerce(value):
         if isinstance(value, Scalar):

@@ -209,6 +209,23 @@ def test_exit_code_2_on_missing_file():
     assert "error:" in err
 
 
+def test_exit_code_2_on_a_file_that_is_not_utf8(algebra_files, tmp_path):
+    plus, minus, _ = algebra_files
+    utf16 = tmp_path / "utf16.alg"
+    utf16.write_bytes(RANK_TWO_PLUS.encode("utf-16"))  # starts with the bytes ff fe
+    code, out, err = run(["check-jacobi", str(utf16)])
+    assert (code, out, err) == (2, "", "error: line 1, column 1: not UTF-8: invalid start byte\n")
+    latin1 = tmp_path / "latin1.alg"
+    latin1.write_bytes(RANK_TWO_PLUS.replace("Z3\n", "Z3 # \xe9t\xe9\n", 1).encode("latin-1"))
+    for argv in (
+        ["compat", "--plus", str(latin1), "--minus", str(minus)],
+        ["compat", "--plus", str(plus), "--minus", str(latin1)],
+    ):
+        code, out, err = run(argv)
+        assert (code, out) == (2, "")
+        assert err == "error: line 2, column 18: not UTF-8: invalid continuation byte\n"
+
+
 def test_n_above_max_n_exits_2_before_building(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("nothing may be built for an out-of-range --n")
@@ -284,14 +301,21 @@ def test_double_with_colliding_labels_roundtrips(tmp_path):
 
 
 def test_module_entry_point(algebra_files):
+    import os
     import subprocess
     import sys
 
+    import liedouble
+
+    # the child imports the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(liedouble.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     plus, _, _ = algebra_files
     proc = subprocess.run(
         [sys.executable, "-m", "liedouble", "check-jacobi", str(plus)],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert "[PASS] jacobi" in proc.stdout

@@ -1,12 +1,13 @@
 """The verify kernels against the plain loops they replaced.
 
 The sparse ``Matrix`` (``Matrix.inverse``/``determinant`` among its
-methods), ``LieAlgebra.killing_form``, ``trace_form``,
-``check_ad_invariance`` and ``schouten_check`` skip entries and triples that
-are provably zero.  Each reference below is the dense loop the library used
-before, kept verbatim in substance; the fast kernel must return exactly what
-it returns: equal values, the same counterexamples in the same order, the
-same verdicts.
+methods), ``BilinearForm`` on it, ``LieAlgebra.killing_form``,
+``trace_form``, ``build_double``, ``check_isotropic_pairing``,
+``check_ad_invariance``, the verify suite's forms comparison and
+``schouten_check`` skip entries and triples that are provably zero.  Each
+reference below is the dense loop the library used before, kept verbatim in
+substance; the fast kernel must return exactly what it returns: equal
+values, the same counterexamples in the same order, the same verdicts.
 
 The kernels that multiply through ``liealg.product_table`` are run a
 second time with the table replaced by plain ``*`` and must agree.
@@ -21,11 +22,13 @@ from hypothesis import given, settings, strategies as st
 
 from liedouble import (
     NOT_INVARIANT,
+    ONE,
     QUASITRIANGULAR,
     TRIANGULAR,
     ZERO,
     BilinearForm,
     LieAlgebra,
+    ManinTriple,
     Matrix,
     Scalar,
     SingularMatrixError,
@@ -36,12 +39,17 @@ from liedouble import (
     build_double,
     build_gln_triple,
     build_rmatrix,
+    build_s_minus,
+    build_s_plus,
     check_ad_invariance,
     check_cocycle,
+    check_compatibility,
+    check_isotropic_pairing,
     coboundary,
     cocommutator_from_triple,
     express_in_basis,
     gln_change_of_basis,
+    gln_tn_trace_form,
     build_gln_tn,
     fundamental_representation,
     schouten_bracket,
@@ -49,7 +57,7 @@ from liedouble import (
     trace_form,
 )
 from liedouble import bialg, liealg, manin, suite
-from liedouble.liealg import product_table
+from liedouble.liealg import add_into, product_table
 from liedouble.manin import DoubleAlgebra
 
 # --- reference implementations -------------------------------------------
@@ -150,6 +158,102 @@ def dense_ad_invariance(double):
                 if lhs != -rhs:
                     minus_bad.append(Violation((a, b, c), str(lhs + rhs)))
     return plus_bad, minus_bad
+
+
+def dense_symmetry_error(rows):
+    """The message for the first asymmetric (i, j), i < j, in row-major order."""
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            if rows[i][j] != rows[j][i]:
+                return f"bilinear form not symmetric at ({i},{j})"
+    return None
+
+
+def dense_build_double(triple):
+    """The double with a bracket lookup for every (p, q, r) and a dense pairing."""
+    m = triple.plus.dim
+    f = triple.plus.tensor
+    c = triple.minus.tensor
+    brackets = {}
+    for (p, q), vec in f.stored():
+        brackets[(p, q)] = dict(vec)
+    for (p, q), vec in c.stored():
+        brackets[(m + p, m + q)] = {m + r: v for r, v in vec.items()}
+    for p in range(m):
+        for q in range(m):
+            acc = {}
+            # [z^p, Z_q] = f^p_{q,r} z^r - c^{p,r}_q Z_r
+            for r in range(m):
+                coeffs = f.pair(q, r)
+                if coeffs:
+                    value = coeffs.get(p)
+                    if value:
+                        add_into(acc, m + r, value)
+                coeffs = c.pair(p, r)
+                if coeffs:
+                    value = coeffs.get(q)
+                    if value:
+                        add_into(acc, r, -value)
+            if acc:
+                brackets[(q, m + p)] = {r: -v for r, v in acc.items()}
+    labels = tuple(triple.plus.labels)
+    right = list(triple.minus.labels)
+    while set(labels) & set(right):
+        right = ["r_" + label for label in right]
+    gram = [[ZERO] * (2 * m) for _ in range(2 * m)]
+    for p in range(m):
+        gram[p][m + p] = ONE
+        gram[m + p][p] = ONE
+    algebra = LieAlgebra.from_brackets(labels + tuple(right), brackets)
+    return DoubleAlgebra(algebra, BilinearForm(gram), triple)
+
+
+def dense_isotropic_pairing(double):
+    """Violations of the hyperbolic pattern over all (2m)^2 pairing entries."""
+    pairing = double.pairing
+    m = double.half_dim
+    violations = []
+    for p in range(2 * m):
+        for q in range(2 * m):
+            value = pairing.entry(p, q)
+            same_block = (p < m) == (q < m)
+            if same_block:
+                if value:
+                    violations.append(Violation((p, q), f"isotropy: {value}"))
+            else:
+                expected = ONE if (p % m) == (q % m) else ZERO
+                if value != expected:
+                    violations.append(Violation((p, q), f"duality: {value - expected}"))
+    if violations and not pairing.determinant():
+        violations.append(Violation((), "nondegeneracy: determinant is 0"))
+    violations.sort(key=lambda v: v.indices)
+    return violations
+
+
+def dense_forms_comparison(n):
+    """The forms comparison over all dim^2 index pairs.
+
+    The builders are looked up on ``suite`` at call time, so a test that
+    replaces them there doctors this reference and the library alike.
+    """
+    algebra = suite.build_gln_tn(n)
+    killing = algebra.killing_form()
+    trace = suite.gln_tn_trace_form(n)
+    rep = suite.fundamental_representation(n)
+    trace_of = {p: rep[k].trace() for k, p in enumerate(suite.representation_index(n))}
+    bad = []
+    two_n, two = Scalar(2 * n), Scalar(2)
+    for p in range(algebra.dim):
+        for q in range(algebra.dim):
+            if p in trace_of and q in trace_of:
+                expected = two_n * trace.entry(p, q) - two * trace_of[p] * trace_of[q]
+            else:
+                expected = ZERO
+            if killing.entry(p, q) != expected:
+                bad.append(Violation((p, q), str(killing.entry(p, q) - expected)))
+    if trace.entry(suite.i_index(n, 1), suite.i_index(n, 1)) != ONE:
+        bad.append(Violation((suite.i_index(n, 1),), "central trace pairing missing"))
+    return bad
 
 
 def dense_schouten_check(alg, r_skew):
@@ -266,6 +370,8 @@ def assert_matrix_is(matrix, rows):
     for j in range(matrix.cols):
         column = matrix.column(j)
         assert dict(column.items()) == {i: row[j] for i, row in enumerate(rows) if row[j]}
+    for i, row in enumerate(rows):
+        assert dict(matrix.row(i).items()) == {j: value for j, value in enumerate(row) if value}
     assert matrix == Matrix(rows)
 
 
@@ -297,15 +403,69 @@ def test_sparse_matrix_edges():
     with pytest.raises(ValueError):
         Matrix([[ZERO, ZERO], [ZERO]])
     with pytest.raises(IndexError):
-        Matrix.identity(2).entry(0, 2)
-    with pytest.raises(IndexError):
         Matrix.from_columns(2, [{2: Scalar(1)}])
+    with pytest.raises(IndexError):
+        Matrix.from_columns(2, [{-1: Scalar(1)}])
+    matrix = Matrix([[1, 2], [3, 4], [5, 6]])
+    for i, j in ((-1, 0), (3, 0), (0, -1), (0, 2), (-3, -2)):
+        with pytest.raises(IndexError):
+            matrix.entry(i, j)
+    for i in (-1, 3):
+        with pytest.raises(IndexError):
+            matrix.row(i)
+    for j in (-1, 2):
+        with pytest.raises(IndexError):
+            matrix.column(j)
 
 
 def test_gauss_jordan_matches_dense_on_the_gln_basis_change():
     T = gln_change_of_basis(3)
     rows = [[T.entry(i, j) for j in range(T.cols)] for i in range(T.rows)]
     assert_matches_dense(rows)
+
+
+# --- Bilinear forms ------------------------------------------------------------
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_bilinear_form_matches_dense_rows(data):
+    n = data.draw(st.integers(1, 4))
+    rows = data.draw(rectangular_rows(n, n))
+    if data.draw(st.booleans()):
+        for i in range(n):
+            for j in range(i):
+                rows[i][j] = rows[j][i]
+        if data.draw(st.booleans()):
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            rows[i][j] = rows[i][j] + data.draw(nonzero)
+    error = dense_symmetry_error(rows)
+    if error is not None:
+        for given_as in (rows, Matrix(rows)):
+            with pytest.raises(ValueError) as info:
+                BilinearForm(given_as)
+            assert str(info.value) == error
+        return
+    form = BilinearForm(rows)
+    assert form == BilinearForm(Matrix(rows))
+    assert form.dim == n
+    assert form.matrix() == Matrix(rows)
+    assert all(form.entry(i, j) == rows[i][j] for i in range(n) for j in range(n))
+    assert form.determinant() == dense_eliminated(rows, augment=False)[1]
+
+
+def test_bilinear_form_rejects_non_square_and_asymmetric_input():
+    for bad in ([[ONE, ZERO]], [[ONE], [ZERO]], [[ONE, ZERO], [ZERO]], Matrix.zeros(2, 3)):
+        with pytest.raises(ValueError) as info:
+            BilinearForm(bad)
+        assert str(info.value) == "bilinear form matrix must be square"
+    # (1,2) differs too, but (0,2) comes first in row-major order
+    rows = [[ONE, ZERO, ONE], [ZERO, ONE, ONE], [ZERO, ZERO, ONE]]
+    for given_as in (rows, Matrix(rows)):
+        with pytest.raises(ValueError) as info:
+            BilinearForm(given_as)
+        assert str(info.value) == "bilinear form not symmetric at (0,2)"
+    assert BilinearForm([]).dim == 0
 
 
 # --- Killing and trace forms -------------------------------------------------
@@ -332,31 +492,200 @@ def test_trace_form_matches_dense_on_random_matrices(data):
     assert trace_form(rep) == dense_trace_form(rep)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_forms_comparison_matches_dense_on_gln_tn(n):
+    assert suite._forms_comparison(n) == dense_forms_comparison(n) == []
+
+
+def doctored_forms_comparison(n: int, scales: dict, trace_entries: dict):
+    """(library, reference) forms comparison with gl(n) + t_n and its trace form doctored."""
+    algebra = scaled(build_gln_tn(n), scales)
+    trace = changed_form(gln_tn_trace_form(n), trace_entries)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(suite, "build_gln_tn", lambda k: algebra)
+        patch.setattr(suite, "gln_tn_trace_form", lambda k: trace)
+        return suite._forms_comparison(n), dense_forms_comparison(n)
+
+
+def test_forms_comparison_matches_dense_when_it_fails():
+    # a scaled bracket moves Killing entries; a zeroed H1 trace entry, a new
+    # entry between F's and a missing central pairing move the trace side
+    got, want = doctored_forms_comparison(
+        3, {0: Scalar(2), 5: Scalar(0, 1)}, {(0, 0): ZERO, (4, 9): Scalar(3), (3, 3): ZERO}
+    )
+    assert got == want
+    assert len(want) > 3 and want[-1].residual == "central trace pairing missing"
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    n=st.integers(1, 3),
+    scales=st.dictionaries(st.integers(0, 40), nonzero, max_size=3),
+    trace_entries=st.dictionaries(
+        st.tuples(st.integers(0, 11), st.integers(0, 11)),
+        st.one_of(st.just(ZERO), st.just(ONE), nonzero),
+        max_size=3,
+    ),
+)
+def test_forms_comparison_matches_dense_on_doctored_forms(n, scales, trace_entries):
+    got, want = doctored_forms_comparison(n, scales, trace_entries)
+    assert got == want
+
+
+# --- the double and its pairing --------------------------------------------------
+
+
+def assert_double_matches_dense(triple):
+    double = build_double(triple)
+    dense = dense_build_double(triple)
+    assert algebra_key(double.algebra) == algebra_key(dense.algebra)
+    assert double.pairing == dense.pairing
+    assert check_isotropic_pairing(double).violations == dense_isotropic_pairing(dense) == []
+    return double
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_double_and_pairing_match_dense_on_gln(n):
+    assert_double_matches_dense(build_gln_triple(n))
+
+
+def random_tensor(draw, m: int) -> dict:
+    pairs = [(p, q) for p in range(m) for q in range(p + 1, m)]
+    return {
+        key: draw(st.dictionaries(st.integers(0, m - 1), nonzero, min_size=1, max_size=2))
+        for key in draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    }
+
+
+def random_triple(draw, f: dict, c: dict, m: int) -> ManinTriple:
+    """An unchecked triple on the two bracket tables, half of the time with equal labels."""
+    plus = [f"Z{k}" for k in range(m)]
+    minus = plus if draw(st.booleans()) else [f"z{k}" for k in range(m)]
+    return ManinTriple.unchecked(
+        LieAlgebra.from_brackets(plus, f), LieAlgebra.from_brackets(minus, c)
+    )
+
+
+@st.composite
+def compatible_triples(draw):
+    """A half with zero brackets beside a random one, or scaled gl(n) halves."""
+    kind = draw(st.sampled_from(["plus_only", "minus_only", "scaled_gln"]))
+    if kind == "scaled_gln":
+        n = draw(st.integers(2, 3))
+        tables = []
+        for half in (build_s_plus(n), build_s_minus(n)):
+            factor = draw(nonzero)
+            tables.append(
+                {key: {r: factor * v for r, v in coeffs.items()}
+                 for key, coeffs in half.tensor.stored()}
+            )
+        return random_triple(draw, *tables, build_s_plus(n).dim)
+    m = draw(st.integers(2, 4))
+    tensor = random_tensor(draw, m)
+    f, c = (tensor, {}) if kind == "plus_only" else ({}, tensor)
+    return random_triple(draw, f, c, m)
+
+
+@st.composite
+def random_triples(draw):
+    m = draw(st.integers(2, 4))
+    return random_triple(draw, random_tensor(draw, m), random_tensor(draw, m), m)
+
+
+@settings(deadline=None, max_examples=40)
+@given(compatible_triples())
+def test_double_matches_dense_on_random_compatible_pairs(triple):
+    assert check_compatibility(triple.plus.tensor, triple.minus.tensor).ok
+    assert_double_matches_dense(triple)
+
+
+@settings(deadline=None, max_examples=40)
+@given(random_triples())
+def test_double_matches_dense_on_random_pairs(triple):
+    assert_double_matches_dense(triple)
+
+
+def test_double_matches_dense_on_an_incompatible_pair():
+    f = {(0, 1): {0: Scalar(1), 2: Scalar(0, 1)}, (1, 2): {1: Scalar(2)}}
+    c = {(0, 2): {1: Scalar(-1)}, (0, 1): {2: Scalar(1, 1)}}
+    triple = ManinTriple.unchecked(
+        LieAlgebra.from_brackets(["a", "b", "c"], f), LieAlgebra.from_brackets(["a", "b", "c"], c)
+    )
+    assert not check_compatibility(triple.plus.tensor, triple.minus.tensor).ok
+    double = assert_double_matches_dense(triple)
+    assert double.algebra.labels[3:] == ("r_a", "r_b", "r_c")
+
+
+@st.composite
+def doctored_pairings(draw):
+    """gl(n) doubles with duals zeroed or changed and same- or cross-block entries added."""
+    n = draw(st.integers(1, 3))
+    m = n * (n + 1) // 2
+    entries = {}
+    for p in draw(st.lists(st.integers(0, m - 1), max_size=2)):
+        entries[(p, m + p)] = draw(st.one_of(st.just(ZERO), nonzero))
+    index = st.integers(0, 2 * m - 1)
+    for key in draw(st.lists(st.tuples(index, index), max_size=3)):
+        entries[key] = draw(nonzero)
+    return doctored_double(n, {}, entries)
+
+
+def assert_isotropic_pairing_matches_dense(double):
+    violations = check_isotropic_pairing(double).violations
+    assert violations == dense_isotropic_pairing(double)
+    return violations
+
+
+@settings(deadline=None, max_examples=60)
+@given(doctored_pairings())
+def test_isotropic_pairing_matches_dense_on_doctored_pairings(double):
+    assert_isotropic_pairing_matches_dense(double)
+
+
+def test_isotropic_pairing_matches_dense_on_each_kind_of_break():
+    m = 3
+    cases = {
+        "zeroed dual": {(0, m): ZERO},
+        "scaled dual": {(1, m + 1): Scalar(2)},
+        "same block": {(0, 1): Scalar(0, 1), (m + 2, m + 2): Scalar(3)},
+        "cross block": {(0, m + 2): Scalar(1, 1)},
+    }
+    for name, entries in cases.items():
+        violations = assert_isotropic_pairing_matches_dense(doctored_double(2, {}, entries))
+        assert violations, name
+    zeroed = assert_isotropic_pairing_matches_dense(doctored_double(2, {}, cases["zeroed dual"]))
+    assert zeroed[0].residual == "nondegeneracy: determinant is 0"
+
+
 # --- ad-invariance ------------------------------------------------------------
 
 
-def doctored_double(n: int, scales: dict, pairing_entries: dict) -> DoubleAlgebra:
-    """The gl(n) double with some bracket constants scaled and the pairing changed.
-
-    ``scales`` maps a stored pair's position to a factor for its first
-    constant; ``pairing_entries`` maps (p, q) to a symmetric Gram entry.
-    """
-    double = build_double(build_gln_triple(n))
-    alg = double.algebra
-    stored = list(alg.tensor.stored())
+def scaled(alg, scales: dict) -> LieAlgebra:
+    """``alg`` with the first constant of some stored pairs scaled, by position."""
     brackets = {}
-    for position, (key, coeffs) in enumerate(stored):
+    for position, (key, coeffs) in enumerate(alg.tensor.stored()):
         coeffs = dict(coeffs)
         if position in scales:
             first = min(coeffs)
             coeffs[first] = coeffs[first] * scales[position]
         brackets[key] = coeffs
-    gram = [[double.pairing.entry(p, q) for q in range(alg.dim)] for p in range(alg.dim)]
-    for (p, q), value in pairing_entries.items():
-        gram[p][q] = gram[q][p] = value
-    return DoubleAlgebra(
-        LieAlgebra.from_brackets(alg.labels, brackets), BilinearForm(gram), double.origin
-    )
+    return LieAlgebra.from_brackets(alg.labels, brackets)
+
+
+def changed_form(form, entries: dict) -> BilinearForm:
+    """``form`` with the symmetric entries at (p, q) set, indices taken mod dim."""
+    dim = form.dim
+    gram = [[form.entry(p, q) for q in range(dim)] for p in range(dim)]
+    for (p, q), value in entries.items():
+        gram[p % dim][q % dim] = gram[q % dim][p % dim] = value
+    return BilinearForm(gram)
+
+
+def doctored_double(n: int, scales: dict, pairing_entries: dict) -> DoubleAlgebra:
+    """The gl(n) double with some bracket constants scaled and the pairing changed."""
+    double = build_double(build_gln_triple(n))
+    algebra = scaled(double.algebra, scales)
+    return DoubleAlgebra(algebra, changed_form(double.pairing, pairing_entries), double.origin)
 
 
 def assert_ad_invariance_matches_dense(double):
