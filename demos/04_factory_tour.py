@@ -11,8 +11,8 @@ import time
 
 from liedouble import (
     ONE,
+    ManinTriple,
     build_gln_tn,
-    build_gln_triple,
     build_double,
     build_s_minus,
     build_s_plus,
@@ -30,8 +30,8 @@ for n in range(1, 6):
     start = time.perf_counter()
     plus, minus = build_s_plus(n), build_s_minus(n)
     compat = check_compatibility(plus.tensor, minus.tensor).ok
-    match = verify_double_is_gln(n).passed
-    chain = check_chain_embedding(n).passed
+    match = verify_double_is_gln(n).ok
+    chain = check_chain_embedding(n).ok
     elapsed = time.perf_counter() - start
     print(
         f"{n} | {plus.dim:8} | {2 * plus.dim:10} | {'ok' if compat else 'FAIL':6} |"
@@ -51,7 +51,7 @@ print("\nThe 1/sqrt2 normalization is essential.  With weight 1 instead:")
 report = check_compatibility(build_s_plus(3, ONE).tensor, build_s_minus(3, ONE).tensor)
 print(f"  n=3: crossed compatibility fails with {len(report.violations)} residuals,")
 print(f"       first at (p,q,s,t) = {report.violations[0].indices}: {report.violations[0].residual}")
-triple = build_gln_triple(2, ONE, validate=False)
+triple = ManinTriple.unchecked(build_s_plus(2, ONE), build_s_minus(2, ONE))
 rebased = build_double(triple).algebra.change_of_basis(
     gln_change_of_basis(2), labels=gln_labels(2)
 )

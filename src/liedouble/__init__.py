@@ -63,8 +63,6 @@ from .bialg import (
     split_twist,
 )
 from .glnfactory import (
-    ChainReport,
-    GlnMatchReport,
     build_gln_tn,
     build_gln_triple,
     build_s_minus,

@@ -137,7 +137,7 @@ def _parse_term(term: str, line: int, column: int):
     if split_at is None:
         sign = 1
         body = stripped
-        while body[:1] in "+-":
+        while body[:1] in ("+", "-"):
             if body[0] == "-":
                 sign = -sign
             body = body[1:].strip()
@@ -186,7 +186,7 @@ def parse_algebra_file(text: str) -> AlgebraFile:
                 )
             dim = int(digits)
             continue
-        if line.startswith("basis"):
+        if line.split(None, 1)[0] == "basis":
             if seen_basis:
                 raise AlgebraFileError("duplicate basis line", line_no)
             seen_basis = True

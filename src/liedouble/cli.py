@@ -26,17 +26,12 @@ import sys
 
 from . import __version__
 from .algfile import AlgebraFileError, from_algebra, parse_algebra_file
-from .bialg import (
-    TwoTensor,
-    build_rmatrix,
-    cocommutator_from_triple,
-    express_in_basis,
-    split_twist,
-)
+from .bialg import TwoTensor, build_rmatrix, split_twist
 from .glnfactory import (
     build_gln_triple,
     build_s_minus,
     build_s_plus,
+    delta_in_gln_basis,
     gln_change_of_basis,
     gln_labels,
 )
@@ -115,6 +110,16 @@ def _print_json(payload: dict, stream) -> None:
     stream.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _emit_algebra(command: str, algebra: LieAlgebra, name: str, args, stdout, **extra) -> int:
+    """Print ``algebra`` as a JSON emit document (``extra`` joins its payload) or as a file."""
+    if args.json:
+        payload = {**_algebra_payload(algebra, name), **extra}
+        _print_json(_emit_payload(command, {"algebra": payload}), stdout)
+    else:
+        stdout.write(from_algebra(algebra, name).to_text())
+    return 0
+
+
 def _verbosity() -> int:
     raw = os.environ.get("LIEDOUBLE_VERBOSITY", "5")
     try:
@@ -152,15 +157,23 @@ def _report(command: str, checks: list[CheckResult], args, stdout) -> int:
     return 0 if all(check.passed for check in checks) else 1
 
 
-def _load_algebra(path: str) -> LieAlgebra:
-    with open(path, "rb") as handle:
-        data = handle.read()
+def _utf8_text(data: bytes) -> str:
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as err:
         head = data[: err.start].decode("utf-8").split("\n")
         raise AlgebraFileError(f"not UTF-8: {err.reason}", len(head), len(head[-1]) + 1) from None
-    return parse_algebra_file(text).to_algebra()
+
+
+def _load_algebra(path: str) -> LieAlgebra:
+    """Parse one algebra file; an AlgebraFileError from it names the file."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return parse_algebra_file(_utf8_text(data)).to_algebra()
+    except AlgebraFileError as err:
+        err.args = (f"{path}: {err}",)
+        raise
 
 
 def _load_pair(args) -> tuple[LieAlgebra, LieAlgebra]:
@@ -197,13 +210,8 @@ def _cmd_double(args, stdout) -> int:
         checks = [CheckResult("compatibility", "fail", list(report.violations))]
         return _report(command, checks, args, stdout)
     double = build_double(ManinTriple(plus, minus))
-    if args.json:
-        payload = _algebra_payload(double.algebra, "double")
-        payload["pairing"] = "hyperbolic: <Z_p, z^q> = delta, both halves isotropic"
-        _print_json(_emit_payload(command, {"algebra": payload}), stdout)
-    else:
-        stdout.write(from_algebra(double.algebra, "double").to_text())
-    return 0
+    pairing = "hyperbolic: <Z_p, z^q> = delta, both halves isotropic"
+    return _emit_algebra(command, double.algebra, "double", args, stdout, pairing=pairing)
 
 
 def _cmd_gln(args, stdout) -> int:
@@ -214,33 +222,15 @@ def _cmd_gln(args, stdout) -> int:
 
     if args.emit in ("splus", "sminus"):
         algebra = build_s_plus(n) if args.emit == "splus" else build_s_minus(n)
-        if args.json:
-            _print_json(
-                _emit_payload(command, {"algebra": _algebra_payload(algebra, args.emit)}),
-                stdout,
-            )
-        else:
-            stdout.write(from_algebra(algebra, args.emit).to_text())
-        return 0
+        return _emit_algebra(command, algebra, args.emit, args, stdout)
 
     triple = build_gln_triple(n)
     if args.emit == "double":
-        double = build_double(triple)
-        if args.json:
-            _print_json(
-                _emit_payload(
-                    command, {"algebra": _algebra_payload(double.algebra, "double")}
-                ),
-                stdout,
-            )
-        else:
-            stdout.write(from_algebra(double.algebra, "double").to_text())
-        return 0
+        return _emit_algebra(command, build_double(triple).algebra, "double", args, stdout)
 
-    T = gln_change_of_basis(n)
     labels = gln_labels(n)
     if args.emit == "delta":
-        delta = express_in_basis(cocommutator_from_triple(triple), T)
+        delta = delta_in_gln_basis(n, triple)
         if args.json:
             payload = {
                 "basis": list(labels),
@@ -258,7 +248,7 @@ def _cmd_gln(args, stdout) -> int:
     # args.emit == "rmatrix"
     r, r_skew = build_rmatrix(triple)
     double = build_double(triple)
-    r_skew_hif = r_skew.transport(T.inverse())
+    r_skew_hif = r_skew.transport(gln_change_of_basis(n).inverse())
     r_standard, r_twist = split_twist(n, r_skew_hif)
     if args.json:
         payload = {

@@ -32,8 +32,6 @@ The change of basis identifying the double with gl(n) + t_n is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .bialg import Cocommutator, TwoTensor, cocommutator_from_triple, express_in_basis
 from .liealg import (
     BilinearForm,
@@ -42,8 +40,8 @@ from .liealg import (
     StructureTensor,
     Vector,
     Violation,
+    ViolationReport,
     add_into,
-    structure_equal,
     trace_form,
 )
 from .manin import ManinTriple, build_double
@@ -74,8 +72,6 @@ __all__ = [
     "first_bracket_difference",
     "verify_double_is_gln",
     "check_chain_embedding",
-    "GlnMatchReport",
-    "ChainReport",
 ]
 
 # i*sqrt2/2 and -i*sqrt2/2, the central-generator mixing weights
@@ -193,15 +189,9 @@ def build_s_minus(n: int, cartan_coefficient: Scalar = HALF_SQRT2) -> LieAlgebra
     )
 
 
-def build_gln_triple(
-    n: int, cartan_coefficient: Scalar = HALF_SQRT2, validate: bool = True
-) -> ManinTriple:
+def build_gln_triple(n: int, cartan_coefficient: Scalar = HALF_SQRT2) -> ManinTriple:
     """Pair the two solvable algebras index-by-index into a Manin triple."""
-    plus = build_s_plus(n, cartan_coefficient)
-    minus = build_s_minus(n, cartan_coefficient)
-    if validate:
-        return ManinTriple(plus, minus)
-    return ManinTriple.unchecked(plus, minus)
+    return ManinTriple(build_s_plus(n, cartan_coefficient), build_s_minus(n, cartan_coefficient))
 
 
 def gln_change_of_basis(n: int) -> Matrix:
@@ -305,15 +295,6 @@ def delta_in_gln_basis(n: int, triple: ManinTriple | None = None) -> Cocommutato
     return express_in_basis(cocommutator_from_triple(triple), gln_change_of_basis(n))
 
 
-@dataclass
-class GlnMatchReport:
-    """Outcome of comparing the rebased double with the matrix-built algebra."""
-
-    n: int
-    passed: bool
-    detail: str = ""
-
-
 def first_bracket_difference(a: LieAlgebra, b: LieAlgebra):
     """First stored pair (p, q), in sorted order, whose bracket differs in a and b.
 
@@ -328,32 +309,21 @@ def first_bracket_difference(a: LieAlgebra, b: LieAlgebra):
     return None
 
 
-def verify_double_is_gln(n: int) -> GlnMatchReport:
-    """Build the triple, double and basis change, then compare tensors exactly."""
-    rebased = double_in_gln_basis(n)
+def verify_double_is_gln(n: int, rebased: LieAlgebra | None = None) -> ViolationReport:
+    """Compare the rebased double with the closed-form gl(n) + t_n table exactly.
+
+    ``rebased`` defaults to ``double_in_gln_basis(n)``.  The one violation,
+    if any, is the first differing bracket pair with the residual built - expected.
+    """
+    if rebased is None:
+        rebased = double_in_gln_basis(n)
     expected = build_gln_tn(n)
-    if structure_equal(rebased, expected):
-        return GlnMatchReport(n, True)
+    report = ViolationReport("double_is_glntn")
     difference = first_bracket_difference(rebased, expected)
-    if difference is None:
-        return GlnMatchReport(n, False, "tensors differ only in dimension bookkeeping")
-    key, built, want = difference
-    labels = expected.labels
-    return GlnMatchReport(
-        n,
-        False,
-        f"first differing bracket at pair {key}: built {built.format(labels)}, "
-        f"expected {want.format(labels)}",
-    )
-
-
-@dataclass
-class ChainReport:
-    """Embedding gl(m)+t_m -> gl(m+1)+t_{m+1} checked on brackets and deltas."""
-
-    m: int
-    passed: bool
-    violations: list[Violation] = field(default_factory=list)
+    if difference is not None:
+        key, built, want = difference
+        report.violations.append(Violation(key, (built - want).format(expected.labels)))
+    return report
 
 
 def _embedding_map(m: int) -> dict[int, int]:
@@ -363,7 +333,7 @@ def _embedding_map(m: int) -> dict[int, int]:
     return mapping
 
 
-def check_chain_embedding(m: int) -> ChainReport:
+def check_chain_embedding(m: int) -> ViolationReport:
     """Generator-wise inclusion must commute with brackets and cocommutators."""
     small_triple = build_gln_triple(m)
     big_triple = build_gln_triple(m + 1)
@@ -372,7 +342,7 @@ def check_chain_embedding(m: int) -> ChainReport:
     small_delta = delta_in_gln_basis(m, small_triple)
     big_delta = delta_in_gln_basis(m + 1, big_triple)
     emb = _embedding_map(m)
-    report = ChainReport(m, True)
+    report = ViolationReport("chain_embedding")
     for p in range(small.dim):
         for q in range(p + 1, small.dim):
             pushed: dict[int, Scalar] = {}
@@ -396,5 +366,4 @@ def check_chain_embedding(m: int) -> ChainReport:
             report.violations.append(
                 Violation((p,), f"cocommutator mismatch: {residual.format(big.labels)}")
             )
-    report.passed = not report.violations
     return report

@@ -31,6 +31,7 @@ __all__ = [
     "ViolationReport",
     "abelian",
     "direct_sum",
+    "joined_labels",
     "structure_equal",
     "trace_form",
 ]
@@ -232,6 +233,13 @@ class StructureTensor:
 
     def stored(self):
         return self._stored.items()
+
+    def oriented(self):
+        """Every nonzero bracket in both orientations: ((p, q), coeffs) and ((q, p), -coeffs).
+
+        The coefficient mappings are shared internal state; do not mutate them.
+        """
+        return self._view.items()
 
     def max_index(self) -> int:
         top = -1
@@ -566,7 +574,7 @@ class LieAlgebra:
         with its transpose (l, k): only nonzero products are formed.
         """
         at: dict[tuple[int, int], list] = {}  # (k, l) -> [(p, (ad e_p)[k, l])]
-        for (p, l), coeffs in self.tensor._view.items():
+        for (p, l), coeffs in self.tensor.oriented():
             for k, c in coeffs.items():
                 at.setdefault((k, l), []).append((p, c))
         mul = product_table()
@@ -608,17 +616,21 @@ def abelian(dim: int, labels=None) -> LieAlgebra:
     return LieAlgebra(labels, StructureTensor({}))
 
 
+def joined_labels(left, right) -> tuple[str, ...]:
+    """``left`` then ``right``, with ``r_`` prefixed to all of ``right`` until none collide."""
+    right = list(right)
+    while set(left) & set(right):
+        right = ["r_" + label for label in right]
+    return tuple(left) + tuple(right)
+
+
 def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
     """Block direct sum; colliding right-hand labels are prefixed."""
-    right = list(b.labels)
-    taken = set(a.labels)
-    while taken & set(right):
-        right = ["r_" + label for label in right]
     brackets = {key: dict(vec) for key, vec in a.tensor.stored()}
     offset = a.dim
     for (p, q), vec in b.tensor.stored():
         brackets[(p + offset, q + offset)] = {r + offset: v for r, v in vec.items()}
-    return LieAlgebra(tuple(a.labels) + tuple(right), StructureTensor(brackets))
+    return LieAlgebra(joined_labels(a.labels, b.labels), StructureTensor(brackets))
 
 
 def structure_equal(a: LieAlgebra, b: LieAlgebra) -> bool:

@@ -24,6 +24,7 @@ from .liealg import (
     Violation,
     ViolationReport,
     add_into,
+    joined_labels,
     product_table,
 )
 from .scalars import Scalar, ZERO, ONE
@@ -54,12 +55,7 @@ class CompatibilityError(ValueError):
 
 def _tensor_triples(tensor: StructureTensor):
     """All ((p, q), r, value) over both orientations of stored pairs."""
-    out = []
-    for (p, q), coeffs in tensor.stored():
-        for r, v in coeffs.items():
-            out.append((p, q, r, v))
-            out.append((q, p, r, -v))
-    return out
+    return [(p, q, r, v) for (p, q), coeffs in tensor.oriented() for r, v in coeffs.items()]
 
 
 def check_compatibility(f: StructureTensor, c: StructureTensor) -> ViolationReport:
@@ -172,11 +168,8 @@ def build_double(triple: ManinTriple) -> DoubleAlgebra:
         brackets.setdefault((q, m + p), {})[m + r] = -v
     for p, r, q, v in _tensor_triples(c):
         brackets.setdefault((q, m + p), {})[r] = v
-    labels = tuple(triple.plus.labels)
-    right = list(triple.minus.labels)
-    while set(labels) & set(right):
-        right = ["r_" + label for label in right]
-    algebra = LieAlgebra(labels + tuple(right), StructureTensor(brackets))
+    labels = joined_labels(triple.plus.labels, triple.minus.labels)
+    algebra = LieAlgebra(labels, StructureTensor(brackets))
     return DoubleAlgebra(algebra, _hyperbolic_pairing(m), triple)
 
 

@@ -30,7 +30,6 @@ from .glnfactory import (
     build_s_plus,
     check_chain_embedding,
     f_index,
-    first_bracket_difference,
     fundamental_representation,
     gln_change_of_basis,
     gln_labels,
@@ -38,6 +37,7 @@ from .glnfactory import (
     h_index,
     i_index,
     representation_index,
+    verify_double_is_gln,
 )
 from .liealg import Violation, product_table
 from .manin import (
@@ -161,15 +161,6 @@ def _twist_triviality(n: int, hif, r_skew_hif: TwoTensor, delta_hif) -> list[Vio
     return bad
 
 
-def _double_is_glntn(n: int, hif) -> list[Violation]:
-    """The rebased double against the closed-form gl(n) + t_n table."""
-    difference = first_bracket_difference(hif, build_gln_tn(n))
-    if difference is None:
-        return []
-    key, built, expected = difference
-    return [Violation(key, (built - expected).format(hif.labels))]
-
-
 def _forms_comparison(n: int) -> list[Violation]:
     """Killing form against the extended trace form of gl(n) + t_n.
 
@@ -255,7 +246,7 @@ def verify_suite(n: int) -> list[CheckResult]:
             "twist_triviality",
             lambda: _twist_triviality(n, hif, r_skew.transport(T.inverse()), delta_hif),
         ),
-        run_check("double_is_glntn", lambda: _double_is_glntn(n, hif)),
+        run_check("double_is_glntn", lambda: verify_double_is_gln(n, hif).violations),
         run_check(
             "chain_embedding",
             lambda: check_chain_embedding(n).violations[:10],

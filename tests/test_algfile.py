@@ -117,6 +117,22 @@ def test_lexical_errors_carry_position():
         parse_algebra_file("basis A B\n")
 
 
+def test_basis_keyword_must_stand_alone():
+    with pytest.raises(AlgebraFileError) as err:
+        parse_algebra_file("algebra a dim 2\nbasisA B\n[A,B] = A\n")
+    assert str(err.value) == "line 2, column 1: unrecognized declaration 'basisA B'"
+    assert parse_algebra_file("algebra a dim 2\nbasis\tA B\n").labels == ("A", "B")
+    assert parse_algebra_file("algebra a dim 0\nbasis\n").labels == ()
+
+
+def test_dangling_sign_is_a_parse_error():
+    for rhs in ("A +", "A - -", "+"):
+        with pytest.raises(AlgebraFileError) as err:
+            parse_algebra_file(f"algebra a dim 2\nbasis A B\n[A,B] = {rhs}\n")
+        assert err.value.line == 3
+        assert "invalid label ''" in str(err.value)
+
+
 def test_reserved_labels_rejected():
     with pytest.raises(AlgebraFileError):
         parse_algebra_file("algebra a dim 2\nbasis i B\n")

@@ -214,7 +214,9 @@ def test_exit_code_2_on_a_file_that_is_not_utf8(algebra_files, tmp_path):
     utf16 = tmp_path / "utf16.alg"
     utf16.write_bytes(RANK_TWO_PLUS.encode("utf-16"))  # starts with the bytes ff fe
     code, out, err = run(["check-jacobi", str(utf16)])
-    assert (code, out, err) == (2, "", "error: line 1, column 1: not UTF-8: invalid start byte\n")
+    assert (code, out, err) == (
+        2, "", f"error: {utf16}: line 1, column 1: not UTF-8: invalid start byte\n"
+    )
     latin1 = tmp_path / "latin1.alg"
     latin1.write_bytes(RANK_TWO_PLUS.replace("Z3\n", "Z3 # \xe9t\xe9\n", 1).encode("latin-1"))
     for argv in (
@@ -223,7 +225,12 @@ def test_exit_code_2_on_a_file_that_is_not_utf8(algebra_files, tmp_path):
     ):
         code, out, err = run(argv)
         assert (code, out) == (2, "")
-        assert err == "error: line 2, column 18: not UTF-8: invalid continuation byte\n"
+        assert err == f"error: {latin1}: line 2, column 18: not UTF-8: invalid continuation byte\n"
+    # with two bad files the error names the --plus one, so the orders differ
+    _, _, latin1_first = run(["compat", "--plus", str(latin1), "--minus", str(utf16)])
+    _, _, utf16_first = run(["compat", "--plus", str(utf16), "--minus", str(latin1)])
+    assert latin1_first.startswith(f"error: {latin1}: line 2, column 18: ")
+    assert utf16_first.startswith(f"error: {utf16}: line 1, column 1: ")
 
 
 def test_n_above_max_n_exits_2_before_building(monkeypatch):

@@ -6,11 +6,13 @@ from liedouble import (
     ONE,
     ZERO,
     BilinearForm,
+    Cocommutator,
     CompatibilityError,
     LieAlgebra,
     ManinTriple,
     Matrix,
     Scalar,
+    StructureTensor,
     Vector,
     build_double,
     build_gln_tn,
@@ -34,6 +36,7 @@ from liedouble import (
     solvable_labels,
     structure_equal,
 )
+import liedouble.glnfactory as glnfactory
 from liedouble.glnfactory import verify_double_is_gln
 
 K = HALF_SQRT2
@@ -308,7 +311,7 @@ def test_f_bracket_without_cartan_term():
 def test_verify_double_is_gln():
     for n in (2, 3, 4, 5):
         report = verify_double_is_gln(n)
-        assert report.passed, report.detail
+        assert report.ok, report.violations
 
 
 def test_verify_double_reports_discrepancy():
@@ -336,7 +339,45 @@ def test_dimensions():
 def test_chain_embedding():
     for m in (1, 2, 3):
         report = check_chain_embedding(m)
-        assert report.passed, (m, report.violations[:3])
+        assert report.ok, (m, report.violations[:3])
+
+
+def test_chain_embedding_reports_a_doctored_size_m_plus_1_construction(monkeypatch):
+    # scale [H1, F12] and delta(F12) by 3 at size 3 only: the size-2 brackets and
+    # cocommutators then push forward to something else
+    double_in_gln_basis = glnfactory.double_in_gln_basis
+    delta_in_gln_basis = glnfactory.delta_in_gln_basis
+
+    def doctored_double(n, triple=None):
+        algebra = double_in_gln_basis(n, triple)
+        if n != 3:
+            return algebra
+        entries = {key: dict(coeffs) for key, coeffs in algebra.tensor.stored()}
+        key = (h_index(3, 1), f_index(3, 1, 2))
+        entries[key] = {r: value * 3 for r, value in entries[key].items()}
+        return LieAlgebra(algebra.labels, StructureTensor(entries))
+
+    def doctored_delta(n, triple=None):
+        delta = delta_in_gln_basis(n, triple)
+        if n != 3:
+            return delta
+        f12 = f_index(3, 1, 2)
+        return Cocommutator(
+            delta.dim, {p: value.scale(3) if p == f12 else value for p, value in delta.items()}
+        )
+
+    monkeypatch.setattr(glnfactory, "double_in_gln_basis", doctored_double)
+    monkeypatch.setattr(glnfactory, "delta_in_gln_basis", doctored_delta)
+    report = check_chain_embedding(2)
+    assert report.check == "chain_embedding"
+    assert [(v.indices, v.residual) for v in report.violations] == [
+        ((0, 4), "bracket mismatch: 2*F12"),
+        (
+            (4,),
+            "cocommutator mismatch: H1(x)F12 - H2(x)F12 + i*I1(x)F12 - i*I2(x)F12"
+            " - F12(x)H1 + F12(x)H2 - i*F12(x)I1 + i*F12(x)I2",
+        ),
+    ]
 
 
 def test_normalization_is_load_bearing():
@@ -354,7 +395,7 @@ def test_normalization_is_load_bearing():
     assert check_compatibility(
         build_s_plus(2, ONE).tensor, build_s_minus(2, ONE).tensor
     ).ok
-    triple = build_gln_triple(2, ONE, validate=False)
+    triple = ManinTriple.unchecked(build_s_plus(2, ONE), build_s_minus(2, ONE))
     rebased = build_double(triple).algebra.change_of_basis(
         gln_change_of_basis(2), labels=gln_labels(2)
     )

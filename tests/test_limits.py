@@ -55,7 +55,7 @@ def test_long_coefficient_in_a_file_exits_2(tmp_path):
     code, out, err = run(["check-jacobi", str(path)])
     assert code == 2
     assert out == ""
-    assert err.startswith("error: line 3")
+    assert err.startswith(f"error: {path}: line 3")
     assert "Traceback" not in err
 
 
@@ -88,7 +88,7 @@ def test_coefficient_of_too_many_digits_exits_2_before_the_double(tmp_path):
     code, out, err = run(["double", "--plus", str(plus), "--minus", str(minus)])
     assert (code, out) == (2, "")
     assert err.count("\n") == 1
-    assert err.startswith("error: line 3, column 8: bad coefficient")
+    assert err.startswith(f"error: {plus}: line 3, column 8: bad coefficient")
     assert "value exceeds the limit" in err
 
 
@@ -106,7 +106,7 @@ def test_dim_above_the_limit_exits_2_on_the_header(tmp_path):
     code, out, err = run(["check-jacobi", str(path)])
     assert code == 2
     assert out == ""
-    assert err == f"error: line 1, column 17: dim exceeds the limit of {MAX_DIM}\n"
+    assert err == f"error: {path}: line 1, column 17: dim exceeds the limit of {MAX_DIM}\n"
 
 
 def test_dim_limit_is_checked_before_converting_a_long_number():
@@ -134,4 +134,6 @@ def test_unexpected_token_error_quotes_a_short_prefix(tmp_path):
     code, out, err = run(["check-jacobi", str(path)])
     assert (code, out) == (2, "")
     assert err.count("\n") == 1
-    assert len(err) < 200
+    prefix = f"error: {path}: "
+    assert err.startswith(prefix)
+    assert len(err) - len(prefix) < 200

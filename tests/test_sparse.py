@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liedouble import ZERO, Scalar, ThreeTensor, TwoTensor, Vector
+from liedouble import ZERO, Scalar, StructureTensor, ThreeTensor, TwoTensor, Vector
 from liedouble.liealg import add_into
 
 scalars = st.builds(
@@ -90,3 +90,25 @@ def test_equality_is_per_type():
     assert TwoTensor({}) != ThreeTensor({})
     assert Vector({0: 1}) == Vector({0: Scalar(1)})
     assert hash(Vector({0: 1})) == hash(Vector({0: Fraction(2, 2)}))
+
+
+@settings(deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(indices, indices).filter(lambda pq: pq[0] != pq[1]),
+        st.dictionaries(indices, scalars, max_size=3),
+        max_size=6,
+    )
+)
+def test_oriented_yields_each_stored_pair_both_ways(entries):
+    tensor = StructureTensor(
+        {(p, q): coeffs for (p, q), coeffs in entries.items() if (q, p) not in entries or p < q}
+    )
+    expected = {}
+    for (p, q), coeffs in tensor.stored():
+        expected[(p, q)] = dict(coeffs)
+        expected[(q, p)] = {r: -v for r, v in coeffs.items()}
+    oriented = [(key, dict(coeffs)) for key, coeffs in tensor.oriented()]
+    assert dict(oriented) == expected
+    assert len(oriented) == len(expected)
+    assert all(tensor.pair(*key) == coeffs for key, coeffs in oriented)

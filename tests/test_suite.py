@@ -132,7 +132,9 @@ def test_doubled_rmatrix_fails_the_rmatrix_checks(monkeypatch):
 
 
 def test_tripled_bracket_fails_the_table_checks(monkeypatch):
-    monkeypatch.setattr(suite, "build_gln_tn", tripled_first_bracket(suite.build_gln_tn))
+    tripled = tripled_first_bracket(glnfactory.build_gln_tn)
+    monkeypatch.setattr(suite, "build_gln_tn", tripled)
+    monkeypatch.setattr(glnfactory, "build_gln_tn", tripled)
     assert observed(verify_suite(2)) == expected(TRIPLED_BRACKET_FAILURES)
 
 
@@ -141,8 +143,8 @@ def test_verify_double_is_gln_detail_names_the_first_difference(monkeypatch):
         glnfactory, "build_gln_tn", tripled_first_bracket(glnfactory.build_gln_tn)
     )
     report = glnfactory.verify_double_is_gln(2)
-    assert not report.passed
-    assert report.detail == "first differing bracket at pair (0, 4): built F12, expected 3*F12"
+    assert not report.ok
+    assert [(v.indices, v.residual) for v in report.violations] == [((0, 4), "-2*F12")]
 
 
 def test_run_check_passes_exactly_on_no_counterexamples():
