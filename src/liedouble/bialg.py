@@ -14,7 +14,6 @@ part alone (the report states this assumption).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 from .liealg import (
@@ -24,9 +23,11 @@ from .liealg import (
     StructureTensor,
     Violation,
     ViolationReport,
+    ScalarTable,
+    _PLAIN,
     _coerce_scalar,
     add_into,
-    product_table,
+    scalar_table,
 )
 from .manin import ManinTriple
 from .scalars import Scalar, ZERO, ONE, rational
@@ -74,7 +75,10 @@ class TwoTensor(SparseTensor):
 
     def transport(self, inverse_basis_map: Matrix) -> TwoTensor:
         """Rewrite coordinates through the inverse change-of-basis matrix."""
-        mul = product_table()
+        return self._transport(inverse_basis_map, scalar_table())
+
+    def _transport(self, inverse_basis_map: Matrix, table: ScalarTable) -> TwoTensor:
+        mul, add = table.mul, table.add
         columns: dict[int, list] = {}
 
         def column(index):
@@ -87,7 +91,7 @@ class TwoTensor(SparseTensor):
         for (p, q), value in self._c.items():
             for k, left in column(p):
                 for l, right in column(q):
-                    add_into(acc, (k, l), mul(mul(value, left), right))
+                    add_into(acc, (k, l), mul(mul(value, left), right), add)
         return TwoTensor(acc)
 
 
@@ -175,7 +179,8 @@ def express_in_basis(delta: Cocommutator, T: Matrix) -> Cocommutator:
     if T.rows != delta.dim or T.cols != delta.dim:
         raise ValueError("change-of-basis matrix has wrong shape")
     T_inv = T.inverse()
-    mul = product_table()
+    table = scalar_table()
+    mul, add = table.mul, table.add
     entries = {}
     for j in range(delta.dim):
         acc: dict[tuple[int, int], Scalar] = {}
@@ -184,9 +189,9 @@ def express_in_basis(delta: Cocommutator, T: Matrix) -> Cocommutator:
             if not value:
                 continue
             for key, coeff in value.items():
-                add_into(acc, key, mul(weight, coeff))
+                add_into(acc, key, mul(weight, coeff), add)
         if acc:
-            entries[j] = TwoTensor(acc).transport(T_inv)
+            entries[j] = TwoTensor(acc)._transport(T_inv, table)
     return Cocommutator(delta.dim, entries)
 
 
@@ -209,44 +214,58 @@ def check_cojacobi(delta: Cocommutator, labels=None) -> ViolationReport:
     return report
 
 
-def _act_on_two_tensor(alg: LieAlgebra, x: int, tensor: TwoTensor, mul=operator.mul) -> TwoTensor:
+def _act_on_two_tensor(alg: LieAlgebra, x: int, tensor: TwoTensor, table=_PLAIN) -> TwoTensor:
     """(ad_x (x) 1 + 1 (x) ad_x) applied to a TwoTensor, x a basis index."""
-    pair = alg.tensor.pair
     acc: dict[tuple[int, int], Scalar] = {}
-    for (p, q), value in tensor.items():
-        w = pair(x, p)
-        if w:
-            for k, coeff in w.items():
-                add_into(acc, (k, q), mul(value, coeff))
-        w = pair(x, q)
-        if w:
-            for k, coeff in w.items():
-                add_into(acc, (p, k), mul(value, coeff))
+    _add_action(acc, alg, x, tensor, table)
     return TwoTensor(acc)
 
 
+def _add_action(
+    acc: dict, alg: LieAlgebra, x: int, tensor: TwoTensor, table: ScalarTable, negate=False
+) -> None:
+    """Add (ad_x (x) 1 + 1 (x) ad_x)(tensor) into ``acc``, or its negative with ``negate``.
+
+    The negative reads [e_s, e_x] = -[e_x, e_s] off the stored orientations,
+    so no coefficient is negated.
+    """
+    pair = alg.tensor.pair
+    mul, add = table.mul, table.add
+    for (p, q), value in tensor.items():
+        w = pair(p, x) if negate else pair(x, p)
+        if w:
+            for k, coeff in w.items():
+                add_into(acc, (k, q), mul(value, coeff), add)
+        w = pair(q, x) if negate else pair(x, q)
+        if w:
+            for k, coeff in w.items():
+                add_into(acc, (p, k), mul(value, coeff), add)
+
+
 def check_cocycle(alg: LieAlgebra, delta: Cocommutator) -> ViolationReport:
-    """1-cocycle condition: delta([x,y]) = ad_x.delta(y) - ad_y.delta(x)."""
+    """1-cocycle condition: delta([x,y]) = ad_x.delta(y) - ad_y.delta(x).
+
+    Each residual delta([p,q]) - ad_p.delta(q) + ad_q.delta(p) is summed in
+    one accumulator.
+    """
     if delta.dim != alg.dim:
         raise ValueError("cocommutator dimension does not match the algebra")
     report = ViolationReport("cocycle")
-    mul = product_table()
+    table = scalar_table()
+    mul, add = table.mul, table.add
     for p in range(alg.dim):
         for q in range(p + 1, alg.dim):
-            lhs_acc: dict[tuple[int, int], Scalar] = {}
+            acc: dict[tuple[int, int], Scalar] = {}
             coeffs = alg.tensor.pair(p, q)
             if coeffs:
                 for r, value in coeffs.items():
                     for key, coeff in delta.get(r).items():
-                        add_into(lhs_acc, key, mul(value, coeff))
-            lhs = TwoTensor(lhs_acc)
-            rhs = _act_on_two_tensor(alg, p, delta.get(q), mul) - _act_on_two_tensor(
-                alg, q, delta.get(p), mul
-            )
-            residual = lhs - rhs
-            if residual:
+                        add_into(acc, key, mul(value, coeff), add)
+            _add_action(acc, alg, p, delta.get(q), table, negate=True)
+            _add_action(acc, alg, q, delta.get(p), table)
+            if acc:
                 report.violations.append(
-                    Violation((p, q), residual.format(alg.labels))
+                    Violation((p, q), TwoTensor(acc).format(alg.labels))
                 )
     return report
 
@@ -264,10 +283,10 @@ def build_rmatrix(triple: ManinTriple) -> tuple[TwoTensor, TwoTensor]:
 
 def coboundary(alg: LieAlgebra, r_skew: TwoTensor) -> Cocommutator:
     """delta(x) = (ad_x (x) 1 + 1 (x) ad_x)(r_skew) on every basis element."""
-    mul = product_table()
+    table = scalar_table()
     entries = {}
     for x in range(alg.dim):
-        value = _act_on_two_tensor(alg, x, r_skew, mul)
+        value = _act_on_two_tensor(alg, x, r_skew, table)
         if value:
             entries[x] = value
     return Cocommutator(alg.dim, entries)
@@ -303,7 +322,7 @@ def schouten_bracket(alg: LieAlgebra, r: TwoTensor, s: TwoTensor | None = None) 
     left = list(r.items())
     right = left if symmetric else list(s.items())
     pair = alg.tensor.pair
-    mul = product_table()
+    mul, add, _ = scalar_table()
     acc: dict[tuple[int, int, int], Scalar] = {}
 
     def accumulate(first, second):
@@ -313,15 +332,15 @@ def schouten_bracket(alg: LieAlgebra, r: TwoTensor, s: TwoTensor | None = None) 
                 w = pair(a1, a2)
                 if w:
                     for k, cv in w.items():
-                        add_into(acc, (k, b1, b2), mul(coeff, cv))
+                        add_into(acc, (k, b1, b2), mul(coeff, cv), add)
                 w = pair(b1, a2)
                 if w:
                     for k, cv in w.items():
-                        add_into(acc, (a1, k, b2), mul(coeff, cv))
+                        add_into(acc, (a1, k, b2), mul(coeff, cv), add)
                 w = pair(b1, b2)
                 if w:
                     for k, cv in w.items():
-                        add_into(acc, (a1, a2, k), mul(coeff, cv))
+                        add_into(acc, (a1, a2, k), mul(coeff, cv), add)
 
     accumulate(left, right)
     if not symmetric:
@@ -339,7 +358,7 @@ def schouten_check(alg: LieAlgebra, r_skew: TwoTensor) -> QuasitriangularReport:
     """
     schouten = schouten_bracket(alg, r_skew)
     pair = alg.tensor.pair
-    mul = product_table()
+    mul, add, _ = scalar_table()
     by_slot: list[dict[int, list]] = [{}, {}, {}]
     for key, value in schouten.items():
         for slot in range(3):
@@ -354,7 +373,7 @@ def schouten_check(alg: LieAlgebra, r_skew: TwoTensor) -> QuasitriangularReport:
                     continue
                 for key, value in terms:
                     for k, cv in w.items():
-                        add_into(acc, key[:slot] + (k,) + key[slot + 1 :], mul(value, cv))
+                        add_into(acc, key[:slot] + (k,) + key[slot + 1 :], mul(value, cv), add)
         if acc:
             violations.append(
                 Violation((x,), ThreeTensor(acc).format(alg.labels))

@@ -42,10 +42,10 @@ from .suite import CARTAN_COEFFICIENT_NOTE, CheckResult, run_check, verify_suite
 REPORT_SCHEMA = "liedouble.report/1"
 EMIT_SCHEMA = "liedouble.emit/1"
 
-# Largest accepted --n.  The suite's exhaustive loops grow like d^3 with
-# d = n(n+1) (check_jacobi visits every basis triple p < q < r).  On a shared
-# 2-core x86-64 VM with Python 3.11, verify takes about 5 s at n = 10, 7 s
-# at n = 11 and 10 s at n = 12; CI runs n = 12.
+# Largest accepted --n, set from measured run time.  On a shared 2-core
+# x86-64 VM with CPython 3.11, verify takes about 3.9 s at n = 10, 5.6 s at
+# n = 11 and 8.1 s at n = 12 (peak RSS 30 MB), each step in n adding about
+# 40 %, so n = 13 would pass 10 s; CI runs n = 12.
 MAX_N = 12
 
 
@@ -176,12 +176,17 @@ def _load_algebra(path: str) -> LieAlgebra:
         raise
 
 
+class _DimensionMismatch(ValueError):
+    """Two paired algebra files that parse but differ in dimension."""
+
+
 def _load_pair(args) -> tuple[LieAlgebra, LieAlgebra]:
     plus = _load_algebra(args.plus)
     minus = _load_algebra(args.minus)
     if plus.dim != minus.dim:
-        raise AlgebraFileError(
-            f"paired files declare different dimensions {plus.dim} and {minus.dim}", 1
+        raise _DimensionMismatch(
+            f"paired files declare different dimensions: {args.plus} has dimension "
+            f"{plus.dim}, {args.minus} has dimension {minus.dim}"
         )
     return plus, minus
 
@@ -333,7 +338,7 @@ def run_command(argv, stdout=None, stderr=None) -> int:
         return 2
     try:
         return args.handler(args, stdout)
-    except (AlgebraFileError, OSError) as err:
+    except (AlgebraFileError, _DimensionMismatch, OSError) as err:
         stderr.write(f"error: {err}\n")
         return 2
 

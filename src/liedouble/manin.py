@@ -25,7 +25,7 @@ from .liealg import (
     ViolationReport,
     add_into,
     joined_labels,
-    product_table,
+    scalar_table,
 )
 from .scalars import Scalar, ZERO, ONE
 
@@ -244,7 +244,7 @@ def check_ad_invariance(double: DoubleAlgebra) -> InvarianceReport:
                 for c in partners[r]:
                     candidates.add((x, y, c))  # <[x,y],c> side
                     candidates.add((c, x, y))  # <c,[x,y]> side
-    mul = product_table()
+    mul, add, _ = scalar_table()
 
     def paired(coeffs, index) -> Scalar:
         if not coeffs:
@@ -253,7 +253,7 @@ def check_ad_invariance(double: DoubleAlgebra) -> InvarianceReport:
         for r, v in coeffs.items():
             m = pairing.entry(r, index)
             if m:
-                total = total + mul(v, m)
+                total = add(total, mul(v, m))
         return total
 
     plus_bad: list[Violation] = []

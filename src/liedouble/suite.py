@@ -39,7 +39,7 @@ from .glnfactory import (
     representation_index,
     verify_double_is_gln,
 )
-from .liealg import Violation, product_table
+from .liealg import Violation, scalar_table
 from .manin import (
     ManinTriple,
     build_double,
@@ -177,11 +177,13 @@ def _forms_comparison(n: int) -> list[Violation]:
     for form in (killing, trace):
         pairs.update((p, q) for p in range(form.dim) for q in form.matrix().row(p).indices())
     bad: list[Violation] = []
-    mul = product_table()
-    two_n, two = Scalar(2 * n), Scalar(2)
+    mul, add, _ = scalar_table()
+    two_n, minus_two = Scalar(2 * n), Scalar(-2)
     for p, q in sorted(pairs):
         if p in trace_of and q in trace_of:
-            expected = mul(two_n, trace.entry(p, q)) - mul(mul(two, trace_of[p]), trace_of[q])
+            expected = add(
+                mul(two_n, trace.entry(p, q)), mul(mul(minus_two, trace_of[p]), trace_of[q])
+            )
         else:
             expected = ZERO
         if killing.entry(p, q) != expected:

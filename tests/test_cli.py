@@ -233,6 +233,25 @@ def test_exit_code_2_on_a_file_that_is_not_utf8(algebra_files, tmp_path):
     assert utf16_first.startswith(f"error: {utf16}: line 1, column 1: ")
 
 
+def test_paired_files_of_different_dimensions_are_both_named(algebra_files, tmp_path):
+    plus, _, _ = algebra_files  # dimension 3
+    small = tmp_path / "d2.alg"
+    small.write_text("algebra two dim 2\nbasis A B\n[A,B] = B\n", encoding="utf-8")
+    for command in ("compat", "double"):
+        code, out, err = run([command, "--plus", str(small), "--minus", str(plus)])
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: paired files declare different dimensions: {small} has dimension 2, "
+            f"{plus} has dimension 3\n"
+        )
+        code, out, err = run([command, "--plus", str(plus), "--minus", str(small)])
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: paired files declare different dimensions: {plus} has dimension 3, "
+            f"{small} has dimension 2\n"
+        )
+
+
 def test_n_above_max_n_exits_2_before_building(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("nothing may be built for an out-of-range --n")

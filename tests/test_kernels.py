@@ -3,16 +3,19 @@
 The sparse ``Matrix`` (``Matrix.inverse``/``determinant`` among its
 methods), ``BilinearForm`` on it, ``LieAlgebra.killing_form``,
 ``trace_form``, ``build_double``, ``check_isotropic_pairing``,
-``check_ad_invariance``, the verify suite's forms comparison and
-``schouten_check`` skip entries and triples that are provably zero.  Each
-reference below is the dense loop the library used before, kept verbatim in
-substance; the fast kernel must return exactly what it returns: equal
-values, the same counterexamples in the same order, the same verdicts.
+``check_ad_invariance``, the verify suite's forms comparison,
+``schouten_check`` and ``check_jacobi`` skip entries and triples that are
+provably zero.  Each reference below is the dense loop the library used
+before, kept verbatim in substance; the fast kernel must return exactly
+what it returns: equal values, the same counterexamples in the same
+order, the same verdicts.
 
-The kernels that multiply through ``liealg.product_table`` are run a
-second time with the table replaced by plain ``*`` and must agree.
+The kernels that compute through ``liealg.scalar_table`` are run a second
+time with the table replaced by plain ``*``, ``+`` and ``Scalar.inverse``
+and must agree.
 """
 
+import collections
 import gc
 import operator
 from fractions import Fraction
@@ -55,9 +58,14 @@ from liedouble import (
     schouten_bracket,
     schouten_check,
     trace_form,
+    SQRT2,
+    Vector,
+    ViolationReport,
+    check_cojacobi,
+    dual_algebra,
 )
 from liedouble import bialg, liealg, manin, suite
-from liedouble.liealg import add_into, product_table
+from liedouble.liealg import ScalarTable, add_into, scalar_table
 from liedouble.manin import DoubleAlgebra
 
 # --- reference implementations -------------------------------------------
@@ -278,6 +286,35 @@ def dense_schouten_check(alg, r_skew):
     else:
         verdict = TRIANGULAR
     return verdict, schouten, violations
+
+
+def dense_check_jacobi(alg):
+    """[[e_p,e_q],e_r] + cyclic over all d(d-1)(d-2)/6 triples p < q < r."""
+    report = ViolationReport("jacobi")
+    pair = alg.tensor.pair
+
+    def accumulate(acc, inner, outer_index):
+        if not inner:
+            return
+        for k, coeff in inner.items():
+            w = pair(k, outer_index)
+            if not w:
+                continue
+            for m, c2 in w.items():
+                add_into(acc, m, coeff * c2)
+
+    for p in range(alg.dim):
+        for q in range(p + 1, alg.dim):
+            for r in range(q + 1, alg.dim):
+                acc = {}
+                accumulate(acc, pair(p, q), r)
+                accumulate(acc, pair(q, r), p)
+                accumulate(acc, pair(r, p), q)
+                if acc:
+                    report.violations.append(
+                        Violation((p, q, r), Vector(acc).format(alg.labels))
+                    )
+    return report
 
 
 # --- Gauss-Jordan -----------------------------------------------------------
@@ -768,11 +805,11 @@ def test_schouten_matches_dense_with_doubled_entries(n, doubled):
     assert report.violations
 
 
-# --- product tables ---------------------------------------------------------------
+# --- scalar tables ------------------------------------------------------------------
 
 
 def test_product_table_on_equal_values_in_distinct_objects():
-    mul = product_table()
+    mul = scalar_table().mul
     x1, x2 = Scalar(1, Fraction(1, 2)), Scalar(1, Fraction(1, 2))
     y1, y2 = Scalar(0, 0, 3, -1), Scalar(0, 0, 3, -1)
     assert x1 is not x2 and y1 is not y2
@@ -785,7 +822,7 @@ def test_product_table_on_equal_values_in_distinct_objects():
 def test_product_table_when_temporaries_are_dropped():
     # each operand is freed by the caller at once, so CPython hands its
     # memory, and with it its id, to the next Scalar of the same size
-    mul = product_table()
+    mul = scalar_table().mul
     for k in range(300):
         assert mul(Scalar(k, 1), Scalar(0, 0, k % 7 + 1)) == Scalar(k, 1) * Scalar(0, 0, k % 7 + 1)
         gc.collect(0)
@@ -793,11 +830,86 @@ def test_product_table_when_temporaries_are_dropped():
         assert mul(Scalar(k, 1), Scalar(0, 0, k % 7 + 1)) == Scalar(k, 1) * Scalar(0, 0, k % 7 + 1)
 
 
+def test_scalar_table_adds_and_inverts_equal_values_once():
+    table = scalar_table()
+    x1, x2 = Scalar(1, Fraction(1, 2)), Scalar(1, Fraction(1, 2))
+    y1, y2 = Scalar(0, 0, 3, -1), Scalar(0, 0, 3, -1)
+    assert table.add(x1, y1) == x1 + y1
+    assert table.add(x2, y2) is table.add(x1, y1)  # one sum per pair of values
+    assert table.add(y2, x1) == y1 + x1
+    assert table.inverse(x1) == x1.inverse()
+    assert table.inverse(x2) is table.inverse(x1)  # one inverse per value
+    assert table.mul(x1, y1) == x1 * y1  # products and sums kept apart
+    assert table.add(x2, y1) == x1 + y1
+
+
+def test_scalar_table_when_ids_are_recycled():
+    # each operand is dropped at once and collected, so CPython hands its id
+    # to a later Scalar of another value
+    table = scalar_table()
+    for _ in range(2):
+        for k in range(1, 150):
+            assert table.add(Scalar(k, 1), Scalar(0, 0, k % 7)) == Scalar(k, 1, k % 7)
+            assert table.inverse(Scalar(k, 0, 1)) == Scalar(k, 0, 1).inverse()
+            gc.collect(0)
+
+
+def test_add_into_drops_a_zero_sum_from_the_table():
+    table = scalar_table()
+    x = Scalar(0, 1, Fraction(1, 3))
+    acc = {"kept": ONE}
+    add_into(acc, "key", x, table.add)
+    assert acc == {"kept": ONE, "key": x}
+    add_into(acc, "key", -x, table.add)
+    assert acc == {"kept": ONE}
+    add_into(acc, "key", ZERO, table.add)
+    add_into(acc, "kept", -ONE, table.add)
+    assert acc == {}
+
+
+@pytest.fixture()
+def scalar_ops():
+    """Count every real Scalar product, sum and inverse by its operand values."""
+    counts = collections.Counter()
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("__mul__", "__add__", "inverse"):
+            original = getattr(Scalar, name)
+
+            def counted(self, *other, name=name, original=original):
+                counts[(name, self, *other)] += 1
+                return original(self, *other)
+
+            patch.setattr(Scalar, name, counted)
+        yield counts
+
+
+def test_express_in_basis_computes_each_value_pair_once(scalar_ops):
+    triple = build_gln_triple(4)
+    delta = cocommutator_from_triple(triple)
+    T = gln_change_of_basis(4)
+    T_inv = T.inverse()
+    expected = plain_products(express_in_basis, delta, T)
+    scalar_ops.clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Matrix, "inverse", lambda self: T_inv)  # count this call's table only
+        assert express_in_basis(delta, T) == expected
+    assert scalar_ops and max(scalar_ops.values()) == 1
+
+
+def test_gauss_jordan_computes_each_value_pair_and_pivot_once(scalar_ops):
+    T = gln_change_of_basis(6)
+    inverse = T.inverse()
+    assert {name for name, *_ in scalar_ops} == {"__mul__", "__add__", "inverse"}
+    assert max(scalar_ops.values()) == 1
+    assert T * inverse == Matrix.identity(T.rows)
+
+
 def plain_products(func, *args):
-    """``func(*args)`` with every product table replaced by plain ``*``."""
+    """``func(*args)`` with every scalar table replaced by plain ``*``, ``+`` and ``inverse``."""
+    plain = ScalarTable(operator.mul, operator.add, Scalar.inverse)
     with pytest.MonkeyPatch.context() as patch:
         for module in (liealg, manin, bialg, suite):
-            patch.setattr(module, "product_table", lambda: operator.mul)
+            patch.setattr(module, "scalar_table", lambda: plain)
         return func(*args)
 
 
@@ -919,3 +1031,51 @@ def test_tabled_kernels_match_plain_products_on_random_algebras(inputs):
 def test_killing_form_matches_dense_on_random_algebras(inputs):
     alg = inputs[0]
     assert alg.killing_form() == dense_killing_form(alg)
+
+
+# --- Jacobi over the candidate triples ----------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_jacobi_matches_dense_on_gln(n):
+    for alg in (build_double(build_gln_triple(n)).algebra, build_gln_tn(n)):
+        report = alg.check_jacobi()
+        assert report == dense_check_jacobi(alg)
+        assert report.ok
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_jacobi_matches_dense_with_one_bracket_scaled(n):
+    double = build_double(build_gln_triple(n)).algebra
+    failing = 0
+    for position in range(len(double.tensor.stored())):
+        alg = scaled(double, {position: Scalar(2)})
+        report = alg.check_jacobi()
+        assert report == dense_check_jacobi(alg)
+        failing += not report.ok
+    assert failing  # the doctored algebras do break the identity
+
+
+@pytest.mark.parametrize("n", [3, 4])  # at n = 2 every scaled term still satisfies it
+def test_cojacobi_matches_dense_on_doctored_cocommutators(n):
+    triple = build_gln_triple(n)
+    delta = cocommutator_from_triple(triple)
+    labels = build_double(triple).algebra.labels
+    failing = 0
+    for p, value in delta.items():
+        terms = dict(value.items())
+        q, r = min(terms)  # scale one wedge term of delta(p)
+        terms[(q, r)], terms[(r, q)] = terms[(q, r)] * SQRT2, terms[(r, q)] * SQRT2
+        doctored = Cocommutator(delta.dim, {**dict(delta.items()), p: terms})
+        report = check_cojacobi(doctored, labels)
+        expected = dense_check_jacobi(dual_algebra(doctored, labels))
+        assert (report.check, report.violations) == ("cojacobi", expected.violations)
+        failing += not report.ok
+    assert failing
+
+
+@settings(deadline=None, max_examples=60)
+@given(random_kernel_inputs())
+def test_jacobi_matches_dense_on_random_sparse_algebras(inputs):
+    alg = inputs[0]
+    assert alg.check_jacobi() == dense_check_jacobi(alg)
