@@ -83,21 +83,22 @@ def check_compatibility(f: StructureTensor, c: StructureTensor) -> ViolationRepo
     residual: dict[tuple[int, int, int, int], Scalar] = {}
 
     for cp, cq, cr, cv in c_triples:
+        neg = -cv  # terms 2-5 subtract; negate the c entry once, not each product
         # term 1: + c^{p,q}_r f^r_{s,t}
         for s, t, fv in f_by_output.get(cr, ()):
             add_into(residual, (cp, cq, s, t), cv * fv)
         # term 2: - c^{p,r}_s f^q_{r,t}  (join r = c upper second = f lower first)
         for t, q, fv in f_by_first.get(cq, ()):
-            add_into(residual, (cp, q, cr, t), -(cv * fv))
+            add_into(residual, (cp, q, cr, t), neg * fv)
         # term 3: - c^{r,q}_s f^p_{r,t}  (join r = c upper first = f lower first)
         for t, p, fv in f_by_first.get(cp, ()):
-            add_into(residual, (p, cq, cr, t), -(cv * fv))
+            add_into(residual, (p, cq, cr, t), neg * fv)
         # term 4: - c^{p,r}_t f^q_{s,r}  (join r = c upper second = f lower second)
         for s, q, fv in f_by_second.get(cq, ()):
-            add_into(residual, (cp, q, s, cr), -(cv * fv))
+            add_into(residual, (cp, q, s, cr), neg * fv)
         # term 5: - c^{r,q}_t f^p_{s,r}  (join r = c upper first = f lower second)
         for s, p, fv in f_by_second.get(cp, ()):
-            add_into(residual, (p, cq, s, cr), -(cv * fv))
+            add_into(residual, (p, cq, s, cr), neg * fv)
 
     report = ViolationReport("compatibility")
     for key in sorted(residual):

@@ -35,9 +35,6 @@ __all__ = [
     "I_UNIT",
 ]
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
 
 class Scalar:
     """An element of Q(i, sqrt2) in canonical component form.
@@ -78,11 +75,14 @@ class Scalar:
             return Scalar(value)
         return None
 
+    # Each component is tested once: ``bool(a or b or c or d)`` would test
+    # the component it returns a second time.
+
     def is_zero(self) -> bool:
-        return not (self._a or self._b or self._c or self._d)
+        return False if self._a or self._b or self._c or self._d else True
 
     def __bool__(self) -> bool:
-        return bool(self._a or self._b or self._c or self._d)
+        return True if self._a or self._b or self._c or self._d else False
 
     def __eq__(self, other) -> bool:
         if type(other) is not Scalar:
@@ -151,20 +151,33 @@ class Scalar:
         return other - self
 
     def __mul__(self, other) -> Scalar:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         a1, b1, c1, d1 = self._a, self._b, self._c, self._d
         a2, b2, c2, d2 = other._a, other._b, other._c, other._d
-        # fast path: both values purely rational
-        if not (b1 or c1 or d1 or b2 or c2 or d2):
-            return _scalar(a1 * a2, _F0, _F0, _F0)
-        # (sqrt2)^2 = 2, i^2 = -1, (i*sqrt2)^2 = -2
+        # A rational factor q (an int operand is one) scales each nonzero
+        # component of the other operand: at most four Fraction products
+        # instead of sixteen, and zero components pass through.
+        if not (b2 or c2 or d2):
+            q = a2
+        elif not (b1 or c1 or d1):
+            q, a1, b1, c1, d1 = a1, a2, b2, c2, d2
+        else:
+            # Two irrational factors: all sixteen products, zeros included.
+            # (sqrt2)^2 = 2, i^2 = -1, (i*sqrt2)^2 = -2
+            return _scalar(
+                a1 * a2 + 2 * b1 * b2 - c1 * c2 - 2 * d1 * d2,
+                a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
+                a1 * c2 + c1 * a2 + 2 * b1 * d2 + 2 * d1 * b2,
+                a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
+            )
         return _scalar(
-            a1 * a2 + 2 * b1 * b2 - c1 * c2 - 2 * d1 * d2,
-            a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
-            a1 * c2 + c1 * a2 + 2 * b1 * d2 + 2 * d1 * b2,
-            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
+            a1 * q if a1 else a1,
+            b1 * q if b1 else b1,
+            c1 * q if c1 else c1,
+            d1 * q if d1 else d1,
         )
 
     __rmul__ = __mul__

@@ -1,16 +1,19 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from liedouble import (
     HALF_SQRT2,
     ONE,
+    SQRT2,
     ZERO,
     BilinearForm,
     CompatibilityError,
     LieAlgebra,
     ManinTriple,
+    Matrix,
     Scalar,
     Vector,
     build_double,
@@ -317,3 +320,79 @@ def test_unchecked_triple_skips_validation_and_equals_checked(pair3):
         ManinTriple(plus, broken)
     assert ManinTriple.unchecked(plus, broken).minus is broken
     assert ManinTriple(plus, broken, validate=False).minus is broken
+
+
+def _mixed_value(rng):
+    """A rational, often +-1, or a value with all four components nonzero."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Scalar(rng.choice([1, -1]))
+    if kind == 1:
+        return Scalar(Fraction(rng.choice([-3, -2, 2, 3]), rng.randint(1, 4)))
+    return Scalar(*(Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3)) for _ in range(4)))
+
+
+def _scaled(algebra, factor):
+    brackets = {key: {r: factor * v for r, v in vec.items()} for key, vec in algebra.tensor.stored()}
+    return LieAlgebra.from_brackets(algebra.labels, brackets)
+
+
+def _contragredient_rebase(rng, plus, minus):
+    """A compatible pair from a compatible one: plus times sqrt2 (so its
+    +-sqrt2/2 entries turn rational) under a random invertible T with mixed
+    entries, minus times a mixed value under T^{-T}."""
+    plus, minus = _scaled(plus, SQRT2), _scaled(minus, _mixed_value(rng))
+    dim = plus.dim
+    T = Matrix.identity(dim)
+    for _ in range(3):
+        i, j = rng.sample(range(dim), 2)
+        rows = [[T.entry(r, col) for col in range(dim)] for r in range(dim)]
+        factor = _mixed_value(rng)
+        rows[i] = [v + factor * w for v, w in zip(rows[i], rows[j])]
+        T = Matrix(rows)
+    S = Matrix([[T.entry(i, j) for i in range(dim)] for j in range(dim)]).inverse()
+    return plus.change_of_basis(T), minus.change_of_basis(S)
+
+
+def _with_center(algebra, label):
+    """algebra plus one basis element that brackets to zero with everything."""
+    brackets = {key: dict(vec) for key, vec in algebra.tensor.stored()}
+    return LieAlgebra.from_brackets(algebra.labels + (label,), brackets)
+
+
+def _perturbed(rng, algebra):
+    """algebra with one random bracket entry moved by a mixed value."""
+    brackets = {key: dict(vec) for key, vec in algebra.tensor.stored()}
+    p, q = sorted(rng.sample(range(algebra.dim), 2))
+    r = rng.randrange(algebra.dim)
+    vec = brackets.setdefault((p, q), {})
+    vec[r] = vec.get(r, ZERO) + _mixed_value(rng)
+    return LieAlgebra.from_brackets(algebra.labels, brackets)
+
+
+def test_compatibility_matches_brute_force_on_mixed_coefficients(pair3):
+    # seeded dimension-3 and dimension-4 pairs whose coefficients mix
+    # rationals with values having all four components: compatible pairs
+    # rebased contragrediently, and the same pairs with one entry moved
+    rng = random.Random(1618)
+    gl2 = (build_s_plus(2), build_s_minus(2))
+    gl2_center = (_with_center(gl2[0], "W"), _with_center(gl2[1], "w"))
+    seen = {True: 0, False: 0}
+    rational = full = 0
+    for base in (pair3, gl2, gl2_center):
+        for trial in range(4):
+            plus, minus = _contragredient_rebase(rng, *base)
+            if trial % 2:
+                minus = _perturbed(rng, minus)
+            report = check_compatibility(plus.tensor, minus.tensor)
+            brute = brute_force_compatibility(plus.tensor, minus.tensor, plus.dim)
+            keys = sorted(brute)
+            assert [v.indices for v in report.violations] == keys
+            assert [v.residual for v in report.violations] == [str(brute[k]) for k in keys]
+            seen[report.ok] += 1
+            values = [v for alg in (plus, minus) for _, vec in alg.tensor.stored() for v in vec.values()]
+            rational += sum(1 for v in values if not (v.b or v.c or v.d))
+            full += sum(1 for v in values if v.a and v.b and v.c and v.d)
+    # the sample must hold both verdicts and both kinds of coefficient
+    assert seen[True] >= 6 and seen[False] > 0
+    assert rational > 0 and full > 0

@@ -4,6 +4,7 @@ These pin the semantics of the current representation (four Fractions), so
 a later change of representation has to keep every one of them.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,12 @@ sparse_scalars = st.builds(
     st.one_of(st.just(Fraction(0)), fractions),
 )
 any_scalar = st.one_of(scalars, sparse_scalars)
+# b = c = d = 0, with 0 and +-1 drawn often
+small_ints = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-40, 40))
+rationals = st.one_of(
+    st.builds(Scalar, st.one_of(small_ints, fractions)),
+    st.sampled_from([ZERO, ONE, -ONE]),
+)
 
 
 @settings(deadline=None)
@@ -138,3 +145,76 @@ def test_hash_of_minus_one():
         assert value == -1
         assert hash(value) == hash(-1) == hash(Fraction(-1))
         assert len({value, -1, Fraction(-1)}) == 1
+
+
+def reference_mul(x, y):
+    """The components of x * y from all sixteen component products, zeros too."""
+    a1, b1, c1, d1 = components(x)
+    a2, b2, c2, d2 = components(y)
+    # (sqrt2)^2 = 2, i^2 = -1, (i*sqrt2)^2 = -2
+    return (
+        a1 * a2 + 2 * b1 * b2 - c1 * c2 - 2 * d1 * d2,
+        a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
+        a1 * c2 + c1 * a2 + 2 * b1 * d2 + 2 * d1 * b2,
+        a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
+    )
+
+
+def assert_components(got, want):
+    assert components(got) == want
+    assert all(type(part) is Fraction for part in components(got))
+
+
+@settings(deadline=None)
+@given(st.one_of(rationals, any_scalar), any_scalar, small_ints)
+def test_multiply_matches_the_sixteen_product_formula(x, y, k):
+    # x is drawn rational about half the time, so both paths of __mul__ run
+    want = reference_mul(x, y)
+    assert_components(x * y, want)
+    assert_components(y * x, want)
+    want = reference_mul(Scalar(k), y)
+    assert_components(k * y, want)
+    assert_components(y * k, want)
+
+
+@contextmanager
+def counting(method):
+    """Count the calls of one ``Fraction`` method while the block runs."""
+    calls = []
+    original = getattr(Fraction, method)
+
+    def counted(*args):
+        calls.append(None)
+        return original(*args)
+
+    setattr(Fraction, method, counted)
+    try:
+        yield calls
+    finally:
+        setattr(Fraction, method, original)
+
+
+@settings(deadline=None)
+@given(rationals, any_scalar, small_ints)
+def test_a_rational_factor_forms_one_fraction_product_per_nonzero_component(q, x, k):
+    nonzero = sum(1 for part in components(x) if part)
+    for product in (lambda: q * x, lambda: x * q, lambda: k * x, lambda: x * k):
+        with counting("__mul__") as forward, counting("__rmul__") as reflected:
+            product()
+        formed = len(forward) + len(reflected)
+        if x.b or x.c or x.d:
+            assert formed == nonzero
+        else:
+            # two rationals: one product, or none when a zero passes through
+            assert formed <= 1
+
+
+@settings(deadline=None)
+@given(any_scalar)
+def test_truth_tests_each_component_once(x):
+    parts = components(x)
+    tested = next((k + 1 for k, part in enumerate(parts) if part), 4)
+    for truth in (lambda: bool(x), x.is_zero):
+        with counting("__bool__") as calls:
+            truth()
+        assert len(calls) == tested
