@@ -24,7 +24,6 @@ from .liealg import (
     Violation,
     ViolationReport,
     ScalarTable,
-    _PLAIN,
     _coerce_scalar,
     add_into,
     scalar_table,
@@ -214,32 +213,38 @@ def check_cojacobi(delta: Cocommutator, labels=None) -> ViolationReport:
     return report
 
 
-def _act_on_two_tensor(alg: LieAlgebra, x: int, tensor: TwoTensor, table=_PLAIN) -> TwoTensor:
-    """(ad_x (x) 1 + 1 (x) ad_x) applied to a TwoTensor, x a basis index."""
-    acc: dict[tuple[int, int], Scalar] = {}
-    _add_action(acc, alg, x, tensor, table)
-    return TwoTensor(acc)
+def _by_slot(tensor: SparseTensor) -> list[dict[int, list]]:
+    """Index a 2- or 3-tensor's terms by the basis index in each slot.
 
-
-def _add_action(
-    acc: dict, alg: LieAlgebra, x: int, tensor: TwoTensor, table: ScalarTable, negate=False
-) -> None:
-    """Add (ad_x (x) 1 + 1 (x) ad_x)(tensor) into ``acc``, or its negative with ``negate``.
-
-    The negative reads [e_s, e_x] = -[e_x, e_s] off the stored orientations,
-    so no coefficient is negated.
+    ``by_slot[slot][s]`` lists the ``(key, value)`` terms with
+    ``key[slot] == s``; an empty tensor has no slots.
     """
-    pair = alg.tensor.pair
-    mul, add = table.mul, table.add
-    for (p, q), value in tensor.items():
-        w = pair(p, x) if negate else pair(x, p)
-        if w:
-            for k, coeff in w.items():
-                add_into(acc, (k, q), mul(value, coeff), add)
-        w = pair(q, x) if negate else pair(x, q)
-        if w:
-            for k, coeff in w.items():
-                add_into(acc, (p, k), mul(value, coeff), add)
+    by_slot: list[dict[int, list]] = []
+    for key, value in tensor.items():
+        if not by_slot:
+            by_slot = [{} for _ in key]
+        for slot, s in enumerate(key):
+            by_slot[slot].setdefault(s, []).append((key, value))
+    return by_slot
+
+
+def _add_action(acc: dict, pair, x: int, by_slot, mul, add, negate=False) -> None:
+    """Add the adjoint action of e_x on a tensor into ``acc``, or its negative with ``negate``.
+
+    The action is ad_x on each slot in turn, summed: ad_x (x) 1 + 1 (x) ad_x
+    on g (x) g, and the three-slot sum on g (x) g (x) g.  ``by_slot`` is the
+    tensor's ``_by_slot`` index, so only the slot values s with [x, s] != 0
+    are visited.  The negative reads [e_s, e_x] = -[e_x, e_s] off the stored
+    orientations, so no coefficient is negated.
+    """
+    for slot, terms_at in enumerate(by_slot):
+        for s, terms in terms_at.items():
+            w = pair(s, x) if negate else pair(x, s)
+            if not w:
+                continue
+            for key, value in terms:
+                for k, coeff in w.items():
+                    add_into(acc, key[:slot] + (k,) + key[slot + 1 :], mul(value, coeff), add)
 
 
 def check_cocycle(alg: LieAlgebra, delta: Cocommutator) -> ViolationReport:
@@ -251,18 +256,19 @@ def check_cocycle(alg: LieAlgebra, delta: Cocommutator) -> ViolationReport:
     if delta.dim != alg.dim:
         raise ValueError("cocommutator dimension does not match the algebra")
     report = ViolationReport("cocycle")
-    table = scalar_table()
-    mul, add = table.mul, table.add
+    pair = alg.tensor.pair
+    mul, add, _ = scalar_table()
+    slots = [_by_slot(delta.get(p)) for p in range(alg.dim)]
     for p in range(alg.dim):
         for q in range(p + 1, alg.dim):
             acc: dict[tuple[int, int], Scalar] = {}
-            coeffs = alg.tensor.pair(p, q)
+            coeffs = pair(p, q)
             if coeffs:
                 for r, value in coeffs.items():
                     for key, coeff in delta.get(r).items():
                         add_into(acc, key, mul(value, coeff), add)
-            _add_action(acc, alg, p, delta.get(q), table, negate=True)
-            _add_action(acc, alg, q, delta.get(p), table)
+            _add_action(acc, pair, p, slots[q], mul, add, negate=True)
+            _add_action(acc, pair, q, slots[p], mul, add)
             if acc:
                 report.violations.append(
                     Violation((p, q), TwoTensor(acc).format(alg.labels))
@@ -283,12 +289,15 @@ def build_rmatrix(triple: ManinTriple) -> tuple[TwoTensor, TwoTensor]:
 
 def coboundary(alg: LieAlgebra, r_skew: TwoTensor) -> Cocommutator:
     """delta(x) = (ad_x (x) 1 + 1 (x) ad_x)(r_skew) on every basis element."""
-    table = scalar_table()
+    pair = alg.tensor.pair
+    mul, add, _ = scalar_table()
+    by_slot = _by_slot(r_skew)
     entries = {}
     for x in range(alg.dim):
-        value = _act_on_two_tensor(alg, x, r_skew, table)
-        if value:
-            entries[x] = value
+        acc: dict[tuple[int, int], Scalar] = {}
+        _add_action(acc, pair, x, by_slot, mul, add)
+        if acc:
+            entries[x] = acc
     return Cocommutator(alg.dim, entries)
 
 
@@ -316,64 +325,40 @@ class QuasitriangularReport:
         return self.verdict != NOT_INVARIANT
 
 
-def schouten_bracket(alg: LieAlgebra, r: TwoTensor, s: TwoTensor | None = None) -> ThreeTensor:
-    """[[r, s]] = [r_12, s_13] + [r_12, s_23] + [r_13, s_23] (+ r<->s when distinct)."""
-    symmetric = s is None or s is r
-    left = list(r.items())
-    right = left if symmetric else list(s.items())
+def schouten_bracket(alg: LieAlgebra, r: TwoTensor) -> ThreeTensor:
+    """[[r, r]] = [r_12, r_13] + [r_12, r_23] + [r_13, r_23]."""
+    terms = r.items()
     pair = alg.tensor.pair
     mul, add, _ = scalar_table()
     acc: dict[tuple[int, int, int], Scalar] = {}
-
-    def accumulate(first, second):
-        for (a1, b1), v1 in first:
-            for (a2, b2), v2 in second:
-                coeff = mul(v1, v2)
-                w = pair(a1, a2)
-                if w:
-                    for k, cv in w.items():
-                        add_into(acc, (k, b1, b2), mul(coeff, cv), add)
-                w = pair(b1, a2)
-                if w:
-                    for k, cv in w.items():
-                        add_into(acc, (a1, k, b2), mul(coeff, cv), add)
-                w = pair(b1, b2)
-                if w:
-                    for k, cv in w.items():
-                        add_into(acc, (a1, a2, k), mul(coeff, cv), add)
-
-    accumulate(left, right)
-    if not symmetric:
-        accumulate(right, left)
+    for (a1, b1), v1 in terms:
+        for (a2, b2), v2 in terms:
+            coeff = mul(v1, v2)
+            w = pair(a1, a2)
+            if w:
+                for k, cv in w.items():
+                    add_into(acc, (k, b1, b2), mul(coeff, cv), add)
+            w = pair(b1, a2)
+            if w:
+                for k, cv in w.items():
+                    add_into(acc, (a1, k, b2), mul(coeff, cv), add)
+            w = pair(b1, b2)
+            if w:
+                for k, cv in w.items():
+                    add_into(acc, (a1, a2, k), mul(coeff, cv), add)
     return ThreeTensor(acc)
 
 
 def schouten_check(alg: LieAlgebra, r_skew: TwoTensor) -> QuasitriangularReport:
-    """Compute [[r, r]] and test its invariance under every ad_x (x basis).
-
-    ad_x acts on one slot of a term at a time, and only where [x, s] is
-    nonzero for the basis index s in that slot.  The terms are indexed by
-    the index in each slot, so for each x only the slot values s with
-    [x, s] != 0 are visited.
-    """
+    """Compute [[r, r]] and test its invariance under every ad_x (x basis)."""
     schouten = schouten_bracket(alg, r_skew)
     pair = alg.tensor.pair
     mul, add, _ = scalar_table()
-    by_slot: list[dict[int, list]] = [{}, {}, {}]
-    for key, value in schouten.items():
-        for slot in range(3):
-            by_slot[slot].setdefault(key[slot], []).append((key, value))
+    by_slot = _by_slot(schouten)
     violations: list[Violation] = []
     for x in range(alg.dim):
         acc: dict[tuple[int, int, int], Scalar] = {}
-        for slot, terms_at in enumerate(by_slot):
-            for s, terms in terms_at.items():
-                w = pair(x, s)
-                if not w:
-                    continue
-                for key, value in terms:
-                    for k, cv in w.items():
-                        add_into(acc, key[:slot] + (k,) + key[slot + 1 :], mul(value, cv), add)
+        _add_action(acc, pair, x, by_slot, mul, add)
         if acc:
             violations.append(
                 Violation((x,), ThreeTensor(acc).format(alg.labels))

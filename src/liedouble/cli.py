@@ -42,10 +42,8 @@ from .suite import CARTAN_COEFFICIENT_NOTE, CheckResult, run_check, verify_suite
 REPORT_SCHEMA = "liedouble.report/1"
 EMIT_SCHEMA = "liedouble.emit/1"
 
-# Largest accepted --n, set from measured run time.  On a shared 2-core
-# x86-64 VM with CPython 3.11, verify takes about 3.9 s at n = 10, 5.6 s at
-# n = 11 and 8.1 s at n = 12 (peak RSS 30 MB), each step in n adding about
-# 40 %, so n = 13 would pass 10 s; CI runs n = 12.
+# Largest accepted --n: the largest size whose verify stays within a 10 s
+# budget on a shared 2-core x86-64 VM (README "Performance" has the times).
 MAX_N = 12
 
 

@@ -63,10 +63,6 @@ class ScalarTable(NamedTuple):
     inverse: Callable
 
 
-# Plain field arithmetic, for the public entry points that take no table.
-_PLAIN = ScalarTable(operator.mul, operator.add, Scalar.inverse)
-
-
 def scalar_table() -> ScalarTable:
     """Return ``mul(x, y)``, ``add(x, y)`` and ``inverse(x)`` that compute each value (pair) once.
 
@@ -558,7 +554,7 @@ class LieAlgebra:
         return Vector(coeffs) if coeffs else Vector()
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
-        return self._bracket(x, y, _PLAIN)
+        return self._bracket(x, y, scalar_table())
 
     def _bracket(self, x: Vector, y: Vector, table: ScalarTable) -> Vector:
         mul, add = table.mul, table.add

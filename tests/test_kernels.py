@@ -4,11 +4,11 @@ The sparse ``Matrix`` (``Matrix.inverse``/``determinant`` among its
 methods), ``BilinearForm`` on it, ``LieAlgebra.killing_form``,
 ``trace_form``, ``build_double``, ``check_isotropic_pairing``,
 ``check_ad_invariance``, the verify suite's forms comparison,
-``schouten_check`` and ``check_jacobi`` skip entries and triples that are
-provably zero.  Each reference below is the dense loop the library used
-before, kept verbatim in substance; the fast kernel must return exactly
-what it returns: equal values, the same counterexamples in the same
-order, the same verdicts.
+``schouten_check``, ``coboundary``, ``check_cocycle`` and ``check_jacobi``
+skip entries and triples that are provably zero.  Each reference below is
+the dense loop the library used before, kept verbatim in substance; the
+fast kernel must return exactly what it returns: equal values, the same
+counterexamples in the same order, the same verdicts.
 
 The kernels that compute through ``liealg.scalar_table`` are run a second
 time with the table replaced by plain ``*``, ``+`` and ``Scalar.inverse``
@@ -18,6 +18,7 @@ and must agree.
 import collections
 import gc
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,8 @@ from liedouble import (
     check_isotropic_pairing,
     coboundary,
     cocommutator_from_triple,
+    delta_in_gln_basis,
+    double_in_gln_basis,
     express_in_basis,
     gln_change_of_basis,
     gln_tn_trace_form,
@@ -286,6 +289,42 @@ def dense_schouten_check(alg, r_skew):
     else:
         verdict = TRIANGULAR
     return verdict, schouten, violations
+
+
+def dense_add_action(acc, alg, x, tensor):
+    """Add (ad_x (x) 1 + 1 (x) ad_x)(tensor) into ``acc``, both slots of every term visited."""
+    pair = alg.tensor.pair
+    for (p, q), value in tensor.items():
+        for k, coeff in (pair(x, p) or {}).items():
+            add_into(acc, (k, q), value * coeff)
+        for k, coeff in (pair(x, q) or {}).items():
+            add_into(acc, (p, k), value * coeff)
+
+
+def dense_action(alg, x, tensor):
+    acc = {}
+    dense_add_action(acc, alg, x, tensor)
+    return TwoTensor(acc)
+
+
+def dense_coboundary(alg, r_skew):
+    """ad_x applied to r_skew for every basis index x."""
+    return Cocommutator(alg.dim, {x: dense_action(alg, x, r_skew) for x in range(alg.dim)})
+
+
+def dense_cocycle(alg, delta):
+    """delta([p,q]) - ad_p.delta(q) + ad_q.delta(p) for every p < q, summed as tensors."""
+    report = ViolationReport("cocycle")
+    for p in range(alg.dim):
+        for q in range(p + 1, alg.dim):
+            bracket = TwoTensor()
+            for r, value in (alg.tensor.pair(p, q) or {}).items():
+                bracket = bracket + delta.get(r).scale(value)
+            residual = bracket - dense_action(alg, p, delta.get(q))
+            residual = residual + dense_action(alg, q, delta.get(p))
+            if residual:
+                report.violations.append(Violation((p, q), residual.format(alg.labels)))
+    return report
 
 
 def dense_check_jacobi(alg):
@@ -805,6 +844,43 @@ def test_schouten_matches_dense_with_doubled_entries(n, doubled):
     assert report.violations
 
 
+# --- adjoint action on two-tensors ------------------------------------------------
+
+
+def assert_action_matches_dense(alg, delta, r_skew):
+    assert coboundary(alg, r_skew) == dense_coboundary(alg, r_skew)
+    report = check_cocycle(alg, delta)
+    assert report == dense_cocycle(alg, delta)
+    return report
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_coboundary_and_cocycle_match_dense_on_gln(n):
+    alg, delta, r_skew, *_ = gln_case(n)
+    assert assert_action_matches_dense(alg, delta, r_skew).ok
+    triple = build_gln_triple(n)
+    moved = r_skew.transport(gln_change_of_basis(n).inverse())
+    hif = double_in_gln_basis(n, triple)
+    assert assert_action_matches_dense(hif, delta_in_gln_basis(n, triple), moved).ok
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_coboundary_and_cocycle_match_dense_with_one_term_scaled(n):
+    alg, delta, r_skew, *_ = gln_case(n)
+    failing = 0
+    for p, value in delta.items():
+        terms = dict(value.items())
+        q, r = min(terms)  # scale one wedge term of delta(p) and of r_skew
+        terms[(q, r)], terms[(r, q)] = terms[(q, r)] * SQRT2, terms[(r, q)] * SQRT2
+        doctored = Cocommutator(delta.dim, {**dict(delta.items()), p: terms})
+        skew = dict(r_skew.items())
+        q, r = sorted(skew)[p % len(skew)]
+        skew[(q, r)], skew[(r, q)] = skew[(q, r)] * SQRT2, skew[(r, q)] * SQRT2
+        report = assert_action_matches_dense(alg, doctored, TwoTensor(skew))
+        failing += not report.ok
+    assert failing  # the doctored cocommutators do break the cocycle condition
+
+
 # --- scalar tables ------------------------------------------------------------------
 
 
@@ -917,9 +993,10 @@ def algebra_key(alg):
     return alg.dim, alg.labels, alg.tensor
 
 
-def assert_kernels_match_plain(alg, delta, r_skew, T, pairing):
+def assert_kernels_match_plain(alg, delta, r_skew, T, pairing, vectors):
     """Every kernel routed through a table equals its plain-``*`` loop."""
     cases = [
+        (lambda a, v: a.bracket(*v), alg, vectors),
         (lambda a: a.check_jacobi(), alg),
         (lambda a, t: algebra_key(a.change_of_basis(t)), alg, T),
         (lambda t: t.inverse(), T),
@@ -941,12 +1018,20 @@ def gln_case(n):
     triple = build_gln_triple(n)
     double = build_double(triple)
     _, r_skew = build_rmatrix(triple)
+    rng = random.Random(n)
+    values = (ONE, -ONE, SQRT2, Scalar(Fraction(1, 2)), Scalar(0, 0, 1), Scalar(-1, 0, 0, 2))
+    dim = double.algebra.dim
+    vectors = [
+        Vector({k: rng.choice(values) for k in rng.sample(range(dim), min(dim, 5))})
+        for _ in range(2)
+    ]
     return (
         double.algebra,
         cocommutator_from_triple(triple),
         r_skew,
         gln_change_of_basis(n),
         double.pairing,
+        vectors,
     )
 
 
@@ -987,7 +1072,8 @@ distinct = st.builds(
 @st.composite
 def random_kernel_inputs(draw):
     """A random sparse bracket table (rarely a Lie algebra), cocommutator,
-    skew two-tensor, invertible basis change and symmetric pairing."""
+    skew two-tensor, invertible basis change, symmetric pairing and two
+    vectors."""
     dim = draw(st.integers(2, 5))
     pairs = [(p, q) for p in range(dim) for q in range(p + 1, dim)]
     brackets = {}
@@ -1017,7 +1103,8 @@ def random_kernel_inputs(draw):
     index = st.integers(0, dim - 1)
     for p, q in draw(st.lists(st.tuples(index, index), max_size=4)):
         gram[p][q] = gram[q][p] = draw(distinct)
-    return alg, delta, r_skew, T, BilinearForm(gram)
+    vectors = [Vector(draw(st.dictionaries(index, distinct, max_size=4))) for _ in range(2)]
+    return alg, delta, r_skew, T, BilinearForm(gram), vectors
 
 
 @settings(deadline=None, max_examples=40)
@@ -1031,6 +1118,13 @@ def test_tabled_kernels_match_plain_products_on_random_algebras(inputs):
 def test_killing_form_matches_dense_on_random_algebras(inputs):
     alg = inputs[0]
     assert alg.killing_form() == dense_killing_form(alg)
+
+
+@settings(deadline=None, max_examples=40)
+@given(random_kernel_inputs())
+def test_coboundary_and_cocycle_match_dense_on_random_algebras(inputs):
+    alg, delta, r_skew, *_ = inputs
+    assert_action_matches_dense(alg, delta, r_skew)
 
 
 # --- Jacobi over the candidate triples ----------------------------------------------
