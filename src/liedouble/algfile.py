@@ -158,6 +158,8 @@ _BRACKET_RE = re.compile(r"\[\s*([^\s,\]]+)\s*,\s*([^\s,\]]+)\s*\]\s*=\s*(.*)\Z"
 
 
 def parse_algebra_file(text: str) -> AlgebraFile:
+    """Parse an algebra file's text; one leading byte-order mark is skipped."""
+    text = text.removeprefix("\ufeff")
     name = None
     dim = None
     labels: list[str] = []

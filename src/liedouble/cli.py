@@ -35,7 +35,7 @@ from .glnfactory import (
     gln_change_of_basis,
     gln_labels,
 )
-from .liealg import LieAlgebra
+from .liealg import LieAlgebra, joined_labels
 from .manin import ManinTriple, build_double, check_compatibility
 from .suite import CARTAN_COEFFICIENT_NOTE, CheckResult, run_check, verify_suite
 
@@ -195,23 +195,24 @@ def _cmd_check_jacobi(args, stdout) -> int:
     return _report(f"check-jacobi {args.file}", checks, args, stdout)
 
 
+def _compatibility_check(plus: LieAlgebra, minus: LieAlgebra) -> CheckResult:
+    return run_check(
+        "compatibility", lambda: check_compatibility(plus.tensor, minus.tensor).violations
+    )
+
+
 def _cmd_compat(args, stdout) -> int:
     plus, minus = _load_pair(args)
-    checks = [
-        run_check(
-            "compatibility", lambda: check_compatibility(plus.tensor, minus.tensor).violations
-        )
-    ]
+    checks = [_compatibility_check(plus, minus)]
     return _report(f"compat --plus {args.plus} --minus {args.minus}", checks, args, stdout)
 
 
 def _cmd_double(args, stdout) -> int:
     plus, minus = _load_pair(args)
     command = f"double --plus {args.plus} --minus {args.minus}"
-    report = check_compatibility(plus.tensor, minus.tensor)
-    if not report.ok:
-        checks = [CheckResult("compatibility", "fail", list(report.violations))]
-        return _report(command, checks, args, stdout)
+    check = _compatibility_check(plus, minus)
+    if not check.passed:
+        return _report(command, [check], args, stdout)
     double = build_double(ManinTriple(plus, minus))
     pairing = "hyperbolic: <Z_p, z^q> = delta, both halves isotropic"
     return _emit_algebra(command, double.algebra, "double", args, stdout, pairing=pairing)
@@ -250,15 +251,15 @@ def _cmd_gln(args, stdout) -> int:
 
     # args.emit == "rmatrix"
     r, r_skew = build_rmatrix(triple)
-    double = build_double(triple)
+    double_labels = joined_labels(triple.plus.labels, triple.minus.labels)
     r_skew_hif = r_skew.transport(gln_change_of_basis(n).inverse())
     r_standard, r_twist = split_twist(n, r_skew_hif)
     if args.json:
         payload = {
-            "basis_double": list(double.algebra.labels),
+            "basis_double": list(double_labels),
             "basis_gln": list(labels),
-            "r": _two_tensor_entries(r, double.algebra.labels),
-            "r_skew": _two_tensor_entries(r_skew, double.algebra.labels),
+            "r": _two_tensor_entries(r, double_labels),
+            "r_skew": _two_tensor_entries(r_skew, double_labels),
             "r_skew_gln_basis": _two_tensor_entries(r_skew_hif, labels),
             "r_standard": _two_tensor_entries(r_standard, labels),
             "r_twist": _two_tensor_entries(r_twist, labels),
@@ -266,8 +267,8 @@ def _cmd_gln(args, stdout) -> int:
         }
         _print_json(_emit_payload(command, payload), stdout)
     else:
-        stdout.write(f"r        = {r.format(double.algebra.labels)}\n")
-        stdout.write(f"r_skew   = {r_skew.format(double.algebra.labels)}\n")
+        stdout.write(f"r        = {r.format(double_labels)}\n")
+        stdout.write(f"r_skew   = {r_skew.format(double_labels)}\n")
         stdout.write(f"in H/I/F = {r_skew_hif.format(labels)}\n")
         stdout.write(f"standard = {r_standard.format(labels)}\n")
         stdout.write(f"twist    = {r_twist.format(labels)}\n")

@@ -1,12 +1,14 @@
 """Factory for the self-dual double built on gl(n) + t_n.
 
-Two n(n+1)/2-dimensional solvable algebras, isomorphic to the upper and
-lower triangular matrices of gl(n), are paired index-by-index:
+Two n(n+1)/2-dimensional solvable algebras, the upper and lower triangular
+matrices of gl(n), are paired index-by-index:
 
-    s_plus:  X_i (i = 1..n) and Y_ij (i < j)
-    s_minus: x^i            and y^ij  (i < j)
+    s_plus:  X_i = E_ii (i = 1..n) and Y_ij = E_ij (i < j)
+    s_minus: x^i                   and y^ij         (i < j)
 
-with brackets
+Both halves and gl(n) + t_n take their brackets from one commutator rule
+over matrix units, [E_ij, E_kl] = d_jk E_il - d_li E_kj; a half scales each
+bracket with a Cartan unit by kappa, and s_minus negates every bracket:
 
     [X_i, Y_jk] = kappa (d_ij - d_ik) Y_jk      [Y_ij, Y_kl] = d_jk Y_il - d_il Y_kj
     [x^i, y^jk] = -kappa (d_ij - d_ik) y^jk     [y^ij, y^kl] = -(d_jk y^il - d_il y^kj)
@@ -41,7 +43,6 @@ from .liealg import (
     Vector,
     Violation,
     ViolationReport,
-    add_into,
     trace_form,
 )
 from .manin import ManinTriple, build_double
@@ -146,47 +147,63 @@ def gln_labels(n: int) -> tuple[str, ...]:
     return tuple(labels)
 
 
-def _solvable_brackets(n: int, kappa: Scalar, sign: int):
+def _matrix_units(n: int) -> list[tuple[int, int]]:
+    """(i, j) of each gl(n) basis element E_ij: H_i = E_ii first, then F_ij (i != j)."""
+    units = [(i, i) for i in range(1, n + 1)]
+    units += [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if j != i]
+    return units
+
+
+def _unit_index(n: int, i: int, j: int) -> int:
+    return h_index(n, i) if i == j else f_index(n, i, j)
+
+
+def _commutator_table(index: dict, scale) -> StructureTensor:
+    """Brackets of the matrix units keyed in ``index``, from [E_ij, E_kl] = d_jk E_il - d_li E_kj.
+
+    ``index`` maps each unit (i, j), in basis order, to its basis index and
+    must hold every unit the rule produces; ``scale(i, j, k, l)`` multiplies
+    the bracket of E_ij and E_kl.
+    """
+    units = list(index)
     brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    for i in range(1, n + 1):
-        for (j, k) in pairs:
-            weight = (1 if i == j else 0) - (1 if i == k else 0)
-            if weight:
-                coeff = kappa * Scalar(sign * weight)
-                brackets[(cartan_index(n, i), root_index(n, j, k))] = {
-                    root_index(n, j, k): coeff
-                }
-    for a, (i, j) in enumerate(pairs):
-        for (k, l) in pairs[a + 1 :]:
-            acc: dict[int, Scalar] = {}
+    for a, (i, j) in enumerate(units):
+        for k, l in units[a + 1 :]:
+            if j != k and l != i:
+                continue
+            s = scale(i, j, k, l)
+            terms = {}
             if j == k:
-                add_into(acc, root_index(n, i, l), Scalar(sign))
-            if i == l:
-                add_into(acc, root_index(n, k, j), Scalar(-sign))
-            if acc:
-                brackets[(root_index(n, i, j), root_index(n, k, l))] = acc
-    return brackets
+                terms[index[(i, l)]] = s
+            if l == i:
+                terms[index[(k, j)]] = -s
+            brackets[(index[(i, j)], index[(k, l)])] = terms
+    return StructureTensor(brackets)
+
+
+def _borel_half(n: int, kappa: Scalar, lower: bool) -> LieAlgebra:
+    """Span of E_ii, then E_ij (i < j): each bracket times kappa when a unit is
+    diagonal, and negated in the lower half."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    units = [(i, j) for i, j in _matrix_units(n) if i <= j]
+    sign = MINUS_ONE if lower else ONE
+    cartan = kappa * sign
+    table = _commutator_table(
+        {unit: p for p, unit in enumerate(units)},
+        lambda i, j, k, l: cartan if i == j or k == l else sign,
+    )
+    return LieAlgebra(solvable_labels(n, lower), table)
 
 
 def build_s_plus(n: int, cartan_coefficient: Scalar = HALF_SQRT2) -> LieAlgebra:
     """Upper-triangular-type solvable algebra on X_i, Y_ij (i < j)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return LieAlgebra(
-        solvable_labels(n),
-        StructureTensor(_solvable_brackets(n, cartan_coefficient, +1)),
-    )
+    return _borel_half(n, cartan_coefficient, lower=False)
 
 
 def build_s_minus(n: int, cartan_coefficient: Scalar = HALF_SQRT2) -> LieAlgebra:
     """Lower-triangular-type partner: every structure constant negated."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return LieAlgebra(
-        solvable_labels(n, lower=True),
-        StructureTensor(_solvable_brackets(n, cartan_coefficient, -1)),
-    )
+    return _borel_half(n, cartan_coefficient, lower=True)
 
 
 def build_gln_triple(n: int, cartan_coefficient: Scalar = HALF_SQRT2) -> ManinTriple:
@@ -213,26 +230,9 @@ def gln_change_of_basis(n: int) -> Matrix:
                 m + cartan_index(n, i): _I_HALF_SQRT2,
             }
         )
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            if i < j:
-                columns.append({root_index(n, i, j): ONE})
-            else:
-                columns.append({m + root_index(n, j, i): ONE})
+    for i, j in _matrix_units(n)[n:]:
+        columns.append({root_index(n, i, j): ONE} if i < j else {m + root_index(n, j, i): ONE})
     return Matrix.from_columns(dim, [Vector(col) for col in columns])
-
-
-def _matrix_units(n: int) -> list[tuple[int, int]]:
-    """(i, j) of each gl(n) basis element E_ij: H_i = E_ii first, then F_ij (i != j)."""
-    units = [(i, i) for i in range(1, n + 1)]
-    units += [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if j != i]
-    return units
-
-
-def _unit_index(n: int, i: int, j: int) -> int:
-    return h_index(n, i) if i == j else f_index(n, i, j)
 
 
 def fundamental_representation(n: int) -> list[Matrix]:
@@ -252,18 +252,8 @@ def build_gln_tn(n: int) -> LieAlgebra:
     """gl(n) from [E_ij, E_kl] = d_jk E_il - d_li E_kj, plus n central I_i."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    units = _matrix_units(n)
-    brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for a, (i, j) in enumerate(units):
-        for k, l in units[a + 1 :]:
-            acc: dict[int, Scalar] = {}
-            if j == k:
-                add_into(acc, _unit_index(n, i, l), ONE)
-            if l == i:
-                add_into(acc, _unit_index(n, k, j), MINUS_ONE)
-            if acc:
-                brackets[(_unit_index(n, i, j), _unit_index(n, k, l))] = acc
-    return LieAlgebra(gln_labels(n), StructureTensor(brackets))
+    index = {(i, j): _unit_index(n, i, j) for i, j in _matrix_units(n)}
+    return LieAlgebra(gln_labels(n), _commutator_table(index, lambda i, j, k, l: ONE))
 
 
 def gln_tn_trace_form(n: int) -> BilinearForm:

@@ -77,8 +77,6 @@ def scalar_table() -> ScalarTable:
     """
     canonical: dict[Scalar, Scalar] = {}
     seen: dict[int, tuple[Scalar, int]] = {}  # id(operand) -> (operand, id of its value)
-    products: dict[tuple[int, int], Scalar] = {}
-    sums: dict[tuple[int, int], Scalar] = {}
     inverses: dict[int, Scalar] = {}
 
     def value_id(x) -> int:
@@ -87,25 +85,20 @@ def scalar_table() -> ScalarTable:
             entry = seen[id(x)] = (x, id(canonical.setdefault(x, x)))
         return entry[1]
 
-    def mul(x, y):
-        try:  # both operands seen before: skip the calls
-            key = (seen[id(x)][1], seen[id(y)][1])
-        except KeyError:
-            key = (value_id(x), value_id(y))
-        product = products.get(key)
-        if product is None:
-            product = products[key] = x * y
-        return product
+    def binary(op):
+        results: dict[tuple[int, int], Scalar] = {}
 
-    def add(x, y):
-        try:
-            key = (seen[id(x)][1], seen[id(y)][1])
-        except KeyError:
-            key = (value_id(x), value_id(y))
-        total = sums.get(key)
-        if total is None:
-            total = sums[key] = x + y
-        return total
+        def apply(x, y):
+            try:  # both operands seen before: skip the calls
+                key = (seen[id(x)][1], seen[id(y)][1])
+            except KeyError:
+                key = (value_id(x), value_id(y))
+            result = results.get(key)
+            if result is None:
+                result = results[key] = op(x, y)
+            return result
+
+        return apply
 
     def inverse(x):
         key = value_id(x)
@@ -114,7 +107,7 @@ def scalar_table() -> ScalarTable:
             inv = inverses[key] = x.inverse()
         return inv
 
-    return ScalarTable(mul, add, inverse)
+    return ScalarTable(binary(operator.mul), binary(operator.add), inverse)
 
 
 def format_terms(pairs) -> str:

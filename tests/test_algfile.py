@@ -34,6 +34,14 @@ def test_parse_rank_two_file():
     assert algebra.bracket_basis(1, 2) == Vector({2: -K})
 
 
+def test_one_leading_byte_order_mark_is_skipped():
+    assert parse_algebra_file("\ufeff" + RANK_TWO_PLUS) == parse_algebra_file(RANK_TWO_PLUS)
+    with pytest.raises(AlgebraFileError, match="line 2, column 17: dim exceeds"):
+        parse_algebra_file("\ufeff\nalgebra big dim 9999\n")
+    with pytest.raises(AlgebraFileError, match="line 1, column 1: expected 'algebra"):
+        parse_algebra_file("\ufeff\ufeffalgebra a dim 1\n")
+
+
 def test_empty_bracket_list_is_abelian():
     parsed = parse_algebra_file("algebra t4 dim 4\nbasis T1 T2 T3 T4\n")
     algebra = parsed.to_algebra()

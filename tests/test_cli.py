@@ -1,8 +1,11 @@
 import io
 import json
+import re
+from types import SimpleNamespace
 
 import pytest
 
+import liedouble.cli as cli
 import liedouble.suite as suite
 from liedouble.cli import CARTAN_COEFFICIENT_NOTE, MAX_N, run_command
 
@@ -20,6 +23,10 @@ basis z1 z2 z3
 
 # an extra bracket on the minus side breaks the crossed compatibility
 RANK_TWO_MINUS_BROKEN = RANK_TWO_MINUS + "[z1,z2] = z3\n"
+
+
+def mask_millis(text):
+    return re.sub(r'\((\d+) ms\)|"millis": \d+', "<millis>", text)
 
 
 def run(argv):
@@ -100,6 +107,20 @@ def test_double_rejects_incompatible(algebra_files):
     assert "[FAIL] compatibility" in out
 
 
+def test_double_times_a_failing_compatibility_row_as_compat_does(algebra_files, monkeypatch):
+    plus, _, broken = algebra_files
+    for flag in ([], ["--json"]):
+        outputs = []
+        for command in ("compat", "double"):
+            clock = iter([0.0, 0.25])  # run_check reads the clock twice: 250 ms
+            monkeypatch.setattr(suite, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+            code, out, _ = run([command, "--plus", str(plus), "--minus", str(broken), *flag])
+            outputs.append((code, out.replace(f"{command} --plus", "<command> --plus")))
+        assert outputs[0] == outputs[1]
+        assert outputs[1][0] == 1
+        assert "(250 ms)" in outputs[1][1] or '"millis": 250' in outputs[1][1]
+
+
 def test_gln_emit_delta_json():
     code, out, _ = run(["gln", "--n", "2", "--emit", "delta", "--json"])
     assert code == 0
@@ -125,6 +146,17 @@ def test_gln_emit_rmatrix_flags_cartan_note():
         for entry in payload["r_standard"]
     }
     assert standard[("F21", "F12")] == "1/2"
+
+
+def test_gln_emit_rmatrix_builds_no_double(monkeypatch):
+    code, expected, _ = run(["gln", "--n", "2", "--emit", "rmatrix"])
+    assert code == 0
+
+    def fail(*args, **kwargs):
+        raise AssertionError("rmatrix needs only the double's labels")
+
+    monkeypatch.setattr(cli, "build_double", fail)
+    assert run(["gln", "--n", "2", "--emit", "rmatrix"]) == (0, expected, "")
 
 
 def test_gln_emit_splus_text_roundtrip(tmp_path):
@@ -355,3 +387,25 @@ def test_gln_report_matches_verify():
     names1 = [(c["name"], c["status"]) for c in payload1["checks"]]
     names2 = [(c["name"], c["status"]) for c in payload2["checks"]]
     assert names1 == names2
+
+
+def test_a_leading_byte_order_mark_changes_no_output(algebra_files, tmp_path, monkeypatch):
+    plus, minus, broken = algebra_files
+    too_big = tmp_path / "too_big.alg"
+    too_big.write_text("algebra big dim 9999\n", encoding="utf-8")
+    with_bom = tmp_path / "bom"
+    with_bom.mkdir()
+    for path in (plus, minus, broken, too_big):
+        (with_bom / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    pairs = [["--plus", "splus.alg", "--minus", m] for m in ("sminus.alg", "sminus_broken.alg")]
+    runs = [["check-jacobi", name] for name in ("splus.alg", "sminus_broken.alg", "too_big.alg")]
+    runs += [[command, *pair] for command in ("compat", "double") for pair in pairs]
+    for argv in runs:
+        for flag in ([], ["--json"]):
+            outputs = []
+            for directory in (tmp_path, with_bom):
+                monkeypatch.chdir(directory)
+                code, out, err = run(argv + flag)
+                outputs.append((code, mask_millis(out), err))
+            assert outputs[0] == outputs[1], argv + flag
+    assert outputs[0][0] == 1  # the last run is an incompatible double

@@ -275,6 +275,40 @@ def test_build_gln_tn_matches_matrix_commutators():
         assert structure_equal(build_gln_tn(n), commutator_gln_tn(n)), n
 
 
+def commutator_half(n: int, kappa: Scalar, lower: bool) -> LieAlgebra:
+    """Generic-path oracle for a Borel half: A*B - B*A over kappa*E_ii and
+    E_ij (i < j), read back entry by entry, every bracket negated when lower."""
+    units = {cartan_index(n, i): (i, i, kappa) for i in range(1, n + 1)}
+    units.update(
+        {root_index(n, i, j): (i, j, ONE) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+    )
+    basis = {
+        p: Matrix([[v if (r, s) == (i, j) else ZERO for s in range(1, n + 1)]
+                   for r in range(1, n + 1)])
+        for p, (i, j, v) in units.items()
+    }
+    sign = MINUS_ONE if lower else ONE
+    read_back = {(i - 1, j - 1): (p, sign * v.inverse()) for p, (i, j, v) in units.items()}
+    brackets = {}
+    for a in range(len(basis)):
+        for b in range(a + 1, len(basis)):
+            left, right = basis[a] * basis[b], basis[b] * basis[a]
+            terms = brackets[(a, b)] = {}
+            for r in range(n):
+                for s in range(n):
+                    if left.entry(r, s) != right.entry(r, s):
+                        p, factor = read_back[(r, s)]
+                        terms[p] = factor * (left.entry(r, s) - right.entry(r, s))
+    return LieAlgebra(solvable_labels(n, lower), dict_to_tensor(brackets))
+
+
+@pytest.mark.parametrize("kappa", [HALF_SQRT2, Scalar(2, 1)])
+def test_borel_halves_match_matrix_commutators(kappa):
+    for n in range(1, 7):
+        assert structure_equal(build_s_plus(n, kappa), commutator_half(n, kappa, False)), n
+        assert structure_equal(build_s_minus(n, kappa), commutator_half(n, kappa, True)), n
+
+
 def test_build_gln_tn_rank_two_table():
     algebra = build_gln_tn(2)
     h1, h2 = h_index(2, 1), h_index(2, 2)
