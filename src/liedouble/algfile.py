@@ -13,14 +13,17 @@ zero bracket.  Antisymmetry is implied: declaring both ``[A,B]`` and
 immediately (brackets and terms sorted by basis index, scalars in canonical
 text form), so a parsed file round-trips byte-for-byte through the printer.
 
-Input is bounded: ``k`` is at most :data:`MAX_DIM`, and an integer literal
+Input is bounded: ``k`` is at most :data:`MAX_DIM`, an integer literal
 and every numerator and denominator of a coefficient's value have at most
-:data:`liedouble.scalars.MAX_LITERAL_DIGITS` digits.  Larger input raises
-:class:`AlgebraFileError`, which the CLI reports with exit 2.
+:data:`liedouble.scalars.MAX_LITERAL_DIGITS` digits, and a coefficient's
+parentheses nest at most :data:`liedouble.scalars.MAX_NESTING_DEPTH` deep.
+Larger input raises :class:`AlgebraFileError`, which the CLI reports with
+exit 2.
 """
 
 from __future__ import annotations
 
+import codecs
 import re
 from dataclasses import dataclass
 
@@ -157,9 +160,25 @@ def _parse_term(term: str, line: int, column: int):
 _BRACKET_RE = re.compile(r"\[\s*([^\s,\]]+)\s*,\s*([^\s,\]]+)\s*\]\s*=\s*(.*)\Z")
 
 
-def parse_algebra_file(text: str) -> AlgebraFile:
-    """Parse an algebra file's text; one leading byte-order mark is skipped."""
-    text = text.removeprefix("\ufeff")
+def _utf8_text(data: bytes) -> str:
+    """``data`` decoded; a byte that is not UTF-8 is an error at its line and column."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        head = data[: err.start].decode("utf-8").split("\n")
+        raise AlgebraFileError(f"not UTF-8: {err.reason}", len(head), len(head[-1]) + 1) from None
+
+
+def parse_algebra_file(source: str | bytes) -> AlgebraFile:
+    """Parse an algebra file from its text or its UTF-8 bytes.
+
+    One leading byte-order mark is skipped, before decoding when the source
+    is bytes, so no position in an error counts it.
+    """
+    if isinstance(source, bytes):
+        text = _utf8_text(source.removeprefix(codecs.BOM_UTF8))
+    else:
+        text = source.removeprefix("\ufeff")
     name = None
     dim = None
     labels: list[str] = []

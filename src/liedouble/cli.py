@@ -155,20 +155,12 @@ def _report(command: str, checks: list[CheckResult], args, stdout) -> int:
     return 0 if all(check.passed for check in checks) else 1
 
 
-def _utf8_text(data: bytes) -> str:
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as err:
-        head = data[: err.start].decode("utf-8").split("\n")
-        raise AlgebraFileError(f"not UTF-8: {err.reason}", len(head), len(head[-1]) + 1) from None
-
-
 def _load_algebra(path: str) -> LieAlgebra:
     """Parse one algebra file; an AlgebraFileError from it names the file."""
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        return parse_algebra_file(_utf8_text(data)).to_algebra()
+        return parse_algebra_file(data).to_algebra()
     except AlgebraFileError as err:
         err.args = (f"{path}: {err}",)
         raise

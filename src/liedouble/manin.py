@@ -14,6 +14,7 @@ makes the pairing matrix the fixed block form [[0, Id], [Id, 0]].
 
 from __future__ import annotations
 
+import operator
 from dataclasses import InitVar, dataclass, field
 
 from .liealg import (
@@ -58,6 +59,100 @@ def _tensor_triples(tensor: StructureTensor):
     return [(p, q, r, v) for (p, q), coeffs in tensor.oriented() for r, v in coeffs.items()]
 
 
+# The units e_0..e_3 of a Scalar's components: 1, sqrt2, i and i*sqrt2.
+# _UNIT_PRODUCTS[u][v] = (s, w) with e_u * e_v = s * e_w.
+_UNIT_PRODUCTS = (
+    ((1, 0), (1, 1), (1, 2), (1, 3)),
+    ((1, 1), (2, 0), (1, 3), (2, 2)),
+    ((1, 2), (1, 3), (-1, 0), (-1, 1)),
+    ((1, 3), (2, 2), (-1, 1), (-2, 0)),
+)
+
+
+def _compatibility_products(c_triples, f_triples, negate):
+    """Every product of the crossed-Jacobi sum as (key, c value, f value).
+
+    Terms 2-5 subtract, so their c value is ``negate``d once per c triple
+    rather than once per product.  Each key is the (p, q, s, t) residual
+    the product adds to.
+    """
+    f_by_output: dict[int, list] = {}
+    f_by_first: dict[int, list] = {}
+    f_by_second: dict[int, list] = {}
+    for p, q, r, v in f_triples:
+        f_by_output.setdefault(r, []).append((p, q, v))
+        f_by_first.setdefault(p, []).append((q, r, v))
+        f_by_second.setdefault(q, []).append((p, r, v))
+
+    for cp, cq, cr, cv in c_triples:
+        neg = negate(cv)
+        # term 1: + c^{p,q}_r f^r_{s,t}
+        for s, t, fv in f_by_output.get(cr, ()):
+            yield (cp, cq, s, t), cv, fv
+        # term 2: - c^{p,r}_s f^q_{r,t}  (join r = c upper second = f lower first)
+        for t, q, fv in f_by_first.get(cq, ()):
+            yield (cp, q, cr, t), neg, fv
+        # term 3: - c^{r,q}_s f^p_{r,t}  (join r = c upper first = f lower first)
+        for t, p, fv in f_by_first.get(cp, ()):
+            yield (p, cq, cr, t), neg, fv
+        # term 4: - c^{p,r}_t f^q_{s,r}  (join r = c upper second = f lower second)
+        for s, q, fv in f_by_second.get(cq, ()):
+            yield (cp, q, s, cr), neg, fv
+        # term 5: - c^{r,q}_t f^p_{s,r}  (join r = c upper first = f lower second)
+        for s, p, fv in f_by_second.get(cp, ()):
+            yield (p, cq, s, cr), neg, fv
+
+
+def _monomial(value: Scalar):
+    """(u, x) with value = x * e_u, or None unless exactly one component is nonzero."""
+    parts = [(u, x) for u, x in enumerate((value.a, value.b, value.c, value.d)) if x]
+    return parts[0] if len(parts) == 1 else None
+
+
+def _monomial_triples(triples):
+    """The triples with each value as (u, x), or None if some value is not a monomial."""
+    out = []
+    for p, q, r, v in triples:
+        unit = _monomial(v)
+        if unit is None:
+            return None
+        out.append((p, q, r, unit))
+    return out
+
+
+def _negate_monomial(value):
+    u, x = value
+    return u, -x
+
+
+def _monomial_residuals(c_units, f_units) -> dict:
+    """The nonzero residuals from (u, x) values: one Fraction product per term.
+
+    Products are summed per (key, unit) as Fractions; a key becomes a
+    Scalar only once its sums are final.
+    """
+    sums: dict = {}
+    for key, (u, x), (v, y) in _compatibility_products(c_units, f_units, _negate_monomial):
+        s, w = _UNIT_PRODUCTS[u][v]
+        slot = (key, w)
+        term = x * y if s == 1 else s * x * y
+        total = sums.get(slot)
+        sums[slot] = term if total is None else total + term
+    components: dict = {}
+    for (key, w), total in sums.items():
+        if total:
+            components.setdefault(key, [0, 0, 0, 0])[w] = total
+    return {key: Scalar(*parts) for key, parts in components.items()}
+
+
+def _scalar_residuals(c_triples, f_triples) -> dict:
+    """The nonzero residuals from general Scalar values."""
+    residual: dict[tuple[int, int, int, int], Scalar] = {}
+    for key, cv, fv in _compatibility_products(c_triples, f_triples, operator.neg):
+        add_into(residual, key, cv * fv)
+    return residual
+
+
 def check_compatibility(f: StructureTensor, c: StructureTensor) -> ViolationReport:
     """Crossed Jacobi identities between a bracket tensor pair.
 
@@ -69,36 +164,19 @@ def check_compatibility(f: StructureTensor, c: StructureTensor) -> ViolationRepo
     must vanish; nonzero residuals are reported sorted lexicographically.
     Both tensors index the same m-dimensional space: f maps bracket pair
     (p, q) to outputs r with value f^r_{p,q}, c maps (p, q) to c^{p,q}_r.
+
+    When every coefficient of both tensors is a rational multiple of one
+    unit (the gl(n) halves are), each product is one Fraction product
+    times a fixed unit product; otherwise the products are Scalar ones.
     """
     c_triples = _tensor_triples(c)
     f_triples = _tensor_triples(f)
-    f_by_output: dict[int, list] = {}
-    f_by_first: dict[int, list] = {}
-    f_by_second: dict[int, list] = {}
-    for p, q, r, v in f_triples:
-        f_by_output.setdefault(r, []).append((p, q, v))
-        f_by_first.setdefault(p, []).append((q, r, v))
-        f_by_second.setdefault(q, []).append((p, r, v))
-
-    residual: dict[tuple[int, int, int, int], Scalar] = {}
-
-    for cp, cq, cr, cv in c_triples:
-        neg = -cv  # terms 2-5 subtract; negate the c entry once, not each product
-        # term 1: + c^{p,q}_r f^r_{s,t}
-        for s, t, fv in f_by_output.get(cr, ()):
-            add_into(residual, (cp, cq, s, t), cv * fv)
-        # term 2: - c^{p,r}_s f^q_{r,t}  (join r = c upper second = f lower first)
-        for t, q, fv in f_by_first.get(cq, ()):
-            add_into(residual, (cp, q, cr, t), neg * fv)
-        # term 3: - c^{r,q}_s f^p_{r,t}  (join r = c upper first = f lower first)
-        for t, p, fv in f_by_first.get(cp, ()):
-            add_into(residual, (p, cq, cr, t), neg * fv)
-        # term 4: - c^{p,r}_t f^q_{s,r}  (join r = c upper second = f lower second)
-        for s, q, fv in f_by_second.get(cq, ()):
-            add_into(residual, (cp, q, s, cr), neg * fv)
-        # term 5: - c^{r,q}_t f^p_{s,r}  (join r = c upper first = f lower second)
-        for s, p, fv in f_by_second.get(cp, ()):
-            add_into(residual, (p, cq, s, cr), neg * fv)
+    c_units = _monomial_triples(c_triples)
+    f_units = _monomial_triples(f_triples) if c_units is not None else None
+    if f_units is not None:
+        residual = _monomial_residuals(c_units, f_units)
+    else:
+        residual = _scalar_residuals(c_triples, f_triples)
 
     report = ViolationReport("compatibility")
     for key in sorted(residual):

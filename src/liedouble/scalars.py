@@ -23,6 +23,7 @@ from fractions import Fraction
 
 __all__ = [
     "MAX_LITERAL_DIGITS",
+    "MAX_NESTING_DEPTH",
     "Scalar",
     "ScalarParseError",
     "scalar_parse",
@@ -46,10 +47,10 @@ class Scalar:
     __slots__ = ("_a", "_b", "_c", "_d")
 
     def __init__(self, a=0, b=0, c=0, d=0):
-        self._a = a if isinstance(a, Fraction) else Fraction(a)
-        self._b = b if isinstance(b, Fraction) else Fraction(b)
-        self._c = c if isinstance(c, Fraction) else Fraction(c)
-        self._d = d if isinstance(d, Fraction) else Fraction(d)
+        self._a = _component(a)
+        self._b = _component(b)
+        self._c = _component(c)
+        self._d = _component(d)
 
     @property
     def a(self) -> Fraction:
@@ -247,6 +248,15 @@ class Scalar:
         return out
 
 
+def _component(value) -> Fraction:
+    """``value`` as a Fraction; only an int (a bool too) or a Fraction is exact."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(f"a Scalar component must be an int or a Fraction, not {type(value).__name__}")
+
+
 def _scalar(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Scalar:
     """The Scalar with these components, which must already be Fractions."""
     value = object.__new__(Scalar)
@@ -282,6 +292,11 @@ class ScalarParseError(ValueError):
 # are capped well below half of that: any product of two values still prints.
 MAX_LITERAL_DIGITS = 1000
 _VALUE_LIMIT = 10**MAX_LITERAL_DIGITS
+
+# Most parentheses open at once in one scalar expression.  The parser
+# recurses once per open parenthesis, so the bound keeps deep nesting an
+# error with a position instead of a RecursionError.
+MAX_NESTING_DEPTH = 100
 
 # Longest token or coefficient text quoted in full in a parse error; the
 # algebra file parser quotes with the same limit.
@@ -338,6 +353,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.index = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.index]
@@ -413,7 +429,13 @@ class _Parser:
         if kind == "atom":
             return SQRT2 if text == "sqrt2" else I_UNIT
         if kind == "op" and text == "(":
+            if self.depth == MAX_NESTING_DEPTH:
+                raise ScalarParseError(
+                    f"parentheses nest deeper than the limit of {MAX_NESTING_DEPTH}", pos
+                )
+            self.depth += 1
             value = self.expr()
+            self.depth -= 1
             kind, text, pos = self.advance()
             if not (kind == "op" and text == ")"):
                 raise ScalarParseError("expected ')'", pos)

@@ -190,3 +190,15 @@ def test_roundtrip_of_gln_tn_at_n_11():
     assert parsed.labels == algebra.labels
     assert parsed.to_algebra().tensor == algebra.tensor
     assert parsed.to_text() == text
+
+
+def test_bytes_parse_like_text_and_skip_one_byte_order_mark():
+    data = RANK_TWO_PLUS.encode("utf-8")
+    assert parse_algebra_file(data) == parse_algebra_file(RANK_TWO_PLUS)
+    assert parse_algebra_file(b"\xef\xbb\xbf" + data) == parse_algebra_file(RANK_TWO_PLUS)
+    with pytest.raises(AlgebraFileError, match="line 1, column 1"):
+        parse_algebra_file(b"\xef\xbb\xbf\xef\xbb\xbfalgebra a dim 1\n")
+    for bad in (b"\nalgebra a dim 2 # \xe9\n", b"\xef\xbb\xbf\nalgebra a dim 2 # \xe9\n"):
+        with pytest.raises(AlgebraFileError) as info:
+            parse_algebra_file(bad)
+        assert (info.value.line, info.value.column) == (2, 19)

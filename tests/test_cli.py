@@ -409,3 +409,14 @@ def test_a_leading_byte_order_mark_changes_no_output(algebra_files, tmp_path, mo
                 outputs.append((code, mask_millis(out), err))
             assert outputs[0] == outputs[1], argv + flag
     assert outputs[0][0] == 1  # the last run is an incompatible double
+
+
+def test_a_byte_order_mark_does_not_move_the_not_utf8_column(tmp_path):
+    plain = tmp_path / "plain.alg"
+    plain.write_bytes(b"algebra a dim 2 # \xe9\n")
+    marked = tmp_path / "marked.alg"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for path in (plain, marked):
+        assert run(["check-jacobi", str(path)]) == (
+            2, "", f"error: {path}: line 1, column 19: not UTF-8: invalid continuation byte\n"
+        )

@@ -19,7 +19,7 @@ from liedouble import (
 )
 from liedouble.algfile import MAX_DIM
 from liedouble.cli import MAX_N, run_command
-from liedouble.scalars import MAX_LITERAL_DIGITS, scalar_parse
+from liedouble.scalars import MAX_LITERAL_DIGITS, MAX_NESTING_DEPTH, rational, scalar_parse
 
 
 def run(argv):
@@ -137,3 +137,29 @@ def test_unexpected_token_error_quotes_a_short_prefix(tmp_path):
     prefix = f"error: {path}: "
     assert err.startswith(prefix)
     assert len(err) - len(prefix) < 200
+
+
+def test_nesting_limit_admits_its_bound_and_rejects_the_next_parenthesis():
+    assert scalar_parse("(" * MAX_NESTING_DEPTH + "3/4" + ")" * MAX_NESTING_DEPTH) == rational(3, 4)
+    too_deep = "(" * (MAX_NESTING_DEPTH + 1) + "1" + ")" * (MAX_NESTING_DEPTH + 1)
+    with pytest.raises(ScalarParseError) as info:
+        scalar_parse("2*" + too_deep)
+    # the error sits at the first '(' past the bound
+    assert info.value.position == len("2*") + MAX_NESTING_DEPTH
+    assert f"limit of {MAX_NESTING_DEPTH}" in str(info.value)
+
+
+def test_deeply_nested_coefficient_in_a_file_exits_2(tmp_path):
+    path = tmp_path / "deep.alg"
+    path.write_text(
+        "algebra a dim 2\nbasis A B\n[A,B] = " + "(" * 3000 + "1" + ")" * 3000 + "*B\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(["check-jacobi", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: line 3, column ")
+    assert err.endswith(
+        f": bad coefficient '{'(' * 37}...': parentheses nest deeper than the limit "
+        f"of {MAX_NESTING_DEPTH} (at position {MAX_NESTING_DEPTH})\n"
+    )
+    assert err.count("\n") == 1

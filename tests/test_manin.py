@@ -6,6 +6,7 @@ import pytest
 
 from liedouble import (
     HALF_SQRT2,
+    I_UNIT,
     ONE,
     SQRT2,
     ZERO,
@@ -23,7 +24,9 @@ from liedouble import (
     check_ad_invariance,
     check_compatibility,
     check_isotropic_pairing,
+    scalar_parse,
 )
+from liedouble import manin
 from liedouble.manin import DoubleAlgebra
 
 K = HALF_SQRT2
@@ -396,3 +399,183 @@ def test_compatibility_matches_brute_force_on_mixed_coefficients(pair3):
     # the sample must hold both verdicts and both kinds of coefficient
     assert seen[True] >= 6 and seen[False] > 0
     assert rational > 0 and full > 0
+
+
+# The monomial path of check_compatibility against the Scalar path.  Every
+# coefficient of a monomial pair is x * e_u, x rational and e_u one of the
+# units 1, sqrt2, i, i*sqrt2.
+
+UNITS = (ONE, SQRT2, I_UNIT, Scalar(0, 0, 0, 1))
+
+
+def _scalar_path(f, c):
+    """The residuals as (key, text) pairs, from Scalar products only."""
+    residual = manin._scalar_residuals(manin._tensor_triples(c), manin._tensor_triples(f))
+    return [(key, str(residual[key])) for key in sorted(residual)]
+
+
+def _reported(report):
+    return [(v.indices, v.residual) for v in report.violations]
+
+
+def _is_monomial(algebra):
+    return manin._monomial_triples(manin._tensor_triples(algebra.tensor)) is not None
+
+
+def _monomial_value(rng):
+    """A monomial with a mixed numerator and denominator and a random unit."""
+    x = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 2, 3, 4, 7]))
+    return x * UNITS[rng.randrange(4)]
+
+
+def _random_monomial_algebra(rng, dim):
+    brackets = {}
+    for p, q in itertools.combinations(range(dim), 2):
+        if rng.random() < 0.4:
+            outputs = rng.sample(range(dim), rng.randint(1, 2))
+            brackets[(p, q)] = {r: _monomial_value(rng) for r in outputs}
+    return LieAlgebra.from_brackets(tuple(f"e{k}" for k in range(dim)), brackets)
+
+
+def _relabeled(algebra, perm):
+    brackets = {}
+    for (p, q), vec in algebra.tensor.stored():
+        brackets[(perm[p], perm[q])] = {perm[r]: v for r, v in vec.items()}
+    return LieAlgebra.from_brackets(algebra.labels, brackets)
+
+
+def _unit_probe(u, v):
+    """A dimension-3 pair whose only product is e_u * e_v, at key (0, 1, 0, 1)."""
+    labels = ("a", "b", "c")
+    plus = LieAlgebra.from_brackets(labels, {(0, 1): {2: UNITS[v]}})
+    minus = LieAlgebra.from_brackets(labels, {(0, 1): {2: UNITS[u]}})
+    return plus, minus
+
+
+def _monomial_pairs():
+    """Seeded monomial pairs: unit probes, scaled and relabeled gl(n) halves
+    (compatible) and random tensors (incompatible)."""
+    rng = random.Random(4242)
+    pairs = [_unit_probe(u, v) for u in range(4) for v in range(4)]
+    for n in (2, 3):
+        plus, minus = build_s_plus(n), build_s_minus(n)
+        for _ in range(3):
+            # scaling the halves by alpha and beta scales every residual by alpha*beta
+            alpha, beta = _monomial_value(rng), _monomial_value(rng)
+            perm = list(range(plus.dim))
+            rng.shuffle(perm)
+            pairs.append(
+                (_relabeled(_scaled(plus, alpha), perm), _relabeled(_scaled(minus, beta), perm))
+            )
+    for dim in (3, 4, 4, 5):
+        pairs.append((_random_monomial_algebra(rng, dim), _random_monomial_algebra(rng, dim)))
+    return pairs
+
+
+def _paths_disagree(pairs):
+    """The pairs whose report differs from the Scalar path's residuals."""
+    return [
+        (plus, minus)
+        for plus, minus in pairs
+        if _reported(check_compatibility(plus.tensor, minus.tensor))
+        != _scalar_path(plus.tensor, minus.tensor)
+    ]
+
+
+def test_unit_table_matches_scalar_products():
+    for u, v in itertools.product(range(4), repeat=2):
+        s, w = manin._UNIT_PRODUCTS[u][v]
+        assert UNITS[u] * UNITS[v] == s * UNITS[w], (u, v)
+
+
+def test_monomial_path_matches_scalar_path_and_brute_force():
+    pairs = _monomial_pairs()
+    assert _paths_disagree(pairs) == []
+    verdicts = {True: 0, False: 0}
+    units = set()
+    denominators = set()
+    for plus, minus in pairs:
+        assert _is_monomial(plus) and _is_monomial(minus)
+        report = check_compatibility(plus.tensor, minus.tensor)
+        brute = brute_force_compatibility(plus.tensor, minus.tensor, plus.dim)
+        assert _reported(report) == [(key, str(brute[key])) for key in sorted(brute)]
+        verdicts[report.ok] += 1
+        for algebra in (plus, minus):
+            for _, vec in algebra.tensor.stored():
+                for value in vec.values():
+                    (u, x), = [(u, x) for u, x in enumerate((value.a, value.b, value.c, value.d)) if x]
+                    units.add(u)
+                    denominators.add(x.denominator)
+    assert verdicts[True] >= 6 and verdicts[False] >= 16
+    assert units == {0, 1, 2, 3} and len(denominators) > 3
+
+
+def test_a_two_component_coefficient_takes_the_scalar_path(monkeypatch):
+    calls = []
+    scalar_residuals = manin._scalar_residuals
+
+    def spy(c_triples, f_triples):
+        calls.append(len(c_triples))
+        return scalar_residuals(c_triples, f_triples)
+
+    monkeypatch.setattr(manin, "_scalar_residuals", spy)
+    rng = random.Random(77)
+    plus, minus = _random_monomial_algebra(rng, 4), _random_monomial_algebra(rng, 4)
+    check_compatibility(plus.tensor, minus.tensor)
+    assert calls == []
+    two_component = 1 + SQRT2 / 3
+    for mixed_plus in (True, False):
+        side = plus if mixed_plus else minus
+        brackets = {key: dict(vec) for key, vec in side.tensor.stored()}
+        (key, vec), *_ = brackets.items()
+        vec[next(iter(vec))] = two_component
+        mixed = LieAlgebra.from_brackets(side.labels, brackets)
+        f, c = (mixed, minus) if mixed_plus else (plus, mixed)
+        report = check_compatibility(f.tensor, c.tensor)
+        assert calls.pop() == 2 * sum(len(v) for _, v in c.tensor.stored())
+        brute = brute_force_compatibility(f.tensor, c.tensor, f.dim)
+        assert _reported(report) == [(k, str(brute[k])) for k in sorted(brute)]
+
+
+def test_gln_halves_agree_with_the_scalar_path_at_each_cartan_coefficient():
+    for kappa in (HALF_SQRT2, ONE, 2 + SQRT2):
+        for n in (2, 3, 4):
+            plus, minus = build_s_plus(n, kappa), build_s_minus(n, kappa)
+            assert _paths_disagree([(plus, minus)]) == []
+            assert _is_monomial(plus) == (kappa != 2 + SQRT2)
+    # only the orthonormal coefficient makes the halves compatible from n = 3
+    assert check_compatibility(build_s_plus(3).tensor, build_s_minus(3).tensor).ok
+    assert not check_compatibility(build_s_plus(3, ONE).tensor, build_s_minus(3, ONE).tensor).ok
+
+
+def test_a_unit_table_with_one_sign_flipped_is_detected(monkeypatch):
+    pairs = _monomial_pairs()
+    table = manin._UNIT_PRODUCTS
+    for u, v in itertools.product(range(4), repeat=2):
+        rows = [list(row) for row in table]
+        s, w = rows[u][v]
+        rows[u][v] = (-s, w)
+        monkeypatch.setattr(manin, "_UNIT_PRODUCTS", tuple(tuple(row) for row in rows))
+        assert _paths_disagree(pairs), (u, v)
+    monkeypatch.setattr(manin, "_UNIT_PRODUCTS", table)
+    assert _paths_disagree(pairs) == []
+
+
+def test_compatibility_residuals_come_in_antisymmetric_orbits(pair3):
+    # (p,q,s,t) -> R comes with (q,p,s,t) and (p,q,t,s) -> -R and (q,p,t,s) -> R
+    rng = random.Random(9090)
+    pairs = [p for p in _monomial_pairs() if not check_compatibility(p[0].tensor, p[1].tensor).ok]
+    scalar_pairs = 0
+    for trial in range(6):
+        plus, minus = _contragredient_rebase(rng, *pair3)
+        pairs.append((plus, _perturbed(rng, minus)))
+    for plus, minus in pairs:
+        report = check_compatibility(plus.tensor, minus.tensor)
+        assert not report.ok
+        scalar_pairs += not (_is_monomial(plus) and _is_monomial(minus))
+        residual = {v.indices: scalar_parse(v.residual) for v in report.violations}
+        for (p, q, s, t), value in residual.items():
+            assert residual.get((q, p, s, t)) == -value
+            assert residual.get((p, q, t, s)) == -value
+            assert residual.get((q, p, t, s)) == value
+    assert scalar_pairs >= 4 and len(pairs) - scalar_pairs >= 4

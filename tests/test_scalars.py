@@ -119,3 +119,14 @@ def test_division_operators():
     assert (2 / Scalar(2)) == ONE
     with pytest.raises(ZeroDivisionError):
         ONE / ZERO
+
+
+def test_constructor_takes_only_exact_components():
+    from decimal import Decimal
+
+    assert Scalar(True, 2, Fraction(1, 3)) == Scalar(1, 2, Fraction(1, 3), 0)
+    for inexact in (0.1, "1/2", Decimal("0.1"), 1j):
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            Scalar(inexact)
+        with pytest.raises(TypeError):
+            Scalar(0, 0, 0, inexact)
