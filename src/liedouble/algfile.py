@@ -6,12 +6,16 @@ Format (``#`` starts a comment, blank lines are ignored)::
     basis <l1> <l2> ... <lk>
     [A,B] = <scalar>*C + <scalar>*D ...
 
-Bracket right-hand sides use the scalar grammar of :mod:`liedouble.scalars`;
-a bare label means coefficient 1 and a literal ``0`` declares an explicitly
-zero bracket.  Antisymmetry is implied: declaring both ``[A,B]`` and
-``[B,A]`` is an error, as is redeclaring a pair.  Parsing canonicalizes
-immediately (brackets and terms sorted by basis index, scalars in canonical
-text form), so a parsed file round-trips byte-for-byte through the printer.
+A bracket right-hand side is a sum of summands ``[signs] label`` or
+``[signs] coefficient*label``, where a coefficient is a product or quotient
+in the scalar grammar of :mod:`liedouble.scalars` (sums inside it need
+parentheses); the ``rhs`` rule of ``scalars._Parser`` parses it in one pass
+over the scalar tokens.  A literal ``0`` declares an explicitly zero bracket.
+Antisymmetry is implied: declaring both ``[A,B]`` and ``[B,A]`` is an error,
+as is redeclaring a pair.  Parsing canonicalizes immediately (brackets and
+terms sorted by basis index, scalars in canonical text form), so a parsed
+file round-trips byte-for-byte through the printer.  An error's column
+points at the offending token.
 
 Input is bounded: ``k`` is at most :data:`MAX_DIM`, an integer literal
 and every numerator and denominator of a coefficient's value have at most
@@ -28,7 +32,7 @@ import re
 from dataclasses import dataclass
 
 from .liealg import LieAlgebra, StructureTensor, add_into, format_terms
-from .scalars import Scalar, ScalarParseError, _quoted, scalar_parse
+from .scalars import _KEYWORDS, _WORD_RE, Scalar, ScalarParseError, _Parser
 
 __all__ = [
     "MAX_DIM",
@@ -45,9 +49,6 @@ __all__ = [
 # before any label is read; a check-jacobi over it already visits
 # dim^3 / 6 triples.
 MAX_DIM = 156
-
-_LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_RESERVED = {"sqrt2", "i"}
 
 
 class AlgebraFileError(ValueError):
@@ -88,73 +89,13 @@ class AlgebraFile:
         return format_algebra_file(self)
 
 
-def _validate_label(label: str, line: int, column: int) -> str:
-    if not _LABEL_RE.match(label):
+def _validate_label(label: str, line: int, column: int) -> None:
+    if not _WORD_RE.fullmatch(label):
         raise AlgebraFileError(f"invalid label {label!r}", line, column)
-    if label in _RESERVED:
+    if label in _KEYWORDS:
         raise AlgebraFileError(
             f"label {label!r} collides with a scalar keyword", line, column
         )
-    return label
-
-
-def _split_terms(text: str, line: int, offset: int):
-    """Split a bracket right-hand side at top-level + and - signs."""
-    terms = []
-    depth = 0
-    current_start = 0
-    previous = ""
-    for pos, char in enumerate(text):
-        if char == "(":
-            depth += 1
-        elif char == ")":
-            depth -= 1
-            if depth < 0:
-                raise AlgebraFileError("unbalanced ')'", line, offset + pos + 1)
-        elif char in "+-" and depth == 0 and previous not in ("", "*", "/", "+", "-", "("):
-            terms.append((text[current_start:pos], current_start))
-            current_start = pos
-        if not char.isspace():
-            previous = char
-    if depth:
-        raise AlgebraFileError("unbalanced '('", line, offset + len(text))
-    terms.append((text[current_start:], current_start))
-    return terms
-
-
-def _parse_term(term: str, line: int, column: int):
-    """One summand: [sign] [scalar *] label, or a bare signed label."""
-    stripped = term.strip()
-    if not stripped:
-        raise AlgebraFileError("empty term", line, column)
-    # locate the last '*' at parenthesis depth 0; everything after is the label
-    depth = 0
-    split_at = None
-    for pos, char in enumerate(stripped):
-        if char == "(":
-            depth += 1
-        elif char == ")":
-            depth -= 1
-        elif char == "*" and depth == 0:
-            split_at = pos
-    if split_at is None:
-        sign = 1
-        body = stripped
-        while body[:1] in ("+", "-"):
-            if body[0] == "-":
-                sign = -sign
-            body = body[1:].strip()
-        label = _validate_label(body, line, column)
-        return label, Scalar(sign)
-    scalar_text = stripped[:split_at]
-    label = stripped[split_at + 1 :].strip()
-    _validate_label(label, line, column + split_at + 1)
-    try:
-        value = scalar_parse(scalar_text)
-    except ScalarParseError as err:
-        quoted = _quoted(scalar_text.strip())
-        raise AlgebraFileError(f"bad coefficient {quoted}: {err}", line, column) from err
-    return label, value
 
 
 _BRACKET_RE = re.compile(r"\[\s*([^\s,\]]+)\s*,\s*([^\s,\]]+)\s*\]\s*=\s*(.*)\Z")
@@ -190,6 +131,8 @@ def parse_algebra_file(source: str | bytes) -> AlgebraFile:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        # the column of line[k] is indent + k + 1
+        indent = len(raw) - len(raw.lstrip())
         if name is None:
             match = re.match(r"algebra\s+(\S+)\s+dim\s+(\d+)\Z", line)
             if not match:
@@ -201,9 +144,7 @@ def parse_algebra_file(source: str | bytes) -> AlgebraFile:
             digits = match.group(2).lstrip("0") or "0"
             if len(digits) > len(str(MAX_DIM)) or int(digits) > MAX_DIM:
                 raise AlgebraFileError(
-                    f"dim exceeds the limit of {MAX_DIM}",
-                    line_no,
-                    len(raw) - len(raw.lstrip()) + match.start(2) + 1,
+                    f"dim exceeds the limit of {MAX_DIM}", line_no, indent + match.start(2) + 1
                 )
             dim = int(digits)
             continue
@@ -211,10 +152,11 @@ def parse_algebra_file(source: str | bytes) -> AlgebraFile:
             if seen_basis:
                 raise AlgebraFileError("duplicate basis line", line_no)
             seen_basis = True
-            for label in line[len("basis") :].split():
-                _validate_label(label, line_no, 1)
+            for word in list(re.finditer(r"\S+", line))[1:]:
+                label, column = word[0], indent + word.start() + 1
+                _validate_label(label, line_no, column)
                 if label in labels:
-                    raise AlgebraFileError(f"duplicate basis label {label!r}", line_no)
+                    raise AlgebraFileError(f"duplicate basis label {label!r}", line_no, column)
                 labels.append(label)
             if len(labels) != dim:
                 raise AlgebraFileError(
@@ -227,17 +169,16 @@ def parse_algebra_file(source: str | bytes) -> AlgebraFile:
         if not seen_basis:
             raise AlgebraFileError("bracket declared before the basis line", line_no)
         left, right, rhs = match.groups()
-        column = raw.index("[") + 1
-        _validate_label(left, line_no, column)
-        _validate_label(right, line_no, column)
-        for label in (left, right):
+        for group in (1, 2):
+            label, column = match[group], indent + match.start(group) + 1
+            _validate_label(label, line_no, column)
             if label not in labels:
                 raise AlgebraFileError(f"unknown label {label!r}", line_no, column)
         if left == right:
             raise AlgebraFileError(
                 f"bracket [{left},{right}] is identically zero by antisymmetry",
                 line_no,
-                column,
+                indent + 1,
             )
         key = frozenset((left, right))
         if key in declared:
@@ -248,18 +189,18 @@ def parse_algebra_file(source: str | bytes) -> AlgebraFile:
                 else f"[{prior[0]},{prior[1]}] already declared; the reversed "
                 "bracket is implied by antisymmetry"
             )
-            raise AlgebraFileError(reason, line_no, column)
+            raise AlgebraFileError(reason, line_no, indent + 1)
         declared[key] = (left, right)
-        rhs = rhs.strip()
-        rhs_offset = raw.index("=") + 2
         coeffs: dict[str, Scalar] = {}
         if rhs != "0":
-            for term, term_pos in _split_terms(rhs, line_no, rhs_offset):
-                label, value = _parse_term(term, line_no, rhs_offset + term_pos)
+            column = indent + match.start(3) + 1
+            try:
+                terms = _Parser(rhs).rhs()
+            except ScalarParseError as err:
+                raise AlgebraFileError(err.reason, line_no, column + err.position) from err
+            for label, pos, value in terms:
                 if label not in labels:
-                    raise AlgebraFileError(
-                        f"unknown label {label!r}", line_no, rhs_offset + term_pos
-                    )
+                    raise AlgebraFileError(f"unknown label {label!r}", line_no, column + pos)
                 add_into(coeffs, label, value)
         table[(left, right)] = coeffs
 

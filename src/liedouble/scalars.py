@@ -278,10 +278,12 @@ def rational(numerator, denominator=1) -> Scalar:
 
 
 class ScalarParseError(ValueError):
-    """Raised on malformed scalar text; carries the offending position."""
+    """Raised on malformed scalar text; carries the offending position and the
+    message without it (``reason``)."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
+        self.reason = message
         self.position = position
 
 
@@ -298,8 +300,7 @@ _VALUE_LIMIT = 10**MAX_LITERAL_DIGITS
 # error with a position instead of a RecursionError.
 MAX_NESTING_DEPTH = 100
 
-# Longest token or coefficient text quoted in full in a parse error; the
-# algebra file parser quotes with the same limit.
+# Longest token or coefficient text quoted in full in a parse error.
 _QUOTED_TEXT = 40
 
 
@@ -309,49 +310,55 @@ def _quoted(text: str) -> str:
         text = text[: _QUOTED_TEXT - 3] + "..."
     return repr(text)
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|(sqrt2\b|i\b)|([()+\-*/]))")
+
+# A word is a keyword naming a scalar or, in a bracket right-hand side, a
+# basis label; the algebra file parser validates labels with the same rule.
+_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_KEYWORDS = ("sqrt2", "i")
+_TOKEN_RE = re.compile(
+    rf"(?P<num>\d+)|(?P<word>{_WORD_RE.pattern})|(?P<op>[()+\-*/])|(?P<bad>\S)"
+)
 
 
 def _tokenize(text: str):
+    """``(kind, text, start)`` tokens of ``text``, closed by an ``end`` token.
+
+    A kind is ``num``, ``atom`` (a keyword), ``label`` (any other word) or ``op``.
+    """
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            if text[pos:].strip() == "":
-                break
-            bad = pos + len(text[pos:]) - len(text[pos:].lstrip())
-            raise ScalarParseError(f"unexpected character {text[bad]!r}", bad)
-        number, atom, op = match.groups()
-        start = match.end() - len((number or atom or op))
-        if number is not None:
-            if len(number) > MAX_LITERAL_DIGITS:
-                raise ScalarParseError(
-                    f"integer literal of {len(number)} digits exceeds the limit of "
-                    f"{MAX_LITERAL_DIGITS}",
-                    start,
-                )
-            tokens.append(("num", int(number), start))
-        elif atom is not None:
-            tokens.append(("atom", atom, start))
-        else:
-            tokens.append(("op", op, start))
-        pos = match.end()
+    for match in _TOKEN_RE.finditer(text):  # whitespace matches no group and is skipped
+        kind, token = match.lastgroup, match[0]
+        if kind == "bad":
+            raise ScalarParseError(f"unexpected character {token!r}", match.start())
+        if kind == "word":
+            kind = "atom" if token in _KEYWORDS else "label"
+        tokens.append((kind, token, match.start()))
     tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
-    """Recursive-descent parser for the scalar grammar.
+    """Recursive-descent parser for the scalar grammar::
 
-    expr   := term (('+'|'-') term)*
-    term   := unary (('*'|'/') unary)*
-    unary  := ('-'|'+')* atom
-    atom   := integer | 'sqrt2' | 'i' | '(' expr ')'
+        expr    := term (('+'|'-') term)*
+        term    := unary (('*'|'/') unary)*
+        unary   := ('-'|'+')* atom
+        atom    := integer | 'sqrt2' | 'i' | '(' expr ')'
+
+    and for the right-hand side of a bracket declaration, where a label is
+    a word other than ``sqrt2`` and ``i``::
+
+        rhs     := summand (('+'|'-') summand)*
+        summand := ('+'|'-')* label | ('+'|'-')* coefficient '*' label
+
+    A coefficient is a ``term`` that stops at a ``*`` followed by a label,
+    so sums in a coefficient need parentheses.  Positions are offsets into
+    the parsed text.
     """
 
-    def __init__(self, tokens):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.index = 0
         self.depth = 0
 
@@ -359,8 +366,10 @@ class _Parser:
         return self.tokens[self.index]
 
     def advance(self):
+        """The next token, consumed unless it is the ``end`` token."""
         token = self.tokens[self.index]
-        self.index += 1
+        if token[0] != "end":
+            self.index += 1
         return token
 
     @staticmethod
@@ -375,57 +384,101 @@ class _Parser:
                 )
         return value
 
+    def unexpected(self) -> ScalarParseError:
+        """The error for the next token, which cannot continue the parse."""
+        _, text, pos = self.peek()
+        message = f"unexpected token {_quoted(text)}" if text else "unexpected end of input"
+        return ScalarParseError(message, pos)
+
     def parse(self) -> Scalar:
         value = self.expr()
-        kind, text, pos = self.peek()
-        if kind != "end":
-            raise ScalarParseError(f"unexpected token {_quoted(str(text))}", pos)
+        if self.peek()[0] != "end":
+            raise self.unexpected()
         return value
+
+    def rhs(self) -> list[tuple[str, int, Scalar]]:
+        """The summands of a bracket right-hand side as (label, position, coefficient)."""
+        terms = []
+        while True:
+            negative = self.signs()  # the sign between two summands is the first of these
+            value = ONE if self.peek()[0] in ("label", "end") else self.coefficient()
+            label, label_pos = self.label()
+            terms.append((label, label_pos, -value if negative else value))
+            kind, text, _ = self.peek()
+            if kind == "end":
+                return terms
+            if text == "*":
+                # a label ends its summand, so what follows this '*' stands where it should
+                self.advance()
+                self.label()
+                raise ScalarParseError(f"label {label!r} is not the last factor", label_pos)
+            if text not in ("+", "-"):
+                raise self.unexpected()
+
+    def coefficient(self) -> Scalar:
+        """A coefficient and the ``*`` after it; an error in it quotes the
+        coefficient as far as it was read, and counts its position from there."""
+        start = self.peek()[2]
+        try:
+            value = self.term(before_label=True)
+            if self.peek()[1] != "*":
+                raise self.unexpected()
+        except ScalarParseError as err:
+            quoted = _quoted(self.text[start : self.peek()[2]].rstrip())
+            message = f"bad coefficient {quoted}: {err.reason} (at position {err.position - start})"
+            raise ScalarParseError(message, err.position) from None
+        self.advance()
+        return value
+
+    def label(self) -> tuple[str, int]:
+        kind, text, pos = self.advance()
+        if kind != "label":
+            raise ScalarParseError(f"invalid label {_quoted(text)}", pos)
+        return text, pos
 
     def expr(self) -> Scalar:
         value = self.term()
-        while True:
-            kind, text, pos = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                rhs = self.term()
-                value = self.bounded(value + rhs if text == "+" else value - rhs, pos)
-            else:
-                return value
+        while self.peek()[1] in ("+", "-"):
+            _, text, pos = self.advance()
+            rhs = self.term()
+            value = self.bounded(value + rhs if text == "+" else value - rhs, pos)
+        return value
 
-    def term(self) -> Scalar:
+    def term(self, before_label: bool = False) -> Scalar:
         value = self.unary()
-        while True:
-            kind, text, pos = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                rhs = self.unary()
-                if text == "*":
-                    value = self.bounded(value * rhs, pos)
-                else:
-                    if rhs.is_zero():
-                        raise ScalarParseError("division by zero", pos)
-                    value = self.bounded(value / rhs, pos)
-            else:
-                return value
+        while self.peek()[1] in ("*", "/"):
+            _, text, pos = self.peek()
+            if before_label and text == "*" and self.tokens[self.index + 1][0] == "label":
+                break
+            self.advance()
+            rhs = self.unary()
+            if text == "/" and rhs.is_zero():
+                raise ScalarParseError("division by zero", pos)
+            value = self.bounded(value * rhs if text == "*" else value / rhs, pos)
+        return value
+
+    def signs(self) -> bool:
+        """Consume a run of unary signs; whether they negate."""
+        negative = False
+        while self.peek()[1] in ("+", "-"):
+            negative ^= self.advance()[1] == "-"
+        return negative
 
     def unary(self) -> Scalar:
-        sign = 1
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                if text == "-":
-                    sign = -sign
-            else:
-                break
+        negative = self.signs()
         value = self.atom()
-        return -value if sign < 0 else value
+        return -value if negative else value
 
     def atom(self) -> Scalar:
         kind, text, pos = self.advance()
         if kind == "num":
-            return Scalar(text)
+            if len(text) > MAX_LITERAL_DIGITS:
+                raise ScalarParseError(
+                    f"integer literal of {len(text)} digits exceeds the limit of "
+                    f"{MAX_LITERAL_DIGITS}",
+                    pos,
+                )
+            return Scalar(int(text))
         if kind == "atom":
             return SQRT2 if text == "sqrt2" else I_UNIT
         if kind == "op" and text == "(":
@@ -448,4 +501,4 @@ class _Parser:
 
 def scalar_parse(text: str) -> Scalar:
     """Parse scalar text into its canonical Scalar value."""
-    return _Parser(_tokenize(text)).parse()
+    return _Parser(text).parse()

@@ -202,3 +202,52 @@ def test_bytes_parse_like_text_and_skip_one_byte_order_mark():
         with pytest.raises(AlgebraFileError) as info:
             parse_algebra_file(bad)
         assert (info.value.line, info.value.column) == (2, 19)
+
+
+# (bracket line after "basis A B", column, message): each column is the
+# 1-based position of the offending token on its line.
+ERROR_COLUMNS = [
+    ("[A,B] = 1/0*B", 10, "bad coefficient '1/0': division by zero (at position 1)"),
+    ("[A,B] =    1/0*B", 13, "bad coefficient '1/0': division by zero (at position 1)"),
+    ("[A,B] = A + 1/0*B", 14, "bad coefficient '1/0': division by zero (at position 1)"),
+    ("[A,B] = 2*C", 11, "unknown label 'C'"),
+    (
+        "[A,B] = (1+2*B",
+        14,
+        "bad coefficient '(1+2*B': expected a number, 'sqrt2', 'i' or '(', got 'B' "
+        "(at position 5)",
+    ),
+    ("[A,B] = B*2", 11, "invalid label '2'"),
+    ("[A,B] = 2*B*A", 11, "label 'B' is not the last factor"),
+    ("[A,B] = A + 2", 14, "bad coefficient '2': unexpected end of input (at position 1)"),
+    ("[A,B] = A B", 11, "unexpected token 'B'"),
+    ("[A,B] = A -", 12, "invalid label ''"),
+    ("[A,B] = 2 $*B", 11, "unexpected character '$'"),
+    ("[A,C] = B", 4, "unknown label 'C'"),
+    ("[ A , 2 ] = B", 7, "invalid label '2'"),
+    ("[A,i] = B", 4, "label 'i' collides with a scalar keyword"),
+    ("  [A,B] = 1/0*B", 12, "bad coefficient '1/0': division by zero (at position 1)"),
+    ("\t[A,C] = B", 5, "unknown label 'C'"),
+    ("[A,B] = B  # 1/0*B", None, None),
+]
+
+
+@pytest.mark.parametrize("line, column, message", ERROR_COLUMNS)
+def test_error_columns_point_at_the_offending_token(line, column, message):
+    text = f"algebra a dim 2\nbasis A B\n{line}\n"
+    if column is None:
+        assert parse_algebra_file(text).brackets[0].terms == (("B", Scalar(1)),)
+        return
+    for source in (text, "\ufeff" + text, ("\ufeff" + text).encode("utf-8")):
+        with pytest.raises(AlgebraFileError) as err:
+            parse_algebra_file(source)
+        assert str(err.value) == f"line 3, column {column}: {message}"
+
+
+def test_basis_label_errors_point_at_the_label():
+    with pytest.raises(AlgebraFileError, match="^line 2, column 9: invalid label '2'$"):
+        parse_algebra_file("algebra a dim 2\nbasis A 2\n")
+    with pytest.raises(AlgebraFileError, match="^line 2, column 10: duplicate basis label 'A'$"):
+        parse_algebra_file("algebra a dim 2\n basis A A\n")
+    with pytest.raises(AlgebraFileError, match="^line 2, column 9: label 'i' collides"):
+        parse_algebra_file("algebra a dim 2\nbasis A i\n")

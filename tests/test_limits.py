@@ -88,7 +88,9 @@ def test_coefficient_of_too_many_digits_exits_2_before_the_double(tmp_path):
     code, out, err = run(["double", "--plus", str(plus), "--minus", str(minus)])
     assert (code, out) == (2, "")
     assert err.count("\n") == 1
-    assert err.startswith(f"error: {plus}: line 3, column 8: bad coefficient")
+    # the column of the first '*' whose product has too many digits
+    column = len("[A,B] = (") + MAX_LITERAL_DIGITS + len(")*")
+    assert err.startswith(f"error: {plus}: line 3, column {column}: bad coefficient")
     assert "value exceeds the limit" in err
 
 
