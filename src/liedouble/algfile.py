@@ -139,6 +139,7 @@ def parse_algebra_file(source: str | bytes) -> AlgebraFile:
                 raise AlgebraFileError(
                     "expected 'algebra <name> dim <k>' as the first declaration",
                     line_no,
+                    indent + 1,
                 )
             name = match.group(1)
             digits = match.group(2).lstrip("0") or "0"
@@ -150,7 +151,7 @@ def parse_algebra_file(source: str | bytes) -> AlgebraFile:
             continue
         if line.split(None, 1)[0] == "basis":
             if seen_basis:
-                raise AlgebraFileError("duplicate basis line", line_no)
+                raise AlgebraFileError("duplicate basis line", line_no, indent + 1)
             seen_basis = True
             for word in list(re.finditer(r"\S+", line))[1:]:
                 label, column = word[0], indent + word.start() + 1
@@ -160,14 +161,14 @@ def parse_algebra_file(source: str | bytes) -> AlgebraFile:
                 labels.append(label)
             if len(labels) != dim:
                 raise AlgebraFileError(
-                    f"basis lists {len(labels)} labels but dim is {dim}", line_no
+                    f"basis lists {len(labels)} labels but dim is {dim}", line_no, indent + 1
                 )
             continue
         match = _BRACKET_RE.match(line)
         if not match:
-            raise AlgebraFileError(f"unrecognized declaration {line!r}", line_no)
+            raise AlgebraFileError(f"unrecognized declaration {line!r}", line_no, indent + 1)
         if not seen_basis:
-            raise AlgebraFileError("bracket declared before the basis line", line_no)
+            raise AlgebraFileError("bracket declared before the basis line", line_no, indent + 1)
         left, right, rhs = match.groups()
         for group in (1, 2):
             label, column = match[group], indent + match.start(group) + 1

@@ -23,7 +23,7 @@ from .liealg import (
     StructureTensor,
     Violation,
     ViolationReport,
-    ScalarTable,
+    _change_slots,
     _coerce_scalar,
     add_into,
     scalar_table,
@@ -73,25 +73,11 @@ class TwoTensor(SparseTensor):
         return True
 
     def transport(self, inverse_basis_map: Matrix) -> TwoTensor:
-        """Rewrite coordinates through the inverse change-of-basis matrix."""
-        return self._transport(inverse_basis_map, scalar_table())
+        """Rewrite coordinates through the inverse change-of-basis matrix.
 
-    def _transport(self, inverse_basis_map: Matrix, table: ScalarTable) -> TwoTensor:
-        mul, add = table.mul, table.add
-        columns: dict[int, list] = {}
-
-        def column(index):
-            col = columns.get(index)
-            if col is None:
-                col = columns[index] = inverse_basis_map.column(index).items()
-            return col
-
-        acc: dict[tuple[int, int], Scalar] = {}
-        for (p, q), value in self._c.items():
-            for k, left in column(p):
-                for l, right in column(q):
-                    add_into(acc, (k, l), mul(mul(value, left), right), add)
-        return TwoTensor(acc)
+        Both slots are outputs, pushed forward by :func:`liealg._change_slots`.
+        """
+        return TwoTensor(_change_slots(self._c, None, inverse_basis_map, arguments=0))
 
 
 class ThreeTensor(SparseTensor):
@@ -172,25 +158,16 @@ def express_in_basis(delta: Cocommutator, T: Matrix) -> Cocommutator:
     """Transport a cocommutator through the change of basis with matrix T.
 
     Consistent with LieAlgebra.change_of_basis: the new basis vectors are
-    the columns of T in the old basis, arguments pull back through T and
-    output pairs push forward through T^{-1}.
+    the columns of T in the old basis; the argument slot and the two output
+    slots move as :func:`liealg._change_slots` describes.
     """
     if T.rows != delta.dim or T.cols != delta.dim:
         raise ValueError("change-of-basis matrix has wrong shape")
     T_inv = T.inverse()
-    table = scalar_table()
-    mul, add = table.mul, table.add
-    entries = {}
-    for j in range(delta.dim):
-        acc: dict[tuple[int, int], Scalar] = {}
-        for i, weight in T.column(j).items():
-            value = delta.get(i)
-            if not value:
-                continue
-            for key, coeff in value.items():
-                add_into(acc, key, mul(weight, coeff), add)
-        if acc:
-            entries[j] = TwoTensor(acc)._transport(T_inv, table)
+    terms = {(p,) + key: c for p, tensor in delta.items() for key, c in tensor.items()}
+    entries: dict[int, dict] = {}
+    for (p, q, r), c in _change_slots(terms, T, T_inv, arguments=1).items():
+        entries.setdefault(p, {})[(q, r)] = c
     return Cocommutator(delta.dim, entries)
 
 

@@ -379,16 +379,6 @@ class Matrix:
             out.append(acc)
         return Matrix._of_rows(out, other.cols)
 
-    def _apply(self, vec: Vector, table: ScalarTable) -> Vector:
-        mul, add = table.mul, table.add
-        acc: dict[int, Scalar] = {}
-        for j, v in vec.items():
-            if j >= self.cols:
-                raise IndexError(f"vector index {j} out of range for {self.cols} columns")
-            for i, m in self._c[j].items():
-                add_into(acc, i, mul(m, v), add)
-        return Vector(acc)
-
     def trace(self) -> Scalar:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
@@ -454,6 +444,33 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
+
+
+def _change_slots(terms: dict, T: Matrix | None, T_inv: Matrix, *, arguments: int) -> dict:
+    """``terms``, a sparse tensor ``{index tuple: Scalar}``, in the basis of the columns of T.
+
+    The first ``arguments`` slots are pulled back through T: old index p goes
+    to new index j with weight T[p, j], from row p of T (T is unused when
+    there are none).  The other slots are pushed forward through T^-1: old
+    index r goes to new index s with weight T^-1[s, r], from column r of
+    T^-1.  The slots are mapped one after another, each over the whole
+    tensor, through one scalar table; an index with no row or column raises
+    IndexError.
+    """
+    mul, add, _ = scalar_table()
+    for slot in range(len(next(iter(terms), ()))):
+        weights = T._r if slot < arguments else T_inv._c
+        size = len(weights)
+        acc: dict[tuple, Scalar] = {}
+        for key, value in terms.items():
+            index = key[slot]
+            if not 0 <= index < size:
+                raise IndexError(f"index {index} out of range for {size} basis vectors")
+            head, tail = key[:slot], key[slot + 1 :]
+            for k, w in weights[index].items():
+                add_into(acc, head + (k,) + tail, mul(value, w), add)
+        terms = acc
+    return terms
 
 
 class BilinearForm:
@@ -547,10 +564,7 @@ class LieAlgebra:
         return Vector(coeffs) if coeffs else Vector()
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
-        return self._bracket(x, y, scalar_table())
-
-    def _bracket(self, x: Vector, y: Vector, table: ScalarTable) -> Vector:
-        mul, add = table.mul, table.add
+        mul, add, _ = scalar_table()
         acc: dict[int, Scalar] = {}
         for p, xv in x.items():
             self._check_index(p)
@@ -645,20 +659,21 @@ class LieAlgebra:
         return BilinearForm(Matrix._of_rows(rows, self.dim))
 
     def change_of_basis(self, T: Matrix, labels=None) -> LieAlgebra:
-        """Rewrite brackets in the basis whose vectors are the columns of T."""
+        """Rewrite brackets in the basis whose vectors are the columns of T.
+
+        Each oriented bracket is one term with two argument slots and one
+        output slot for :func:`_change_slots`; the pairs p < q are kept.
+        """
         if T.rows != self.dim or T.cols != self.dim:
             raise ValueError("change-of-basis matrix has wrong shape")
         T_inv = T.inverse()
-        table = scalar_table()
-        columns = [T.column(j) for j in range(self.dim)]
-        brackets = {}
-        for p in range(self.dim):
-            for q in range(p + 1, self.dim):
-                w = self._bracket(columns[p], columns[q], table)
-                if w:
-                    new_w = T_inv._apply(w, table)
-                    if new_w:
-                        brackets[(p, q)] = {r: v for r, v in new_w.items()}
+        terms = {
+            (p, q, r): c for (p, q), coeffs in self.tensor.oriented() for r, c in coeffs.items()
+        }
+        brackets: dict[tuple[int, int], dict] = {}
+        for (p, q, r), c in _change_slots(terms, T, T_inv, arguments=2).items():
+            if p < q:
+                brackets.setdefault((p, q), {})[r] = c
         return LieAlgebra(labels if labels is not None else self.labels, StructureTensor(brackets))
 
 

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from liedouble import (
@@ -228,6 +230,7 @@ ERROR_COLUMNS = [
     ("[A,i] = B", 4, "label 'i' collides with a scalar keyword"),
     ("  [A,B] = 1/0*B", 12, "bad coefficient '1/0': division by zero (at position 1)"),
     ("\t[A,C] = B", 5, "unknown label 'C'"),
+    ("  not a declaration", 3, "unrecognized declaration 'not a declaration'"),
     ("[A,B] = B  # 1/0*B", None, None),
 ]
 
@@ -242,6 +245,21 @@ def test_error_columns_point_at_the_offending_token(line, column, message):
         with pytest.raises(AlgebraFileError) as err:
             parse_algebra_file(source)
         assert str(err.value) == f"line 3, column {column}: {message}"
+
+
+@pytest.mark.parametrize(
+    "text, where, message",
+    [
+        ("  algebra a\n", "line 1, column 3", "expected 'algebra <name> dim <k>'"),
+        ("algebra a dim 2\n\tbasis A\n", "line 2, column 2", "basis lists 1 labels but dim is 2"),
+        ("algebra a dim 2\nbasis A B\n   basis A B\n", "line 3, column 4", "duplicate basis line"),
+        ("algebra a dim 2\n   basisA B\n", "line 2, column 4", "unrecognized declaration"),
+        ("algebra a dim 2\n [A,B] = A\n", "line 2, column 2", "bracket declared before the basis"),
+    ],
+)
+def test_line_errors_point_past_the_indentation(text, where, message):
+    with pytest.raises(AlgebraFileError, match=f"^{where}: {re.escape(message)}"):
+        parse_algebra_file(text)
 
 
 def test_basis_label_errors_point_at_the_label():
