@@ -57,10 +57,8 @@ from .bialg import (
     cocommutator_from_triple,
     dual_algebra,
     express_in_basis,
-    identify_central,
     schouten_bracket,
     schouten_check,
-    split_twist,
 )
 from .glnfactory import (
     build_gln_tn,
@@ -78,11 +76,14 @@ from .glnfactory import (
     gln_tn_trace_form,
     h_index,
     i_index,
+    identify_central,
     representation_index,
+    rmatrix_in_gln_basis,
     root_index,
     cartan_index,
     solvable_dim,
     solvable_labels,
+    split_twist,
 )
 from .algfile import (
     AlgebraFile,

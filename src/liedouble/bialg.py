@@ -44,8 +44,6 @@ __all__ = [
     "coboundary",
     "schouten_bracket",
     "schouten_check",
-    "split_twist",
-    "identify_central",
     "QuasitriangularReport",
     "TRIANGULAR",
     "QUASITRIANGULAR",
@@ -71,6 +69,12 @@ class TwoTensor(SparseTensor):
             if self._c.get((q, p), ZERO) != -value:
                 return False
         return True
+
+    def _require_indices(self, dim: int, what: str) -> None:
+        """Raise ValueError, naming ``what``, when a term has an index outside range(dim)."""
+        for k in sorted({k for key in self._c for k in key}):
+            if not 0 <= k < dim:
+                raise ValueError(f"{what} has index {k} outside range({dim})")
 
     def transport(self, inverse_basis_map: Matrix) -> TwoTensor:
         """Rewrite coordinates through the inverse change-of-basis matrix.
@@ -102,7 +106,7 @@ class ThreeTensor(SparseTensor):
 
 
 class Cocommutator:
-    """Map from basis index to an antisymmetric TwoTensor; zeros omitted."""
+    """Map from index to an antisymmetric TwoTensor, all indices in range(dim); zeros omitted."""
 
     __slots__ = ("dim", "_entries")
 
@@ -111,11 +115,14 @@ class Cocommutator:
         data = {}
         if entries:
             for index, tensor in entries.items():
+                if not 0 <= index < dim:
+                    raise ValueError(f"cocommutator index {index} outside range({dim})")
                 if not isinstance(tensor, TwoTensor):
                     tensor = TwoTensor(tensor)
                 if tensor:
                     if not tensor.is_antisymmetric():
                         raise ValueError(f"cocommutator value at index {index} is not antisymmetric")
+                    tensor._require_indices(dim, f"cocommutator value at index {index}")
                     data[index] = tensor
         self._entries = data
 
@@ -173,8 +180,9 @@ def express_in_basis(delta: Cocommutator, T: Matrix) -> Cocommutator:
 
 def dual_algebra(delta: Cocommutator, labels=None) -> LieAlgebra:
     """The algebra on the dual space whose brackets are delta's constants."""
-    if labels is None:
-        labels = tuple(f"d{k}" for k in range(delta.dim))
+    labels = tuple(f"d{k}" for k in range(delta.dim)) if labels is None else tuple(labels)
+    if len(labels) != delta.dim:
+        raise ValueError(f"{len(labels)} labels for a cocommutator of dimension {delta.dim}")
     brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
     for p, tensor in delta.items():
         for (q, r), value in tensor.items():
@@ -266,6 +274,7 @@ def build_rmatrix(triple: ManinTriple) -> tuple[TwoTensor, TwoTensor]:
 
 def coboundary(alg: LieAlgebra, r_skew: TwoTensor) -> Cocommutator:
     """delta(x) = (ad_x (x) 1 + 1 (x) ad_x)(r_skew) on every basis element."""
+    r_skew._require_indices(alg.dim, "two-tensor")
     pair = alg.tensor.pair
     mul, add, _ = scalar_table()
     by_slot = _by_slot(r_skew)
@@ -304,6 +313,7 @@ class QuasitriangularReport:
 
 def schouten_bracket(alg: LieAlgebra, r: TwoTensor) -> ThreeTensor:
     """[[r, r]] = [r_12, r_13] + [r_12, r_23] + [r_13, r_23]."""
+    r._require_indices(alg.dim, "two-tensor")
     terms = r.items()
     pair = alg.tensor.pair
     mul, add, _ = scalar_table()
@@ -349,52 +359,6 @@ def schouten_check(alg: LieAlgebra, r_skew: TwoTensor) -> QuasitriangularReport:
     return QuasitriangularReport(verdict, schouten, violations)
 
 
-def _classify_index(n: int, index: int) -> str:
-    """Block of a flattened gl(n)+t_n basis index: H, I or F."""
-    if index < 0 or index >= n * n + n:
-        raise ValueError(f"index {index} outside the gl({n})+t_{n} basis")
-    if index < n:
-        return "H"
-    if index < 2 * n:
-        return "I"
-    return "F"
-
-
-def split_twist(n: int, r_skew: TwoTensor) -> tuple[TwoTensor, TwoTensor]:
-    """Split a skew r-matrix over the H/I/F basis layout of gl(n)+t_n.
-
-    Returns (r_s, r_t): r_s collects the F^F terms, r_t the H^I terms.
-    Index layout: H-block [0, n), I-block [n, 2n), F-block [2n, n^2+n).
-    Any term outside both patterns signals malformed input.
-    """
-    standard: dict[tuple[int, int], Scalar] = {}
-    twist: dict[tuple[int, int], Scalar] = {}
-    for (p, q), value in r_skew.items():
-        kinds = {_classify_index(n, p), _classify_index(n, q)}
-        if kinds == {"F"}:
-            standard[(p, q)] = value
-        elif kinds == {"H", "I"}:
-            twist[(p, q)] = value
-        else:
-            raise ValueError(
-                f"term at {(p, q)} (blocks {sorted(kinds)}) fits neither the "
-                "F^F nor the H^I pattern"
-            )
-    return TwoTensor(standard), TwoTensor(twist)
-
-
-def identify_central(n: int, tensor: TwoTensor) -> TwoTensor:
-    """Quotient map sending every central generator I_i to one common I.
-
-    All I-block indices [n, 2n) collapse onto index n; H and F indices are
-    unchanged.  The image of a wedge F^(I_i - I_j) is zero, which is the
-    operational sense in which the twist becomes trivial.
-    """
-
-    def image(index: int) -> int:
-        return n if _classify_index(n, index) == "I" else index
-
-    acc: dict[tuple[int, int], Scalar] = {}
-    for (p, q), value in tensor.items():
-        add_into(acc, (image(p), image(q)), value)
-    return TwoTensor(acc)
+# The gl(n)+t_n split and quotient live in glnfactory with the H/I/F layout; the benchmark
+# tracer looks them up here.  Last, because glnfactory imports this module.
+from .glnfactory import identify_central, split_twist  # noqa: E402

@@ -26,14 +26,14 @@ import sys
 
 from . import __version__
 from .algfile import AlgebraFileError, from_algebra, parse_algebra_file
-from .bialg import TwoTensor, build_rmatrix, split_twist
+from .bialg import TwoTensor, build_rmatrix
 from .glnfactory import (
     build_gln_triple,
     build_s_minus,
     build_s_plus,
     delta_in_gln_basis,
-    gln_change_of_basis,
     gln_labels,
+    rmatrix_in_gln_basis,
 )
 from .liealg import LieAlgebra, joined_labels
 from .manin import ManinTriple, build_double, check_compatibility
@@ -244,8 +244,7 @@ def _cmd_gln(args, stdout) -> int:
     # args.emit == "rmatrix"
     r, r_skew = build_rmatrix(triple)
     double_labels = joined_labels(triple.plus.labels, triple.minus.labels)
-    r_skew_hif = r_skew.transport(gln_change_of_basis(n).inverse())
-    r_standard, r_twist = split_twist(n, r_skew_hif)
+    r_skew_hif, r_standard, r_twist = rmatrix_in_gln_basis(n, r_skew)
     if args.json:
         payload = {
             "basis_double": list(double_labels),

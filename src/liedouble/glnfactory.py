@@ -26,6 +26,10 @@ Flattened index orders are fixed and documented:
     solvable basis:  X_1..X_n, then Y_ij in lexicographic (i, j) order;
     gl(n)+t_n basis: H_1..H_n, I_1..I_n, then F_ij (i != j) lexicographic.
 
+This module is the one home of that layout: ``h_index``, ``i_index``,
+``f_index`` and ``gln_labels`` state it, and the r-matrix's standard/twist
+split and the quotient identifying the central I_i read it through them.
+
 The change of basis identifying the double with gl(n) + t_n is
 
     H_i = (X_i + x^i)/sqrt2,  I_i = (X_i - x^i)/(i*sqrt2),
@@ -43,6 +47,7 @@ from .liealg import (
     Vector,
     Violation,
     ViolationReport,
+    add_into,
     trace_form,
 )
 from .manin import ManinTriple, build_double
@@ -70,6 +75,9 @@ __all__ = [
     "gln_tn_trace_form",
     "double_in_gln_basis",
     "delta_in_gln_basis",
+    "split_twist",
+    "identify_central",
+    "rmatrix_in_gln_basis",
     "first_bracket_difference",
     "verify_double_is_gln",
     "check_chain_embedding",
@@ -220,16 +228,9 @@ def gln_change_of_basis(n: int) -> Matrix:
     """
     m = solvable_dim(n)
     dim = gln_dim(n)
-    columns = []
-    for i in range(1, n + 1):
-        columns.append({cartan_index(n, i): HALF_SQRT2, m + cartan_index(n, i): HALF_SQRT2})
-    for i in range(1, n + 1):
-        columns.append(
-            {
-                cartan_index(n, i): _MINUS_I_HALF_SQRT2,
-                m + cartan_index(n, i): _I_HALF_SQRT2,
-            }
-        )
+    cartan = [(cartan_index(n, i), m + cartan_index(n, i)) for i in range(1, n + 1)]
+    columns = [{X: HALF_SQRT2, x: HALF_SQRT2} for X, x in cartan]
+    columns += [{X: _MINUS_I_HALF_SQRT2, x: _I_HALF_SQRT2} for X, x in cartan]
     for i, j in _matrix_units(n)[n:]:
         columns.append({root_index(n, i, j): ONE} if i < j else {m + root_index(n, j, i): ONE})
     return Matrix.from_columns(dim, [Vector(col) for col in columns])
@@ -285,6 +286,58 @@ def delta_in_gln_basis(n: int, triple: ManinTriple | None = None) -> Cocommutato
     return express_in_basis(cocommutator_from_triple(triple), gln_change_of_basis(n))
 
 
+def _term_blocks(n: int, tensor: TwoTensor):
+    """Each term of a two-tensor on gl(n)+t_n as ((p, q), value, blocks of p and q).
+
+    The block of an index, H, I or F, is the first letter of its label.
+    """
+    labels = gln_labels(n)
+    for (p, q), value in tensor.items():
+        for index in (p, q):
+            if not 0 <= index < len(labels):
+                raise ValueError(f"index {index} outside the gl({n})+t_{n} basis")
+        yield (p, q), value, labels[p][0] + labels[q][0]
+
+
+def split_twist(n: int, r_skew: TwoTensor) -> tuple[TwoTensor, TwoTensor]:
+    """Split a skew r-matrix in the H/I/F basis into (r_s, r_t): its F^F and H^I terms.
+
+    Any term outside both patterns signals malformed input.
+    """
+    standard: dict[tuple[int, int], Scalar] = {}
+    twist: dict[tuple[int, int], Scalar] = {}
+    for key, value, blocks in _term_blocks(n, r_skew):
+        if blocks == "FF":
+            standard[key] = value
+        elif blocks in ("HI", "IH"):
+            twist[key] = value
+        else:
+            raise ValueError(
+                f"term at {key} (blocks {sorted(set(blocks))}) fits neither the "
+                "F^F nor the H^I pattern"
+            )
+    return TwoTensor(standard), TwoTensor(twist)
+
+
+def identify_central(n: int, tensor: TwoTensor) -> TwoTensor:
+    """Quotient map sending every central generator I_i to I_1; H and F indices are kept.
+
+    The image of a wedge F^(I_i - I_j) is zero, which is the operational
+    sense in which the twist becomes trivial.
+    """
+    common = i_index(n, 1)
+    acc: dict[tuple[int, int], Scalar] = {}
+    for key, value, blocks in _term_blocks(n, tensor):
+        add_into(acc, tuple(common if b == "I" else k for k, b in zip(key, blocks)), value)
+    return TwoTensor(acc)
+
+
+def rmatrix_in_gln_basis(n: int, r_skew: TwoTensor) -> tuple[TwoTensor, TwoTensor, TwoTensor]:
+    """The double's skew r-matrix moved to the H/I/F basis, then its ``split_twist`` parts."""
+    r_skew_hif = r_skew.transport(gln_change_of_basis(n).inverse())
+    return (r_skew_hif, *split_twist(n, r_skew_hif))
+
+
 def first_bracket_difference(a: LieAlgebra, b: LieAlgebra):
     """First stored pair (p, q), in sorted order, whose bracket differs in a and b.
 
@@ -335,25 +388,17 @@ def check_chain_embedding(m: int) -> ViolationReport:
     report = ViolationReport("chain_embedding")
     for p in range(small.dim):
         for q in range(p + 1, small.dim):
-            pushed: dict[int, Scalar] = {}
-            coeffs = small.tensor.pair(p, q)
-            if coeffs:
-                pushed = {emb[r]: v for r, v in coeffs.items()}
-            target = big.tensor.pair(emb[p], emb[q]) or {}
-            if pushed != dict(target):
-                residual = Vector(dict(target)) - Vector(pushed)
+            pushed = {emb[r]: v for r, v in (small.tensor.pair(p, q) or {}).items()}
+            target = dict(big.tensor.pair(emb[p], emb[q]) or {})
+            if pushed != target:
+                residual = Vector(target) - Vector(pushed)
                 report.violations.append(
                     Violation((p, q), f"bracket mismatch: {residual.format(big.labels)}")
                 )
     for p in range(small.dim):
-        small_value = small_delta.get(p)
-        pushed_pairs = {
-            (emb[a], emb[b]): v for (a, b), v in small_value.items()
-        }
-        target_value = big_delta.get(emb[p])
-        if TwoTensor(pushed_pairs) != target_value:
-            residual = target_value - TwoTensor(pushed_pairs)
-            report.violations.append(
-                Violation((p,), f"cocommutator mismatch: {residual.format(big.labels)}")
-            )
+        pushed = TwoTensor({(emb[a], emb[b]): v for (a, b), v in small_delta.get(p).items()})
+        target = big_delta.get(emb[p])
+        if pushed != target:
+            residual = (target - pushed).format(big.labels)
+            report.violations.append(Violation((p,), f"cocommutator mismatch: {residual}"))
     return report

@@ -12,6 +12,7 @@ from liedouble import (
     TwoTensor,
     abelian,
     build_double,
+    build_gln_tn,
     build_gln_triple,
     build_rmatrix,
     check_cocycle,
@@ -20,6 +21,7 @@ from liedouble import (
     cocommutator_from_triple,
     delta_in_gln_basis,
     double_in_gln_basis,
+    dual_algebra,
     express_in_basis,
     f_index,
     gln_change_of_basis,
@@ -189,6 +191,36 @@ def test_stripping_twist_terms_is_still_a_cocycle():
 def test_cocommutator_requires_antisymmetry():
     with pytest.raises(ValueError):
         Cocommutator(3, {0: TwoTensor({(1, 2): ONE})})
+
+
+def test_cocommutator_rejects_indices_outside_its_dimension():
+    # both used to be accepted, and check_cocycle reported them ok
+    with pytest.raises(ValueError, match="cocommutator index 5 outside range"):
+        check_cocycle(abelian(2), Cocommutator(2, {5: TwoTensor.wedge(0, 1)}))
+    with pytest.raises(ValueError, match="value at index 0 has index 7 outside range"):
+        Cocommutator(2, {0: TwoTensor.wedge(0, 7)})
+    with pytest.raises(ValueError, match="index -1 outside range"):
+        Cocommutator(2, {-1: TwoTensor.wedge(0, 1)})
+
+
+def test_coboundary_and_schouten_reject_indices_outside_the_algebra():
+    algebra = build_gln_tn(2)
+    r = TwoTensor.wedge(0, 99)
+    for call in (coboundary, schouten_bracket, schouten_check):
+        with pytest.raises(ValueError, match="two-tensor has index 99 outside range"):
+            call(algebra, r)
+    # the last index is still accepted
+    assert coboundary(algebra, TwoTensor.wedge(0, algebra.dim - 1)).dim == algebra.dim
+
+
+def test_dual_algebra_needs_one_label_per_dimension():
+    delta = Cocommutator(2, {0: TwoTensor.wedge(0, 1)})
+    assert dual_algebra(delta, ["a", "b"]).dim == 2
+    for labels in (["a", "b", "c"], ["a"]):
+        with pytest.raises(ValueError, match=f"{len(labels)} labels for a cocommutator"):
+            dual_algebra(delta, labels)
+        with pytest.raises(ValueError, match="of dimension 2"):
+            check_cojacobi(delta, labels)
 
 
 def test_build_rmatrix(triple3):

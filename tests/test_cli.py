@@ -159,6 +159,28 @@ def test_gln_emit_rmatrix_builds_no_double(monkeypatch):
     assert run(["gln", "--n", "2", "--emit", "rmatrix"]) == (0, expected, "")
 
 
+def test_gln_emit_rmatrix_renders_the_library_split():
+    from liedouble import build_gln_triple, build_rmatrix, gln_labels, rmatrix_in_gln_basis
+
+    for n in range(1, 7):
+        labels = gln_labels(n)
+        parts = rmatrix_in_gln_basis(n, build_rmatrix(build_gln_triple(n))[1])
+        names = ("r_skew_gln_basis", "r_standard", "r_twist")
+        code, out, _ = run(["gln", "--n", str(n), "--emit", "rmatrix", "--json"])
+        assert code == 0
+        payload = json.loads(out)
+        for name, tensor in zip(names, parts):
+            assert payload[name] == [
+                {"left": labels[p], "right": labels[q], "coeff": str(value)}
+                for (p, q), value in tensor.items()
+            ], (n, name)
+        code, out, _ = run(["gln", "--n", str(n), "--emit", "rmatrix"])
+        assert code == 0
+        lines = out.splitlines()
+        for prefix, tensor in zip(("in H/I/F = ", "standard = ", "twist    = "), parts):
+            assert f"{prefix}{tensor.format(labels)}" in lines, (n, prefix)
+
+
 def test_gln_emit_splus_text_roundtrip(tmp_path):
     code, out, _ = run(["gln", "--n", "3", "--emit", "splus"])
     assert code == 0

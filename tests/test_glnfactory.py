@@ -17,6 +17,7 @@ from liedouble import (
     build_double,
     build_gln_tn,
     build_gln_triple,
+    build_rmatrix,
     build_s_minus,
     build_s_plus,
     cartan_index,
@@ -31,9 +32,11 @@ from liedouble import (
     h_index,
     i_index,
     representation_index,
+    rmatrix_in_gln_basis,
     root_index,
     solvable_dim,
     solvable_labels,
+    split_twist,
     structure_equal,
 )
 import liedouble.glnfactory as glnfactory
@@ -453,3 +456,39 @@ def test_fundamental_representation_shape():
     assert len(rep) == 9
     assert all(mat.rows == mat.cols == 3 for mat in rep)
     assert rep[0].entry(0, 0) == ONE and rep[0].trace() == ONE
+
+
+@pytest.mark.parametrize("first", ["liedouble.bialg", "liedouble.glnfactory"])
+def test_split_and_quotient_bind_one_object_whichever_module_loads_first(first):
+    import os
+    import subprocess
+    import sys
+
+    import liedouble
+
+    # a fresh interpreter, so that the import order is the one under test
+    src = os.path.dirname(os.path.dirname(liedouble.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        f"import {first}\n"
+        "import liedouble.bialg as bialg, liedouble.glnfactory as glnfactory\n"
+        "assert bialg.split_twist is glnfactory.split_twist\n"
+        "assert bialg.identify_central is glnfactory.identify_central\n"
+        "assert liedouble.split_twist is glnfactory.split_twist\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_rmatrix_in_gln_basis_transports_then_splits():
+    for n in (1, 2, 3):
+        _, r_skew = build_rmatrix(build_gln_triple(n))
+        moved = r_skew.transport(gln_change_of_basis(n).inverse())
+        r_skew_hif, r_standard, r_twist = rmatrix_in_gln_basis(n, r_skew)
+        assert (r_skew_hif, r_standard, r_twist) == (moved, *split_twist(n, moved))
+        assert r_standard + r_twist == r_skew_hif

@@ -6,7 +6,15 @@ one of the suite's inputs is wrong.
 
 import liedouble.glnfactory as glnfactory
 import liedouble.suite as suite
-from liedouble import LieAlgebra, StructureTensor
+from liedouble import (
+    LieAlgebra,
+    StructureTensor,
+    TwoTensor,
+    build_gln_triple,
+    build_rmatrix,
+    gln_change_of_basis,
+    h_index,
+)
 from liedouble.suite import CARTAN_COEFFICIENT_NOTE, run_check, verify_suite
 
 # detail of every n = 2 check; a failing check keeps its detail
@@ -145,6 +153,17 @@ def test_verify_double_is_gln_detail_names_the_first_difference(monkeypatch):
     report = glnfactory.verify_double_is_gln(2)
     assert not report.ok
     assert [(v.indices, v.residual) for v in report.violations] == [((0, 4), "-2*F12")]
+
+
+def test_rmatrix_conventions_reports_a_term_the_split_rejects():
+    n = 2
+    _, r_skew = build_rmatrix(build_gln_triple(n))
+    # H1^H2 in the H/I/F basis, written in the paired basis
+    foreign = TwoTensor.wedge(h_index(n, 1), h_index(n, 2)).transport(gln_change_of_basis(n))
+    assert suite._rmatrix_conventions(n, r_skew) == []
+    assert [(v.indices, v.residual) for v in suite._rmatrix_conventions(n, r_skew + foreign)] == [
+        ((), "term at (0, 1) (blocks ['H']) fits neither the F^F nor the H^I pattern")
+    ]
 
 
 def test_run_check_passes_exactly_on_no_counterexamples():
