@@ -14,6 +14,7 @@ part alone (the report states this assumption).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from .liealg import (
@@ -64,11 +65,22 @@ class TwoTensor(SparseTensor):
     def get(self, p: int, q: int) -> Scalar:
         return self._c.get((p, q), ZERO)
 
-    def is_antisymmetric(self) -> bool:
-        for (p, q), value in self._c.items():
-            if self._c.get((q, p), ZERO) != -value:
-                return False
-        return True
+    def is_antisymmetric(self, add=operator.add) -> bool:
+        """True iff every term (p, q) has p != q and (q, p) holds its negative.
+
+        Each pair is visited once, from p < q, and its two values must sum
+        (with ``add``) to zero; the other orientation is then accounted for
+        by counting.
+        """
+        terms = self._c
+        pairs = 0
+        for (p, q), value in terms.items():
+            if p < q:
+                other = terms.get((q, p))
+                if other is None or add(value, other):
+                    return False
+                pairs += 1
+        return 2 * pairs == len(terms)
 
     def _require_indices(self, dim: int, what: str) -> None:
         """Raise ValueError, naming ``what``, when a term has an index outside range(dim)."""
@@ -114,13 +126,14 @@ class Cocommutator:
         self.dim = dim
         data = {}
         if entries:
+            add = scalar_table().add
             for index, tensor in entries.items():
                 if not 0 <= index < dim:
                     raise ValueError(f"cocommutator index {index} outside range({dim})")
                 if not isinstance(tensor, TwoTensor):
                     tensor = TwoTensor(tensor)
                 if tensor:
-                    if not tensor.is_antisymmetric():
+                    if not tensor.is_antisymmetric(add):
                         raise ValueError(f"cocommutator value at index {index} is not antisymmetric")
                     tensor._require_indices(dim, f"cocommutator value at index {index}")
                     data[index] = tensor
@@ -336,14 +349,82 @@ def schouten_bracket(alg: LieAlgebra, r: TwoTensor) -> ThreeTensor:
     return ThreeTensor(acc)
 
 
+def _alternating_index(tensor: ThreeTensor, add) -> list[dict[int, list]] | None:
+    """Index the a < b < c terms of an alternating 3-tensor by slot, or None if it is not alternating.
+
+    Alternating: every key has three distinct indices, and each permutation
+    of a stored key is stored with the permutation's sign times its value.
+    ``index[slot][s]`` lists ``(p, q, values)`` for the sorted terms with
+    ``s`` in ``slot``: ``p < q`` are the other two indices and ``values[pos]``
+    is the term's value times the sign of moving ``slot`` to ``pos``.
+    """
+    terms = tensor._c
+    index: list[dict[int, list]] = [{}, {}, {}]
+    for (a, b, c), value in terms.items():
+        if not a < b < c:
+            if a == b or b == c or a == c:
+                return None
+            continue  # checked with its sorted key, or counted below
+        neg = -value
+        # an odd permutation stores -value, an even one value: each sum must vanish
+        for key, opposite in (
+            ((a, c, b), value), ((b, a, c), value), ((c, b, a), value),
+            ((b, c, a), neg), ((c, a, b), neg),
+        ):
+            stored = terms.get(key)
+            if stored is None or add(stored, opposite):
+                return None
+        index[0].setdefault(a, []).append((b, c, (value, neg, value)))
+        index[1].setdefault(b, []).append((a, c, (neg, value, neg)))
+        index[2].setdefault(c, []).append((a, b, (value, neg, value)))
+    if 6 * sum(len(terms_at) for terms_at in index[0].values()) != len(terms):
+        return None  # some key's sorted permutation is not stored
+    return index
+
+
+def _sorted_action_vanishes(pair, x: int, index, mul, add) -> bool:
+    """True iff ad_x of the alternating tensor that ``index`` describes is 0.
+
+    The action commutes with permuting slots, so its result is alternating
+    too, and it vanishes iff its a < b < c terms do.  Each product of a
+    sorted term lands on its key sorted, with the sign of the sort; a key
+    with a repeated index cancels against its transposition and is skipped.
+    """
+    acc: dict[tuple[int, int, int], Scalar] = {}
+    for slot, terms_at in enumerate(index):
+        for s, terms in terms_at.items():
+            w = pair(x, s)
+            if not w:
+                continue
+            for p, q, values in terms:
+                for k, coeff in w.items():
+                    if k < p:
+                        add_into(acc, (k, p, q), mul(values[0], coeff), add)
+                    elif p < k < q:
+                        add_into(acc, (p, k, q), mul(values[1], coeff), add)
+                    elif k > q:
+                        add_into(acc, (p, q, k), mul(values[2], coeff), add)
+    return not acc
+
+
 def schouten_check(alg: LieAlgebra, r_skew: TwoTensor) -> QuasitriangularReport:
-    """Compute [[r, r]] and test its invariance under every ad_x (x basis)."""
+    """Compute [[r, r]] and test its invariance under every ad_x (x basis).
+
+    When [[r, r]] is alternating (it is for a skew r), each ad_x acts on its
+    a < b < c terms only; an x whose result does not vanish is recomputed
+    over every term, so each violation lists the full tensor ad_x [[r, r]].
+    """
     schouten = schouten_bracket(alg, r_skew)
     pair = alg.tensor.pair
     mul, add, _ = scalar_table()
-    by_slot = _by_slot(schouten)
+    index = _alternating_index(schouten, add)
+    by_slot = None
     violations: list[Violation] = []
     for x in range(alg.dim):
+        if index is not None and _sorted_action_vanishes(pair, x, index, mul, add):
+            continue
+        if by_slot is None:
+            by_slot = _by_slot(schouten)
         acc: dict[tuple[int, int, int], Scalar] = {}
         _add_action(acc, pair, x, by_slot, mul, add)
         if acc:

@@ -68,21 +68,26 @@ def scalar_table() -> ScalarTable:
 
     A kernel over the gl(n) double combines a handful of distinct values
     (0, +-1, +-sqrt2/2, +-i/2, ...) thousands of times, and a Scalar product,
-    sum or inverse costs as much as several dict lookups.  The table hashes
-    each operand object once, maps it to one canonical object per value and
-    keys every result on the ids of those canonical objects.  It keeps every
-    operand it has seen alive for as long as it lives, so no id is reused
-    while it is a key.  Make one table per kernel call and let it go with the
-    call.
+    sum or inverse costs as much as several dict lookups.  The table reads
+    each operand object's exact components once, as the integer ratios
+    (numerator and denominator of a, b, c and d), maps them to one canonical
+    object per value and keys every result on the ids of those canonical
+    objects; equal values have equal ratios, so no Scalar or Fraction
+    comparison runs.  It keeps every operand it has seen alive for as long
+    as it lives, so no id is reused while it is a key.  Make one table per
+    kernel call and let it go with the call.
     """
-    canonical: dict[Scalar, Scalar] = {}
+    canonical: dict[tuple[int, ...], Scalar] = {}  # integer ratios -> first operand of that value
     seen: dict[int, tuple[Scalar, int]] = {}  # id(operand) -> (operand, id of its value)
     inverses: dict[int, Scalar] = {}
 
     def value_id(x) -> int:
         entry = seen.get(id(x))
         if entry is None:
-            entry = seen[id(x)] = (x, id(canonical.setdefault(x, x)))
+            a, b, c, d = x.a, x.b, x.c, x.d
+            ratios = (a.numerator, a.denominator, b.numerator, b.denominator,
+                      c.numerator, c.denominator, d.numerator, d.denominator)
+            entry = seen[id(x)] = (x, id(canonical.setdefault(ratios, x)))
         return entry[1]
 
     def binary(op):
@@ -267,12 +272,12 @@ class StructureTensor:
         """
         return self._view.items()
 
-    def max_index(self) -> int:
-        top = -1
+    def indices(self) -> set[int]:
+        """Every basis index of a stored pair or output."""
+        found = set()
         for (p, q), coeffs in self._stored.items():
-            top = max(top, q)
-            top = max(top, max(coeffs))
-        return top
+            found.update((p, q), coeffs)
+        return found
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StructureTensor):
@@ -543,8 +548,9 @@ class LieAlgebra:
         labels = tuple(labels)
         if len(set(labels)) != len(labels):
             raise ValueError("basis labels must be pairwise distinct")
-        if tensor.max_index() >= len(labels):
-            raise ValueError("structure tensor index out of range")
+        for k in sorted(tensor.indices()):
+            if not 0 <= k < len(labels):
+                raise ValueError(f"structure tensor has index {k} outside range({len(labels)})")
         self.dim = len(labels)
         self.labels = labels
         self.tensor = tensor

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import InitVar, dataclass, field
+from fractions import Fraction
+from math import lcm
 
 from .liealg import (
     BilinearForm,
@@ -28,7 +30,7 @@ from .liealg import (
     joined_labels,
     scalar_table,
 )
-from .scalars import Scalar, ZERO, ONE
+from .scalars import MINUS_ONE, ONE, Scalar, ZERO
 
 __all__ = [
     "CompatibilityError",
@@ -104,13 +106,17 @@ def _compatibility_products(c_triples, f_triples, negate):
 
 
 def _monomial(value: Scalar):
-    """(u, x) with value = x * e_u, or None unless exactly one component is nonzero."""
-    parts = [(u, x) for u, x in enumerate((value.a, value.b, value.c, value.d)) if x]
+    """(u, n, d) with value = n/d * e_u, or None unless exactly one component is nonzero."""
+    parts = [
+        (u, x.numerator, x.denominator)
+        for u, x in enumerate((value.a, value.b, value.c, value.d))
+        if x
+    ]
     return parts[0] if len(parts) == 1 else None
 
 
 def _monomial_triples(triples):
-    """The triples with each value as (u, x), or None if some value is not a monomial."""
+    """The triples with each value as (u, n, d), or None if some value is not a monomial."""
     out = []
     for p, q, r, v in triples:
         unit = _monomial(v)
@@ -121,27 +127,38 @@ def _monomial_triples(triples):
 
 
 def _negate_monomial(value):
-    u, x = value
-    return u, -x
+    u, n, d = value
+    return u, -n, d
+
+
+# The zero component of a residual, shared so that no Fraction is made for it.
+_NO_PART = Fraction(0)
 
 
 def _monomial_residuals(c_units, f_units) -> dict:
-    """The nonzero residuals from (u, x) values: one Fraction product per term.
+    """The nonzero residuals from (u, n, d) values: one integer product per term.
 
-    Products are summed per (key, unit) as Fractions; a key becomes a
-    Scalar only once its sums are final.
+    Numerators are summed as integers per (key, unit, product denominator),
+    so no product needs a gcd, and coprime denominators of many digits never
+    meet in one integer over the whole tensor.  The groups of one (key, unit)
+    are then brought over the lcm of their own denominators; a nonzero sum
+    becomes one Fraction, and a key becomes a Scalar once its units are summed.
     """
     sums: dict = {}
-    for key, (u, x), (v, y) in _compatibility_products(c_units, f_units, _negate_monomial):
+    for key, (u, xn, xd), (v, yn, yd) in _compatibility_products(c_units, f_units, _negate_monomial):
         s, w = _UNIT_PRODUCTS[u][v]
-        slot = (key, w)
-        term = x * y if s == 1 else s * x * y
-        total = sums.get(slot)
-        sums[slot] = term if total is None else total + term
-    components: dict = {}
-    for (key, w), total in sums.items():
+        slot = (key, w, xd * yd)
+        sums[slot] = sums.get(slot, 0) + (xn * yn if s == 1 else s * xn * yn)
+    groups: dict = {}
+    for (key, w, den), total in sums.items():
         if total:
-            components.setdefault(key, [0, 0, 0, 0])[w] = total
+            groups.setdefault((key, w), []).append((total, den))
+    components: dict = {}
+    for (key, w), terms in groups.items():
+        den = lcm(*(d for _, d in terms))
+        total = sum(t * (den // d) for t, d in terms)
+        if total:
+            components.setdefault(key, [_NO_PART] * 4)[w] = Fraction(total, den)
     return {key: Scalar(*parts) for key, parts in components.items()}
 
 
@@ -166,8 +183,9 @@ def check_compatibility(f: StructureTensor, c: StructureTensor) -> ViolationRepo
     (p, q) to outputs r with value f^r_{p,q}, c maps (p, q) to c^{p,q}_r.
 
     When every coefficient of both tensors is a rational multiple of one
-    unit (the gl(n) halves are), each product is one Fraction product
-    times a fixed unit product; otherwise the products are Scalar ones.
+    unit (the gl(n) halves are), each product is one integer product of
+    numerators times a fixed unit product; otherwise the products are
+    Scalar ones.
     """
     c_triples = _tensor_triples(c)
     f_triples = _tensor_triples(f)
@@ -340,10 +358,12 @@ def check_ad_invariance(double: DoubleAlgebra) -> InvarianceReport:
     for a, b, cidx in sorted(candidates):
         lhs = paired(pair(a, b), cidx)
         rhs = paired(pair(b, cidx), a)
-        if lhs != rhs:
-            plus_bad.append(Violation((a, b, cidx), str(lhs - rhs)))
-        if lhs != -rhs:
-            minus_bad.append(Violation((a, b, cidx), str(lhs + rhs)))
+        difference = add(lhs, mul(rhs, MINUS_ONE))
+        if difference:
+            plus_bad.append(Violation((a, b, cidx), str(difference)))
+        total = add(lhs, rhs)
+        if total:
+            minus_bad.append(Violation((a, b, cidx), str(total)))
     return InvarianceReport(
         invariant_holds=not plus_bad,
         anti_invariant_holds=not minus_bad,

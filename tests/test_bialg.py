@@ -33,6 +33,7 @@ from liedouble import (
     schouten_check,
     split_twist,
 )
+from liedouble.liealg import scalar_table
 
 K = HALF_SQRT2
 HALF = Scalar(Fraction(1, 2))
@@ -191,6 +192,23 @@ def test_stripping_twist_terms_is_still_a_cocycle():
 def test_cocommutator_requires_antisymmetry():
     with pytest.raises(ValueError):
         Cocommutator(3, {0: TwoTensor({(1, 2): ONE})})
+
+
+@pytest.mark.parametrize(
+    "terms, antisymmetric",
+    [
+        ({(0, 1): ONE, (1, 0): -ONE, (2, 0): HALF, (0, 2): -HALF}, True),
+        ({}, True),
+        ({(1, 0): -ONE}, False),  # only the p > q orientation
+        ({(0, 1): ONE}, False),  # only the p < q orientation
+        ({(0, 1): ONE, (1, 0): ONE}, False),  # same sign
+        ({(0, 1): ONE, (1, 0): -ONE, (2, 2): ONE}, False),  # a diagonal term
+    ],
+)
+def test_is_antisymmetric_on_each_kind_of_break(terms, antisymmetric):
+    tensor = TwoTensor(terms)
+    assert tensor.is_antisymmetric() is antisymmetric
+    assert tensor.is_antisymmetric(scalar_table().add) is antisymmetric
 
 
 def test_cocommutator_rejects_indices_outside_its_dimension():

@@ -17,6 +17,7 @@ and must agree.
 
 import collections
 import gc
+import itertools
 import operator
 import random
 from fractions import Fraction
@@ -270,6 +271,18 @@ def dense_forms_comparison(n):
 def dense_schouten_check(alg, r_skew):
     """(verdict, schouten, violations) with every term visited for every x."""
     schouten = schouten_bracket(alg, r_skew)
+    violations = dense_invariance_violations(alg, schouten)
+    if violations:
+        verdict = NOT_INVARIANT
+    elif schouten:
+        verdict = QUASITRIANGULAR
+    else:
+        verdict = TRIANGULAR
+    return verdict, schouten, violations
+
+
+def dense_invariance_violations(alg, schouten):
+    """One violation per x with ad_x(schouten) != 0, every term visited."""
     pair = alg.tensor.pair
     violations = []
     for x in range(alg.dim):
@@ -282,13 +295,7 @@ def dense_schouten_check(alg, r_skew):
         acc = {key: value for key, value in acc.items() if value}
         if acc:
             violations.append(Violation((x,), ThreeTensor(acc).format(alg.labels)))
-    if violations:
-        verdict = NOT_INVARIANT
-    elif schouten:
-        verdict = QUASITRIANGULAR
-    else:
-        verdict = TRIANGULAR
-    return verdict, schouten, violations
+    return violations
 
 
 def dense_add_action(acc, alg, x, tensor):
@@ -844,6 +851,123 @@ def test_schouten_matches_dense_with_doubled_entries(n, doubled):
     assert report.violations
 
 
+# Schouten invariance on the a < b < c terms of an alternating [[r, r]]: its
+# verdict and violations must equal the dense loop's, and a tensor that is
+# not alternating must take the loop over every term.
+
+WEDGE_SCALES = (ONE, -ONE, Scalar(2), SQRT2, Scalar(0, 0, 1), Scalar(Fraction(-1, 3), 0, 0, 1))
+
+
+def doctored_skew_r(n, scales, extra):
+    """gl(n)'s r_skew with wedge k scaled by ``scales[k]`` and the wedges ``extra`` added: still skew."""
+    _, r_skew = build_rmatrix(build_gln_triple(n))
+    terms = {}
+    for k, (p, q) in enumerate(key for key in sorted(dict(r_skew.items())) if key[0] < key[1]):
+        value = r_skew.get(p, q) * scales[k % len(scales)]
+        terms[(p, q)], terms[(q, p)] = value, -value
+    for p, q, value in extra:
+        if p != q:
+            terms[(p, q)] = terms.get((p, q), ZERO) + value
+            terms[(q, p)] = terms.get((q, p), ZERO) - value
+    return TwoTensor(terms)
+
+
+def is_alternating(tensor):
+    return bialg._alternating_index(tensor, operator.add) is not None
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.data())
+def test_schouten_matches_dense_on_doctored_skew_r(data):
+    n = data.draw(st.sampled_from((2, 3)))
+    alg = build_double(build_gln_triple(n)).algebra
+    scales = data.draw(st.lists(st.sampled_from(WEDGE_SCALES), min_size=1, max_size=4))
+    index = st.integers(0, alg.dim - 1)
+    extra = data.draw(st.lists(st.tuples(index, index, st.sampled_from(WEDGE_SCALES)), max_size=2))
+    r = doctored_skew_r(n, scales, extra)
+    assert r.is_antisymmetric()
+    assert is_alternating(schouten_bracket(alg, r))
+    assert_schouten_matches_dense(alg, r)
+
+
+def test_schouten_on_a_doctored_skew_r_that_is_not_invariant():
+    alg = build_double(build_gln_triple(3)).algebra
+    r = doctored_skew_r(3, (ONE, Scalar(2), SQRT2), ())
+    schouten = schouten_bracket(alg, r)
+    assert is_alternating(schouten)
+    report = assert_schouten_matches_dense(alg, r)
+    assert report.verdict == NOT_INVARIANT
+    assert len(report.violations) > 1
+
+
+def test_schouten_acts_on_sorted_terms_only_when_invariant(monkeypatch):
+    full_loop = []
+    add_action = bialg._add_action
+    monkeypatch.setattr(
+        bialg, "_add_action", lambda *args, **kw: full_loop.append(args[2]) or add_action(*args, **kw)
+    )
+    triple = build_gln_triple(3)
+    alg = build_double(triple).algebra
+    _, r_skew = build_rmatrix(triple)
+    assert schouten_check(alg, r_skew).verdict == QUASITRIANGULAR
+    assert full_loop == []  # every x vanished on the sorted terms
+    report = schouten_check(alg, doctored_skew_r(3, (ONE, Scalar(2)), ()))
+    assert full_loop == [v.indices[0] for v in report.violations]  # recomputed: the failing x only
+
+
+def test_schouten_of_a_non_skew_r_takes_the_full_loop(monkeypatch):
+    sorted_path = []
+    vanishes = bialg._sorted_action_vanishes
+    monkeypatch.setattr(
+        bialg, "_sorted_action_vanishes", lambda *args: sorted_path.append(args[1]) or vanishes(*args)
+    )
+    triple = build_gln_triple(3)
+    alg = build_double(triple).algebra
+    _, r_skew = build_rmatrix(triple)
+    entries = dict(r_skew.items())
+    key = min(entries)
+    entries[key] = entries[key] * 2  # (p, q) doubled, (q, p) not: not skew
+    r = TwoTensor(entries)
+    assert not r.is_antisymmetric()
+    assert not is_alternating(schouten_bracket(alg, r))
+    assert assert_schouten_matches_dense(alg, r).verdict == NOT_INVARIANT
+    assert sorted_path == []
+
+
+def test_alternation_test_rejects_each_broken_orbit():
+    triple = build_gln_triple(2)
+    alg = build_double(triple).algebra
+    schouten = schouten_bracket(alg, build_rmatrix(triple)[1])
+    terms = dict(schouten.items())
+    assert is_alternating(schouten)
+    (a, b, c), value = min((key, v) for key, v in terms.items() if key[0] < key[1] < key[2])
+    for key in itertools.permutations((a, b, c)):
+        flipped = dict(terms)
+        flipped[key] = -flipped[key]  # one permutation's sign flipped
+        assert not is_alternating(ThreeTensor(flipped)), key
+        dropped = dict(terms)
+        del dropped[key]  # one permutation missing
+        assert not is_alternating(ThreeTensor(dropped)), key
+    assert not is_alternating(ThreeTensor({**terms, (a, a, b): value}))  # a repeated index
+
+
+def test_schouten_check_of_a_mutant_bracket_matches_the_full_loop(monkeypatch):
+    # [[r, r]] of gl(3) is invariant; with one permutation's sign flipped the
+    # orbit test must fail, and every x the mutant breaks must be listed
+    triple = build_gln_triple(3)
+    alg = build_double(triple).algebra
+    schouten = schouten_bracket(alg, build_rmatrix(triple)[1])
+    terms = dict(schouten.items())
+    a, b, c = min(key for key in terms if key[0] < key[1] < key[2])
+    terms[(c, a, b)] = -terms[(c, a, b)]
+    mutant = ThreeTensor(terms)
+    monkeypatch.setattr(bialg, "schouten_bracket", lambda *args: mutant)
+    report = schouten_check(alg, TwoTensor())
+    assert report.schouten is mutant
+    assert report.violations == dense_invariance_violations(alg, mutant)
+    assert report.verdict == NOT_INVARIANT
+
+
 # --- adjoint action on two-tensors ------------------------------------------------
 
 
@@ -993,9 +1117,9 @@ def algebra_key(alg):
     return alg.dim, alg.labels, alg.tensor
 
 
-def assert_kernels_match_plain(alg, delta, r_skew, T, pairing, vectors):
-    """Every kernel routed through a table equals its plain-``*`` loop."""
-    cases = [
+def tabled_kernel_cases(alg, delta, r_skew, T, pairing, vectors):
+    """(func, *args) for every kernel that computes through a scalar table."""
+    return [
         (lambda a, v: a.bracket(*v), alg, vectors),
         (lambda a: a.check_jacobi(), alg),
         (lambda a, t: algebra_key(a.change_of_basis(t)), alg, T),
@@ -1010,7 +1134,11 @@ def assert_kernels_match_plain(alg, delta, r_skew, T, pairing, vectors):
         (schouten_check, alg, r_skew),
         (check_ad_invariance, DoubleAlgebra(alg, pairing, None)),
     ]
-    for func, *args in cases:
+
+
+def assert_kernels_match_plain(*case):
+    """Every kernel routed through a table equals its plain-``*`` loop."""
+    for func, *args in tabled_kernel_cases(*case):
         assert func(*args) == plain_products(func, *args)
 
 
@@ -1033,6 +1161,65 @@ def gln_case(n):
         double.pairing,
         vectors,
     )
+
+
+def counted_methods(monkeypatch, cls, names):
+    """Count the calls of ``cls``'s methods ``names``, by name."""
+    calls = collections.Counter()
+    for name in names:
+        original = cls.__dict__[name]
+        if isinstance(original, staticmethod):  # Fraction.__new__
+            function = original.__func__
+
+            def counted(*args, name=name, function=function, **kw):
+                calls[name] += 1
+                return function(*args, **kw)
+
+            monkeypatch.setattr(cls, name, staticmethod(counted))
+        else:
+
+            def counted(*args, name=name, original=original, **kw):
+                calls[name] += 1
+                return original(*args, **kw)
+
+            monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+# Every way a Fraction comes to be: its constructor and each operator that returns one.
+FRACTION_RESULTS = (
+    "__new__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__neg__", "__pos__", "__abs__",
+)
+
+
+def test_tabled_kernels_of_gln_4_compare_no_scalars(monkeypatch):
+    # the tables key operands on their integer ratios, and the kernels test
+    # values through them: no Scalar (so no Fraction) equality or hash runs
+    cases = tabled_kernel_cases(*gln_case(4))
+    calls = counted_methods(monkeypatch, Scalar, ("__eq__", "__hash__"))
+    for func, *args in cases:
+        func(*args)
+        assert calls == {}, func
+
+
+def test_gln_4_compatibility_makes_a_fraction_only_per_residual_unit(monkeypatch):
+    # the per-unit sums are integers; a Fraction is made once per nonzero
+    # (key, unit) sum, so none for the compatible halves
+    plus, minus = build_s_plus(4), build_s_minus(4)
+    brackets = {key: dict(vec) for key, vec in minus.tensor.stored()}
+    (key, vec), *_ = brackets.items()
+    r = next(iter(vec))
+    vec[r] = vec[r] * 3
+    moved = LieAlgebra.from_brackets(minus.labels, brackets)
+    c_units = manin._monomial_triples(manin._tensor_triples(moved.tensor))
+    f_units = manin._monomial_triples(manin._tensor_triples(plus.tensor))
+    calls = counted_methods(monkeypatch, Fraction, FRACTION_RESULTS)
+    assert check_compatibility(plus.tensor, minus.tensor).ok
+    assert calls == {}
+    residual = manin._monomial_residuals(c_units, f_units)
+    units = sum(1 for value in residual.values() for part in (value.a, value.b, value.c, value.d) if part)
+    assert residual and sum(calls.values()) == calls["__new__"] == units
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

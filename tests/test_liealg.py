@@ -316,6 +316,20 @@ def test_labels_must_be_distinct():
         LieAlgebra(("A",), StructureTensor({(0, 1): {0: ONE}}))
 
 
+@pytest.mark.parametrize(
+    "brackets, index",
+    [
+        ({(0, -1): {0: 1}}, -1),  # a negative index in the pair
+        ({(0, 1): {-1: 1}}, -1),  # a negative output index
+        ({(0, 1): {2: 1}}, 2),
+        ({(0, 5): {1: 1}}, 5),
+    ],
+)
+def test_structure_indices_must_lie_in_the_basis(brackets, index):
+    with pytest.raises(ValueError, match=rf"^structure tensor has index {index} outside range\(2\)$"):
+        LieAlgebra.from_brackets(("a", "b"), brackets)
+
+
 def test_vector_format(pair3):
     plus, _ = pair3
     vec = Vector({0: ONE, 2: Scalar(Fraction(-1, 2), Fraction(1, 2))})

@@ -1,8 +1,11 @@
 import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liedouble import (
     HALF_SQRT2,
@@ -579,3 +582,130 @@ def test_compatibility_residuals_come_in_antisymmetric_orbits(pair3):
             assert residual.get((p, q, t, s)) == -value
             assert residual.get((q, p, t, s)) == value
     assert scalar_pairs >= 4 and len(pairs) - scalar_pairs >= 4
+
+
+# The integer per-unit sums of the monomial path.  Denominators are drawn
+# pairwise coprime and up to ten digits long, so products of different
+# denominators land in different groups; scaled gl(n) halves are compatible,
+# so their sums cancel only across those groups.
+
+COPRIME_DENOMINATORS = (1, 2, 3, 7, 1009, 65537, 999983, 2**31 - 1, 10**9 + 7)
+
+
+@st.composite
+def coprime_monomials(draw):
+    numerator = draw(st.integers(-10**6, 10**6).filter(bool))
+    denominator = draw(st.sampled_from(COPRIME_DENOMINATORS))
+    return Fraction(numerator, denominator) * UNITS[draw(st.integers(0, 3))]
+
+
+@st.composite
+def coprime_monomial_algebras(draw, dim):
+    brackets = {}
+    for p, q in itertools.combinations(range(dim), 2):
+        outputs = draw(st.sets(st.integers(0, dim - 1), max_size=2))
+        if outputs:
+            brackets[(p, q)] = {r: draw(coprime_monomials()) for r in sorted(outputs)}
+    return LieAlgebra.from_brackets(tuple(f"e{k}" for k in range(dim)), brackets)
+
+
+@st.composite
+def coprime_monomial_pairs(draw):
+    """Random monomial pairs, or scaled and relabeled gl(n) halves with at most one entry moved."""
+    if draw(st.booleans()):
+        dim = draw(st.integers(3, 5))
+        return draw(coprime_monomial_algebras(dim)), draw(coprime_monomial_algebras(dim))
+    n = draw(st.sampled_from((2, 3)))
+    perm = draw(st.permutations(range(n * (n + 1) // 2)))
+    halves = [
+        _relabeled(_scaled(half, draw(coprime_monomials())), perm)
+        for half in (build_s_plus(n), build_s_minus(n))
+    ]
+    if draw(st.booleans()):
+        side = draw(st.integers(0, 1))
+        dim = halves[side].dim
+        brackets = {key: dict(vec) for key, vec in halves[side].tensor.stored()}
+        p, q = sorted(draw(st.permutations(range(dim)))[:2])
+        brackets.setdefault((p, q), {})[draw(st.integers(0, dim - 1))] = draw(coprime_monomials())
+        halves[side] = LieAlgebra.from_brackets(halves[side].labels, brackets)
+    return tuple(halves)
+
+
+def assert_integer_path_matches(plus, minus):
+    """The integer residuals equal the Scalar path's and the dense loop's, and so does the report."""
+    c_triples = manin._tensor_triples(minus.tensor)
+    f_triples = manin._tensor_triples(plus.tensor)
+    c_units, f_units = manin._monomial_triples(c_triples), manin._monomial_triples(f_triples)
+    assert c_units is not None and f_units is not None
+    residual = manin._monomial_residuals(c_units, f_units)
+    assert residual == manin._scalar_residuals(c_triples, f_triples)
+    brute = brute_force_compatibility(plus.tensor, minus.tensor, plus.dim)
+    assert residual == brute
+    report = check_compatibility(plus.tensor, minus.tensor)
+    assert _reported(report) == [(key, str(brute[key])) for key in sorted(brute)]
+    return report
+
+
+@settings(deadline=None, max_examples=30)
+@given(coprime_monomial_pairs())
+def test_integer_unit_path_matches_scalar_path_and_brute_force(pair):
+    assert_integer_path_matches(*pair)
+
+
+def _cancelled_across_denominators(plus, minus):
+    """The (key, unit) sums that vanish although two or more of their denominator groups do not."""
+    c_units = manin._monomial_triples(manin._tensor_triples(minus.tensor))
+    f_units = manin._monomial_triples(manin._tensor_triples(plus.tensor))
+    groups = {}
+    for key, (u, xn, xd), (v, yn, yd) in manin._compatibility_products(
+        c_units, f_units, manin._negate_monomial
+    ):
+        s, w = manin._UNIT_PRODUCTS[u][v]
+        by_den = groups.setdefault((key, w), {})
+        by_den[xd * yd] = by_den.get(xd * yd, 0) + s * xn * yn
+    return [
+        slot
+        for slot, by_den in groups.items()
+        if sum(1 for total in by_den.values() if total) > 1
+        and sum(Fraction(total, den) for den, total in by_den.items()) == 0
+    ]
+
+
+def test_scaled_gln_halves_cancel_only_across_denominator_groups():
+    # from n = 3 on, products of the halves' 1 and sqrt2/2 entries meet with
+    # different denominators (from n = 2 no sum has two groups)
+    plus = _scaled(build_s_plus(3), Fraction(5, 1009) * SQRT2)
+    minus = _scaled(build_s_minus(3), Fraction(-3, 65537) * I_UNIT)
+    assert len(_cancelled_across_denominators(plus, minus)) == 12
+    assert assert_integer_path_matches(plus, minus).ok
+
+
+def _coprime_near(start, count):
+    """``count`` pairwise coprime integers from ``start`` up."""
+    found = []
+    candidate = start
+    while len(found) < count:
+        if all(math.gcd(candidate, d) == 1 for d in found):
+            found.append(candidate)
+        candidate += 1
+    return found
+
+
+def test_thousand_digit_coprime_denominators_stay_fast():
+    # the halves scaled by 1000-digit denominators, and one entry moved to a
+    # third: every product denominator has 2000 digits, each residual's 3000
+    d_plus, d_minus, d_moved = _coprime_near(10**999, 3)
+    plus = _scaled(build_s_plus(3), Fraction(7, d_plus))
+    minus = _scaled(build_s_minus(3), Fraction(-11, d_minus) * SQRT2)
+    brackets = {key: dict(vec) for key, vec in minus.tensor.stored()}
+    (key, vec), *_ = brackets.items()
+    vec[next(iter(vec))] = Fraction(13, d_moved) * I_UNIT
+    minus = LieAlgebra.from_brackets(minus.labels, brackets)
+    start = time.perf_counter()
+    report = check_compatibility(plus.tensor, minus.tensor)
+    elapsed = time.perf_counter() - start
+    assert not report.ok
+    assert elapsed < 1.0, elapsed
+    c_triples = manin._tensor_triples(minus.tensor)
+    residual = manin._scalar_residuals(c_triples, manin._tensor_triples(plus.tensor))
+    assert _reported(report) == [(k, str(residual[k])) for k in sorted(residual)]
