@@ -14,7 +14,6 @@ part alone (the report states this assumption).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 from .liealg import (
@@ -26,6 +25,8 @@ from .liealg import (
     ViolationReport,
     _change_slots,
     _coerce_scalar,
+    _ratios,
+    _require_in_range,
     add_into,
     scalar_table,
 )
@@ -65,28 +66,26 @@ class TwoTensor(SparseTensor):
     def get(self, p: int, q: int) -> Scalar:
         return self._c.get((p, q), ZERO)
 
-    def is_antisymmetric(self, add=operator.add) -> bool:
+    def is_antisymmetric(self) -> bool:
         """True iff every term (p, q) has p != q and (q, p) holds its negative.
 
-        Each pair is visited once, from p < q, and its two values must sum
-        (with ``add``) to zero; the other orientation is then accounted for
-        by counting.
+        Each pair is visited once, from p < q, and the two values' integer
+        ratios are compared, so no Scalar comparison or sum runs; the other
+        orientation is then accounted for by counting.
         """
         terms = self._c
         pairs = 0
         for (p, q), value in terms.items():
             if p < q:
                 other = terms.get((q, p))
-                if other is None or add(value, other):
+                if other is None or _ratios(other) != _ratios(-value):
                     return False
                 pairs += 1
         return 2 * pairs == len(terms)
 
     def _require_indices(self, dim: int, what: str) -> None:
         """Raise ValueError, naming ``what``, when a term has an index outside range(dim)."""
-        for k in sorted({k for key in self._c for k in key}):
-            if not 0 <= k < dim:
-                raise ValueError(f"{what} has index {k} outside range({dim})")
+        _require_in_range({k for key in self._c for k in key}, dim, what)
 
     def transport(self, inverse_basis_map: Matrix) -> TwoTensor:
         """Rewrite coordinates through the inverse change-of-basis matrix.
@@ -126,14 +125,13 @@ class Cocommutator:
         self.dim = dim
         data = {}
         if entries:
-            add = scalar_table().add
             for index, tensor in entries.items():
                 if not 0 <= index < dim:
                     raise ValueError(f"cocommutator index {index} outside range({dim})")
                 if not isinstance(tensor, TwoTensor):
                     tensor = TwoTensor(tensor)
                 if tensor:
-                    if not tensor.is_antisymmetric(add):
+                    if not tensor.is_antisymmetric():
                         raise ValueError(f"cocommutator value at index {index} is not antisymmetric")
                     tensor._require_indices(dim, f"cocommutator value at index {index}")
                     data[index] = tensor

@@ -55,6 +55,24 @@ def add_into(acc: dict, key, value, add=operator.add) -> None:
         acc.pop(key, None)
 
 
+def _require_in_range(indices, dim: int, what: str) -> None:
+    """Raise ValueError, naming ``what`` and the least bad index, when an index lies outside range(dim)."""
+    for k in sorted(indices):
+        if not 0 <= k < dim:
+            raise ValueError(f"{what} has index {k} outside range({dim})")
+
+
+def _ratios(x: Scalar) -> tuple[int, ...]:
+    """The exact integer ratios of ``x``: numerator and denominator of a, b, c and d.
+
+    Equal values have equal ratios, so values compare and hash through them
+    with no Scalar or Fraction comparison.
+    """
+    a, b, c, d = x.a, x.b, x.c, x.d
+    return (a.numerator, a.denominator, b.numerator, b.denominator,
+            c.numerator, c.denominator, d.numerator, d.denominator)
+
+
 class ScalarTable(NamedTuple):
     """The field operations a kernel computes through: ``mul``, ``add`` and ``inverse``."""
 
@@ -69,13 +87,12 @@ def scalar_table() -> ScalarTable:
     A kernel over the gl(n) double combines a handful of distinct values
     (0, +-1, +-sqrt2/2, +-i/2, ...) thousands of times, and a Scalar product,
     sum or inverse costs as much as several dict lookups.  The table reads
-    each operand object's exact components once, as the integer ratios
-    (numerator and denominator of a, b, c and d), maps them to one canonical
-    object per value and keys every result on the ids of those canonical
-    objects; equal values have equal ratios, so no Scalar or Fraction
-    comparison runs.  It keeps every operand it has seen alive for as long
-    as it lives, so no id is reused while it is a key.  Make one table per
-    kernel call and let it go with the call.
+    each operand object's integer ratios (``_ratios``) once, maps them to one
+    canonical object per value and keys every result on the ids of those
+    canonical objects, so no Scalar or Fraction comparison runs.  It keeps
+    every operand it has seen alive for as long as it lives, so no id is
+    reused while it is a key.  Make one table per kernel call and let it go
+    with the call.
     """
     canonical: dict[tuple[int, ...], Scalar] = {}  # integer ratios -> first operand of that value
     seen: dict[int, tuple[Scalar, int]] = {}  # id(operand) -> (operand, id of its value)
@@ -84,10 +101,7 @@ def scalar_table() -> ScalarTable:
     def value_id(x) -> int:
         entry = seen.get(id(x))
         if entry is None:
-            a, b, c, d = x.a, x.b, x.c, x.d
-            ratios = (a.numerator, a.denominator, b.numerator, b.denominator,
-                      c.numerator, c.denominator, d.numerator, d.denominator)
-            entry = seen[id(x)] = (x, id(canonical.setdefault(ratios, x)))
+            entry = seen[id(x)] = (x, id(canonical.setdefault(_ratios(x), x)))
         return entry[1]
 
     def binary(op):
@@ -548,9 +562,7 @@ class LieAlgebra:
         labels = tuple(labels)
         if len(set(labels)) != len(labels):
             raise ValueError("basis labels must be pairwise distinct")
-        for k in sorted(tensor.indices()):
-            if not 0 <= k < len(labels):
-                raise ValueError(f"structure tensor has index {k} outside range({len(labels)})")
+        _require_in_range(tensor.indices(), len(labels), "structure tensor")
         self.dim = len(labels)
         self.labels = labels
         self.tensor = tensor

@@ -33,7 +33,6 @@ from liedouble import (
     schouten_check,
     split_twist,
 )
-from liedouble.liealg import scalar_table
 
 K = HALF_SQRT2
 HALF = Scalar(Fraction(1, 2))
@@ -208,7 +207,6 @@ def test_cocommutator_requires_antisymmetry():
 def test_is_antisymmetric_on_each_kind_of_break(terms, antisymmetric):
     tensor = TwoTensor(terms)
     assert tensor.is_antisymmetric() is antisymmetric
-    assert tensor.is_antisymmetric(scalar_table().add) is antisymmetric
 
 
 def test_cocommutator_rejects_indices_outside_its_dimension():

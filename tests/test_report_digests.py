@@ -9,8 +9,6 @@ Kernel changes must leave every report byte-identical apart from
 Tier-1 checks k <= 6.  Run as a script to check every recorded size:
 
     PYTHONPATH=src python tests/test_report_digests.py
-
-and, only after an intended report change, ``--record`` to rewrite the file.
 """
 
 from __future__ import annotations
@@ -61,15 +59,7 @@ def test_verify_report_matches_the_recorded_digest(n):
     assert report_digest(n) == _recorded()[str(n)]
 
 
-def main(argv) -> int:
-    if argv == ["--record"]:
-        digests = {str(n): report_digest(n) for n in SIZES}
-        DIGESTS_PATH.parent.mkdir(exist_ok=True)
-        DIGESTS_PATH.write_text(json.dumps(digests, indent=2) + "\n", encoding="utf-8")
-        return 0
-    if argv:
-        print("usage: test_report_digests.py [--record]", file=sys.stderr)
-        return 2
+def main() -> int:
     recorded = _recorded()
     bad = [n for n in SIZES if report_digest(n) != recorded[str(n)]]
     for n in bad:
@@ -78,4 +68,4 @@ def main(argv) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
