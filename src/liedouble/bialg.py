@@ -25,6 +25,7 @@ from .liealg import (
     ViolationReport,
     _change_slots,
     _coerce_scalar,
+    _negator,
     _ratios,
     _require_in_range,
     add_into,
@@ -60,6 +61,9 @@ class TwoTensor(SparseTensor):
 
     @classmethod
     def wedge(cls, p: int, q: int, coeff=ONE) -> TwoTensor:
+        """coeff * e_p ^ e_q, which is 0 when p == q."""
+        if p == q:
+            return cls()
         coeff = _coerce_scalar(coeff)
         return cls({(p, q): coeff, (q, p): -coeff})
 
@@ -70,18 +74,30 @@ class TwoTensor(SparseTensor):
         """True iff every term (p, q) has p != q and (q, p) holds its negative.
 
         Each pair is visited once, from p < q, and the two values' integer
-        ratios are compared, so no Scalar comparison or sum runs; the other
-        orientation is then accounted for by counting.
+        ratios are compared, numerators negated, so no Scalar comparison, sum
+        or negation runs; the other orientation is then accounted for by
+        counting.
         """
         terms = self._c
         pairs = 0
         for (p, q), value in terms.items():
             if p < q:
                 other = terms.get((q, p))
-                if other is None or _ratios(other) != _ratios(-value):
+                if other is None:
+                    return False
+                # equal denominators and opposite numerators
+                mine, theirs = _ratios(value), _ratios(other)
+                opposite = mine[1::2] == theirs[1::2] and all(
+                    m == -t for m, t in zip(mine[::2], theirs[::2])
+                )
+                if not opposite:
                     return False
                 pairs += 1
         return 2 * pairs == len(terms)
+
+    def _sorted_half(self) -> dict:
+        """The p < q terms, which determine an antisymmetric tensor."""
+        return {key: value for key, value in self._c.items() if key[0] < key[1]}
 
     def _require_indices(self, dim: int, what: str) -> None:
         """Raise ValueError, naming ``what``, when a term has an index outside range(dim)."""
@@ -90,9 +106,26 @@ class TwoTensor(SparseTensor):
     def transport(self, inverse_basis_map: Matrix) -> TwoTensor:
         """Rewrite coordinates through the inverse change-of-basis matrix.
 
-        Both slots are outputs, pushed forward by :func:`liealg._change_slots`.
+        Both slots are outputs, pushed forward by :func:`liealg._change_slots`:
+        from the sorted half as an antisymmetric pair when the tensor is
+        antisymmetric, from every term otherwise.
         """
-        return TwoTensor(_change_slots(self._c, None, inverse_basis_map, arguments=0))
+        if self.is_antisymmetric():
+            half = _change_slots(self._sorted_half(), None, inverse_basis_map, arguments=0, pair=0)
+            return _mirrored(half, _negator())
+        return TwoTensor(_change_slots(self._c, None, inverse_basis_map, arguments=0, pair=None))
+
+
+def _mirrored(half: dict, neg) -> TwoTensor:
+    """The antisymmetric TwoTensor whose p < q terms are ``half``, nonzero values.
+
+    ``neg`` negates each value for its (q, p) term.
+    """
+    data = {}
+    for (p, q), value in half.items():
+        data[(p, q)] = value
+        data[(q, p)] = neg(value)
+    return TwoTensor._of_nonzero(data)
 
 
 class ThreeTensor(SparseTensor):
@@ -137,6 +170,14 @@ class Cocommutator:
                     data[index] = tensor
         self._entries = data
 
+    @classmethod
+    def _of_antisymmetric(cls, dim: int, entries: dict) -> Cocommutator:
+        """The cocommutator of ``entries``, nonzero antisymmetric TwoTensors with
+        indices in range(dim) by construction; takes the dict, checks nothing."""
+        out = cls(dim)
+        out._entries = entries
+        return out
+
     def get(self, index: int) -> TwoTensor:
         return self._entries.get(index, TwoTensor())
 
@@ -156,20 +197,26 @@ def cocommutator_from_triple(triple: ManinTriple) -> Cocommutator:
     """Double cocommutator: delta(Z_p) = -c^{q,r}_p Z_q (x) Z_r and
     delta(z^p) = f^p_{q,r} z^q (x) z^r, in double indices (Z-block first)."""
     m = triple.plus.dim
+    if triple.minus.dim != m:  # an unchecked triple; the indices below assume equal halves
+        raise ValueError(
+            f"paired algebras must share a dimension, got {m} and {triple.minus.dim}"
+        )
+    neg = _negator()
     entries: dict[int, dict] = {}
+    # each stored pair (q, r) gives each output p one nonzero term and its mirror
     for (q, r), vec in triple.minus.tensor.stored():
         # stored entry: c^{q,r}_p for each output p
         for p, value in vec.items():
-            acc = entries.setdefault(p, {})
-            add_into(acc, (q, r), -value)
-            add_into(acc, (r, q), value)
+            terms = entries.setdefault(p, {})
+            terms[(q, r)], terms[(r, q)] = neg(value), value
     for (q, r), vec in triple.plus.tensor.stored():
         # stored entry: f^p_{q,r} for each output p
         for p, value in vec.items():
-            acc = entries.setdefault(m + p, {})
-            add_into(acc, (m + q, m + r), value)
-            add_into(acc, (m + r, m + q), -value)
-    return Cocommutator(2 * m, {k: TwoTensor(v) for k, v in entries.items()})
+            terms = entries.setdefault(m + p, {})
+            terms[(m + q, m + r)], terms[(m + r, m + q)] = value, neg(value)
+    return Cocommutator._of_antisymmetric(
+        2 * m, {k: TwoTensor._of_nonzero(v) for k, v in entries.items()}
+    )
 
 
 def express_in_basis(delta: Cocommutator, T: Matrix) -> Cocommutator:
@@ -177,16 +224,25 @@ def express_in_basis(delta: Cocommutator, T: Matrix) -> Cocommutator:
 
     Consistent with LieAlgebra.change_of_basis: the new basis vectors are
     the columns of T in the old basis; the argument slot and the two output
-    slots move as :func:`liealg._change_slots` describes.
+    slots move as :func:`liealg._change_slots` describes.  The outputs are
+    the antisymmetric pair: the sorted halves of the values move, and each
+    new value is mirrored from its half.
     """
     if T.rows != delta.dim or T.cols != delta.dim:
         raise ValueError("change-of-basis matrix has wrong shape")
     T_inv = T.inverse()
-    terms = {(p,) + key: c for p, tensor in delta.items() for key, c in tensor.items()}
-    entries: dict[int, dict] = {}
-    for (p, q, r), c in _change_slots(terms, T, T_inv, arguments=1).items():
-        entries.setdefault(p, {})[(q, r)] = c
-    return Cocommutator(delta.dim, entries)
+    terms = {
+        (p,) + key: c
+        for p, tensor in delta._entries.items()
+        for key, c in tensor._sorted_half().items()
+    }
+    halves: dict[int, dict] = {}
+    for (p, q, r), c in _change_slots(terms, T, T_inv, arguments=1, pair=1).items():
+        halves.setdefault(p, {})[(q, r)] = c
+    neg = _negator()
+    return Cocommutator._of_antisymmetric(
+        delta.dim, {p: _mirrored(half, neg) for p, half in halves.items()}
+    )
 
 
 def dual_algebra(delta: Cocommutator, labels=None) -> LieAlgebra:
@@ -209,14 +265,14 @@ def check_cojacobi(delta: Cocommutator, labels=None) -> ViolationReport:
     return report
 
 
-def _by_slot(tensor: SparseTensor) -> list[dict[int, list]]:
-    """Index a 2- or 3-tensor's terms by the basis index in each slot.
+def _by_slot(terms: dict) -> list[dict[int, list]]:
+    """Index the terms ``{key: value}`` of a 2- or 3-tensor by the basis index in each slot.
 
     ``by_slot[slot][s]`` lists the ``(key, value)`` terms with
     ``key[slot] == s``; an empty tensor has no slots.
     """
     by_slot: list[dict[int, list]] = []
-    for key, value in tensor.items():
+    for key, value in terms.items():
         if not by_slot:
             by_slot = [{} for _ in key]
         for slot, s in enumerate(key):
@@ -243,31 +299,64 @@ def _add_action(acc: dict, pair, x: int, by_slot, mul, add, negate=False) -> Non
                     add_into(acc, key[:slot] + (k,) + key[slot + 1 :], mul(value, coeff), add)
 
 
+def _sorted_action(acc: dict, pair, x: int, index, mul, add, negate=False) -> None:
+    """Add the p < q terms of ad_x, or of -ad_x with ``negate``, of an antisymmetric 2-tensor into ``acc``.
+
+    ``index`` is the ``_by_slot`` index of the tensor's p < q terms.  The
+    action commutes with swapping the slots, so its result is antisymmetric
+    too, and it is the action on those terms minus its mirror.  So each
+    product lands on its key sorted, through the mirrored coefficient
+    [e_s, e_x] = -[e_x, e_s] when the sort swaps the indices, and a key with
+    a repeated index, which cancels against its mirror, is skipped.
+    """
+    for slot, terms_at in enumerate(index):
+        for s, terms in terms_at.items():
+            w = pair(x, s)
+            if not w:
+                continue
+            mirror = pair(s, x)
+            if negate:
+                w, mirror = mirror, w
+            # the coefficients for a new index k below the kept index, and above it
+            below, above = (w, mirror) if slot == 0 else (mirror, w)
+            for key, value in terms:
+                kept = key[1 - slot]
+                for k in w:
+                    if k < kept:
+                        add_into(acc, (k, kept), mul(value, below[k]), add)
+                    elif kept < k:
+                        add_into(acc, (kept, k), mul(value, above[k]), add)
+
+
 def check_cocycle(alg: LieAlgebra, delta: Cocommutator) -> ViolationReport:
     """1-cocycle condition: delta([x,y]) = ad_x.delta(y) - ad_y.delta(x).
 
-    Each residual delta([p,q]) - ad_p.delta(q) + ad_q.delta(p) is summed in
-    one accumulator.
+    Each residual delta([p,q]) - ad_p.delta(q) + ad_q.delta(p) is
+    antisymmetric, like every value of delta, so only its p < q terms are
+    summed, in one accumulator, from the p < q terms of the values; a
+    residual that does not vanish is mirrored for its counterexample.
     """
     if delta.dim != alg.dim:
         raise ValueError("cocommutator dimension does not match the algebra")
     report = ViolationReport("cocycle")
     pair = alg.tensor.pair
     mul, add, _ = scalar_table()
-    slots = [_by_slot(delta.get(p)) for p in range(alg.dim)]
+    neg = _negator()
+    halves = [delta.get(p)._sorted_half() for p in range(alg.dim)]
+    slots = [_by_slot(half) for half in halves]
     for p in range(alg.dim):
         for q in range(p + 1, alg.dim):
             acc: dict[tuple[int, int], Scalar] = {}
             coeffs = pair(p, q)
             if coeffs:
                 for r, value in coeffs.items():
-                    for key, coeff in delta.get(r).items():
+                    for key, coeff in halves[r].items():
                         add_into(acc, key, mul(value, coeff), add)
-            _add_action(acc, pair, p, slots[q], mul, add, negate=True)
-            _add_action(acc, pair, q, slots[p], mul, add)
+            _sorted_action(acc, pair, p, slots[q], mul, add, negate=True)
+            _sorted_action(acc, pair, q, slots[p], mul, add)
             if acc:
                 report.violations.append(
-                    Violation((p, q), TwoTensor(acc).format(alg.labels))
+                    Violation((p, q), _mirrored(acc, neg).format(alg.labels))
                 )
     return report
 
@@ -284,11 +373,26 @@ def build_rmatrix(triple: ManinTriple) -> tuple[TwoTensor, TwoTensor]:
 
 
 def coboundary(alg: LieAlgebra, r_skew: TwoTensor) -> Cocommutator:
-    """delta(x) = (ad_x (x) 1 + 1 (x) ad_x)(r_skew) on every basis element."""
+    """delta(x) = (ad_x (x) 1 + 1 (x) ad_x)(r_skew) on every basis element.
+
+    When r_skew is antisymmetric, so is each delta(x): it is computed from
+    the p < q terms of r_skew and mirrored.  Otherwise every term is acted
+    on, and a value that comes out not antisymmetric raises ValueError.
+    """
     r_skew._require_indices(alg.dim, "two-tensor")
     pair = alg.tensor.pair
     mul, add, _ = scalar_table()
-    by_slot = _by_slot(r_skew)
+    if r_skew.is_antisymmetric():
+        index = _by_slot(r_skew._sorted_half())
+        neg = _negator()
+        values = {}
+        for x in range(alg.dim):
+            acc: dict[tuple[int, int], Scalar] = {}
+            _sorted_action(acc, pair, x, index, mul, add)
+            if acc:
+                values[x] = _mirrored(acc, neg)
+        return Cocommutator._of_antisymmetric(alg.dim, values)
+    by_slot = _by_slot(r_skew._c)
     entries = {}
     for x in range(alg.dim):
         acc: dict[tuple[int, int], Scalar] = {}
@@ -422,7 +526,7 @@ def schouten_check(alg: LieAlgebra, r_skew: TwoTensor) -> QuasitriangularReport:
         if index is not None and _sorted_action_vanishes(pair, x, index, mul, add):
             continue
         if by_slot is None:
-            by_slot = _by_slot(schouten)
+            by_slot = _by_slot(schouten._c)
         acc: dict[tuple[int, int, int], Scalar] = {}
         _add_action(acc, pair, x, by_slot, mul, add)
         if acc:

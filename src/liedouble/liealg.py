@@ -129,6 +129,25 @@ def scalar_table() -> ScalarTable:
     return ScalarTable(binary(operator.mul), binary(operator.add), inverse)
 
 
+def _negator() -> Callable:
+    """Return ``neg(x)``, which computes -x once per distinct value object.
+
+    Kernel results come out of a scalar table, so equal values are mostly
+    one object, and mirroring an antisymmetric result negates each once.
+    The function keeps every operand alive while it lives, so no id is
+    reused while it is a key.
+    """
+    seen: dict[int, tuple[Scalar, Scalar]] = {}
+
+    def neg(x):
+        entry = seen.get(id(x))
+        if entry is None:
+            entry = seen[id(x)] = (x, -x)
+        return entry[1]
+
+    return neg
+
+
 def format_terms(pairs) -> str:
     """Render (label, coefficient) pairs as ``c1*l1 + c2*l2 - ...``.
 
@@ -200,13 +219,18 @@ class SparseTensor:
     def __sub__(self, other):
         return self._combined(other, negate=True)
 
+    @classmethod
+    def _of_nonzero(cls, data: dict):
+        """The tensor holding ``data``, whose values are nonzero Scalars; takes the dict."""
+        out = cls()
+        out._c = data
+        return out
+
     def _combined(self, other, negate: bool):
         data = dict(self._c)
         for key, value in other._c.items():
             add_into(data, key, -value if negate else value)
-        out = type(self)()
-        out._c = data
-        return out
+        return self._of_nonzero(data)
 
     def scale(self, factor):
         factor = _coerce_scalar(factor)
@@ -250,6 +274,7 @@ class StructureTensor:
 
     def __init__(self, entries):
         stored = {}
+        neg = _negator()
         for (p, q), vec in entries.items():
             if p == q:
                 raise ValueError(f"diagonal bracket ({p},{p}) is identically zero")
@@ -261,12 +286,12 @@ class StructureTensor:
             key, flip = ((p, q), False) if p < q else ((q, p), True)
             if key in stored:
                 raise ValueError(f"duplicate bracket declaration for pair {key}")
-            stored[key] = {r: -v for r, v in coeffs.items()} if flip else coeffs
+            stored[key] = {r: neg(v) for r, v in coeffs.items()} if flip else coeffs
         self._stored = dict(sorted(stored.items()))
         view = {}
         for (p, q), coeffs in self._stored.items():
             view[(p, q)] = coeffs
-            view[(q, p)] = {r: -v for r, v in coeffs.items()}
+            view[(q, p)] = {r: neg(v) for r, v in coeffs.items()}
         self._view = view
 
     def pair(self, p: int, q: int):
@@ -404,22 +429,26 @@ class Matrix:
         return sum((row[i] for i, row in enumerate(self._r) if i in row), ZERO)
 
     def _eliminated(self, augment: bool):
-        """Gauss-Jordan over sparse rows; returns (inverse rows or None, det).
+        """Gauss-Jordan over sparse rows; returns (inverse rows or None, pivots, swaps).
 
         Each working row is a copy of a stored row, with the augmented
         identity in columns n..2n-1.  The pivot is the first row at or below
         ``col`` with a nonzero entry there, and scaling and elimination touch
         only the pivot row's stored entries: every skipped product has a zero
         factor.  The returned inverse rows hold their nonzero entries only.
-        Products, sums and pivot inverses go through one scalar table.
+        Products, sums and pivot inverses go through one scalar table, and
+        each distinct scaled pivot-row value is negated once.  A column with
+        no pivot makes the matrix singular and the result None.
         """
         n = self.rows
         mul, add, inverse = scalar_table()
+        neg = _negator()
         work = [dict(row) for row in self._r]
         if augment:
             for i, row in enumerate(work):
                 row[n + i] = ONE
-        det = ONE
+        pivots: list[Scalar] = []
+        swaps = 0
         for col in range(n):
             pivot_row = None
             for r in range(col, n):
@@ -427,16 +456,16 @@ class Matrix:
                     pivot_row = r
                     break
             if pivot_row is None:
-                return None, ZERO
+                return None
             if pivot_row != col:
                 work[col], work[pivot_row] = work[pivot_row], work[col]
-                det = -det
+                swaps += 1
             pivot = work[col][col]
-            det = mul(det, pivot)
+            pivots.append(pivot)
             inv = inverse(pivot)
             pivot_entries = [(j, mul(v, inv)) for j, v in work[col].items()]
             work[col] = dict(pivot_entries)
-            negated = [(j, -w) for j, w in pivot_entries]
+            negated = [(j, neg(w)) for j, w in pivot_entries]
             for r, row in enumerate(work):
                 factor = row.get(col)
                 if r == col or factor is None:
@@ -444,28 +473,37 @@ class Matrix:
                 for j, w in negated:
                     add_into(row, j, mul(factor, w), add)
         if not augment:
-            return None, det
-        return [{j - n: v for j, v in row.items() if j >= n} for row in work], det
+            return None, pivots, swaps
+        return [{j - n: v for j, v in row.items() if j >= n} for row in work], pivots, swaps
 
     def determinant(self) -> Scalar:
+        """The product of the elimination's pivots, negated once per row swap."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        _, det = self._eliminated(augment=False)
+        eliminated = self._eliminated(augment=False)
+        if eliminated is None:
+            return ZERO
+        _, pivots, swaps = eliminated
+        det = -ONE if swaps % 2 else ONE
+        for pivot in pivots:
+            det = det * pivot
         return det
 
     def inverse(self) -> Matrix:
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        aug, det = self._eliminated(augment=True)
-        if aug is None or not det:
+        eliminated = self._eliminated(augment=True)
+        if eliminated is None:
             raise SingularMatrixError("matrix is singular")
-        return Matrix._of_rows(aug, self.rows)
+        return Matrix._of_rows(eliminated[0], self.rows)
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
 
 
-def _change_slots(terms: dict, T: Matrix | None, T_inv: Matrix, *, arguments: int) -> dict:
+def _change_slots(
+    terms: dict, T: Matrix | None, T_inv: Matrix, *, arguments: int, pair: int | None
+) -> dict:
     """``terms``, a sparse tensor ``{index tuple: Scalar}``, in the basis of the columns of T.
 
     The first ``arguments`` slots are pulled back through T: old index p goes
@@ -473,21 +511,51 @@ def _change_slots(terms: dict, T: Matrix | None, T_inv: Matrix, *, arguments: in
     there are none).  The other slots are pushed forward through T^-1: old
     index r goes to new index s with weight T^-1[s, r], from column r of
     T^-1.  The slots are mapped one after another, each over the whole
-    tensor, through one scalar table; an index with no row or column raises
-    IndexError.
+    tensor, through one scalar table.  A slot is read before it is mapped,
+    so each index read is an index of ``terms``; one with no row or column
+    raises IndexError before any product.
+
+    ``pair`` names the first of two neighbouring slots of one kind in which
+    the tensor is antisymmetric, or is None.  Then ``terms`` holds only the
+    keys sorted in the pair, and so does the result.  The new tensor is
+    antisymmetric in the same slots, and equals the image of the sorted
+    terms minus that image with the pair swapped.  The pair's first slot
+    maps a term from its mirror, -value with the pair swapped, when that
+    index has fewer weights: a term whose pair has a and b weights then
+    forms min(a, b) + a*b products, against a + b + 2*a*b for both
+    orientations.  The second slot lands each product on its key sorted,
+    through the negated weight when the sort swaps the pair, and skips a
+    key whose pair repeats an index: that product cancels against its
+    mirror.
     """
+    rank = len(next(iter(terms), ()))
+    slot_weights = [T._r if slot < arguments else T_inv._c for slot in range(rank)]
+    for key in terms:
+        for index, weights in zip(key, slot_weights):
+            if not 0 <= index < len(weights):
+                raise IndexError(f"index {index} out of range for {len(weights)} basis vectors")
     mul, add, _ = scalar_table()
-    for slot in range(len(next(iter(terms), ()))):
-        weights = T._r if slot < arguments else T_inv._c
-        size = len(weights)
+    neg = _negator()
+    fold = None if pair is None else pair + 1
+    for slot, weights in enumerate(slot_weights):
         acc: dict[tuple, Scalar] = {}
         for key, value in terms.items():
-            index = key[slot]
-            if not 0 <= index < size:
-                raise IndexError(f"index {index} out of range for {size} basis vectors")
-            head, tail = key[:slot], key[slot + 1 :]
-            for k, w in weights[index].items():
-                add_into(acc, head + (k,) + tail, mul(value, w), add)
+            head, index, tail = key[:slot], key[slot], key[slot + 1 :]
+            if slot == fold:
+                head, first = head[:-1], head[-1]
+                for k, w in weights[index].items():
+                    if first < k:
+                        add_into(acc, head + (first, k) + tail, mul(value, w), add)
+                    elif k < first:
+                        add_into(acc, head + (k, first) + tail, mul(value, neg(w)), add)
+            elif slot == pair and len(weights[tail[0]]) < len(weights[index]):
+                # the mirror, -value with the pair swapped, forms fewer products
+                other, tail = tail[0], (index,) + tail[1:]
+                for k, w in weights[other].items():
+                    add_into(acc, head + (k,) + tail, mul(value, neg(w)), add)
+            else:
+                for k, w in weights[index].items():
+                    add_into(acc, head + (k,) + tail, mul(value, w), add)
         terms = acc
     return terms
 
@@ -679,19 +747,19 @@ class LieAlgebra:
     def change_of_basis(self, T: Matrix, labels=None) -> LieAlgebra:
         """Rewrite brackets in the basis whose vectors are the columns of T.
 
-        Each oriented bracket is one term with two argument slots and one
-        output slot for :func:`_change_slots`; the pairs p < q are kept.
+        Each stored bracket, p < q, is one term with two argument slots and
+        one output slot for :func:`_change_slots`, antisymmetric in its
+        arguments, so the result holds the new pairs p < q only.
         """
         if T.rows != self.dim or T.cols != self.dim:
             raise ValueError("change-of-basis matrix has wrong shape")
         T_inv = T.inverse()
         terms = {
-            (p, q, r): c for (p, q), coeffs in self.tensor.oriented() for r, c in coeffs.items()
+            (p, q, r): c for (p, q), coeffs in self.tensor.stored() for r, c in coeffs.items()
         }
         brackets: dict[tuple[int, int], dict] = {}
-        for (p, q, r), c in _change_slots(terms, T, T_inv, arguments=2).items():
-            if p < q:
-                brackets.setdefault((p, q), {})[r] = c
+        for (p, q, r), c in _change_slots(terms, T, T_inv, arguments=2, pair=0).items():
+            brackets.setdefault((p, q), {})[r] = c
         return LieAlgebra(labels if labels is not None else self.labels, StructureTensor(brackets))
 
 

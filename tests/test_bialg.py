@@ -8,6 +8,8 @@ from liedouble import (
     QUASITRIANGULAR,
     TRIANGULAR,
     Cocommutator,
+    LieAlgebra,
+    ManinTriple,
     Scalar,
     TwoTensor,
     abelian,
@@ -202,11 +204,30 @@ def test_cocommutator_requires_antisymmetry():
         ({(0, 1): ONE}, False),  # only the p < q orientation
         ({(0, 1): ONE, (1, 0): ONE}, False),  # same sign
         ({(0, 1): ONE, (1, 0): -ONE, (2, 2): ONE}, False),  # a diagonal term
+        ({(0, 1): Scalar(1, -2, 3, -4), (1, 0): Scalar(-1, 2, -3, 4)}, True),
+        ({(0, 1): Scalar(1, 2), (1, 0): Scalar(-1, 2)}, False),  # one component not negated
+        ({(0, 1): HALF, (1, 0): Scalar(Fraction(-1, 3))}, False),  # denominators differ
     ],
 )
 def test_is_antisymmetric_on_each_kind_of_break(terms, antisymmetric):
     tensor = TwoTensor(terms)
     assert tensor.is_antisymmetric() is antisymmetric
+
+
+def test_wedge_of_an_index_with_itself_is_zero():
+    # e_p ^ e_p = e_p (x) e_p - e_p (x) e_p; both terms used to land on one key as -coeff
+    for coeff in (ONE, K, Scalar(0, 0, 1)):
+        assert TwoTensor.wedge(2, 2, coeff).is_zero()
+        assert TwoTensor.wedge(0, 2, coeff) + TwoTensor.wedge(2, 2, coeff) == TwoTensor.wedge(0, 2, coeff)
+    assert TwoTensor.wedge(2, 0, K) == -TwoTensor.wedge(0, 2, K)
+
+
+def test_cocommutator_of_an_unchecked_triple_needs_equal_halves():
+    # the minus block's indices would otherwise run into the plus block's
+    plus = abelian(2)
+    minus = LieAlgebra.from_brackets(("a", "b", "c"), {(0, 1): {2: ONE}})
+    with pytest.raises(ValueError, match="must share a dimension, got 2 and 3"):
+        cocommutator_from_triple(ManinTriple.unchecked(plus, minus))
 
 
 def test_cocommutator_rejects_indices_outside_its_dimension():

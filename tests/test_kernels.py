@@ -12,7 +12,10 @@ counterexamples in the same order, the same verdicts.
 
 The kernels that compute through ``liealg.scalar_table`` are run a second
 time with the table replaced by plain ``*``, ``+`` and ``Scalar.inverse``
-and must agree.
+and must agree.  The basis change, ``coboundary`` and ``check_cocycle``
+take antisymmetric pairs from their sorted halves; the last section checks
+them against the loops over both orientations and counts their products
+and negations.
 """
 
 import collections
@@ -37,6 +40,7 @@ from liedouble import (
     Matrix,
     Scalar,
     SingularMatrixError,
+    StructureTensor,
     ThreeTensor,
     TwoTensor,
     Cocommutator,
@@ -71,6 +75,7 @@ from liedouble import (
 from liedouble import bialg, liealg, manin, suite
 from liedouble.liealg import ScalarTable, add_into, scalar_table
 from liedouble.manin import DoubleAlgebra
+from test_basis_change_properties import invertible
 
 # --- reference implementations -------------------------------------------
 
@@ -1360,3 +1365,344 @@ def test_cojacobi_matches_dense_on_doctored_cocommutators(n):
 def test_jacobi_matches_dense_on_random_sparse_algebras(inputs):
     alg = inputs[0]
     assert alg.check_jacobi() == dense_check_jacobi(alg)
+
+
+# --- antisymmetric pairs from their sorted halves -------------------------------------
+
+
+def full_change_slots(terms, T, T_inv, arguments):
+    """Every slot of every term mapped in turn with plain products: the basis
+    change as it was before it took antisymmetric pairs from sorted halves."""
+    for slot in range(len(next(iter(terms), ()))):
+        weights = T._r if slot < arguments else T_inv._c
+        acc = {}
+        for key, value in terms.items():
+            for k, w in weights[key[slot]].items():
+                add_into(acc, key[:slot] + (k,) + key[slot + 1 :], value * w)
+        terms = acc
+    return terms
+
+
+def full_cocycle(alg, delta, mul, add):
+    """check_cocycle's loop before sorted halves: every term of every value acted on."""
+    pair = alg.tensor.pair
+    slots = [bialg._by_slot(delta.get(p)._c) for p in range(alg.dim)]
+    residuals = {}
+    for p in range(alg.dim):
+        for q in range(p + 1, alg.dim):
+            acc = {}
+            for r, value in (pair(p, q) or {}).items():
+                for key, coeff in delta.get(r)._c.items():
+                    add_into(acc, key, mul(value, coeff), add)
+            bialg._add_action(acc, pair, p, slots[q], mul, add, negate=True)
+            bialg._add_action(acc, pair, q, slots[p], mul, add)
+            if acc:
+                residuals[(p, q)] = acc
+    return residuals
+
+
+def swapped(key, pair):
+    return key[:pair] + (key[pair + 1], key[pair]) + key[pair + 2 :]
+
+
+def sorted_half(terms, pair):
+    return {key: value for key, value in terms.items() if key[pair] < key[pair + 1]}
+
+
+def mirrored(half, pair):
+    return {**half, **{swapped(key, pair): -value for key, value in half.items()}}
+
+
+@st.composite
+def antisymmetric_terms(draw, dim, rank, pair):
+    """Terms ``{key: value}`` antisymmetric in slots pair and pair + 1."""
+    index = st.integers(0, dim - 1)
+    terms = {}
+    for key in draw(st.lists(st.tuples(*[index] * rank), max_size=6)):
+        if key[pair] != key[pair + 1]:
+            value = draw(distinct)
+            terms[key], terms[swapped(key, pair)] = value, -value
+    return terms
+
+
+@st.composite
+def general_terms(draw, dim, rank):
+    """Terms with no symmetry, repeated indices allowed."""
+    index = st.integers(0, dim - 1)
+    return draw(st.dictionaries(st.tuples(*[index] * rank), distinct, max_size=6))
+
+
+IRRATIONAL = (
+    SQRT2,
+    Scalar(0, 0, 1),
+    Scalar(1, 1),
+    Scalar(0, Fraction(1, 2), 0, -1),
+    Scalar(Fraction(2, 3), 0, 0, 1),
+)
+
+
+@st.composite
+def block_matrices(draw, dim):
+    """P B Q: permutation matrices P and Q around a block-diagonal B of nonzero
+    1 x 1 entries and 2 x 2 blocks of irrational entries with a nonzero
+    determinant, so sparse and exactly invertible."""
+    value = st.sampled_from(IRRATIONAL)
+    rows = [[ZERO] * dim for _ in range(dim)]
+    i = 0
+    while i < dim:
+        if i + 1 < dim and draw(st.booleans()):
+            a, b, c, det = (draw(value) for _ in range(4))
+            d = (b * c + det) * a.inverse()  # a*d - b*c = det
+            rows[i][i], rows[i][i + 1], rows[i + 1][i], rows[i + 1][i + 1] = a, b, c, d
+            i += 2
+        else:
+            rows[i][i] = draw(st.sampled_from(IRRATIONAL + (ONE, -ONE)))
+            i += 1
+    left, right = draw(st.permutations(range(dim))), draw(st.permutations(range(dim)))
+    return Matrix([[rows[left[i]][right[j]] for j in range(dim)] for i in range(dim)])
+
+
+# (rank, argument slots, first slot of the pair) of change_of_basis, express_in_basis and transport
+LAYOUTS = ((3, 2, 0), (3, 1, 1), (2, 0, 0))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_sorted_half_basis_change_matches_the_full_loop(data):
+    dim = data.draw(st.integers(2, 5))
+    T = data.draw(st.one_of(block_matrices(dim), invertible(dim)))
+    T_inv = T.inverse()
+    for rank, arguments, pair in LAYOUTS:
+        full = data.draw(antisymmetric_terms(dim, rank, pair))
+        expected = full_change_slots(full, T, T_inv, arguments)
+        half = liealg._change_slots(
+            sorted_half(full, pair), T, T_inv, arguments=arguments, pair=pair
+        )
+        assert half == sorted_half(expected, pair)
+        assert mirrored(half, pair) == expected  # so no key of the result repeats its pair
+        general = data.draw(general_terms(dim, rank))
+        assert liealg._change_slots(
+            general, T, T_inv, arguments=arguments, pair=None
+        ) == full_change_slots(general, T, T_inv, arguments)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_public_basis_changes_match_the_full_loop_on_block_matrices(data):
+    dim = data.draw(st.integers(2, 5))
+    T = data.draw(block_matrices(dim))
+    T_inv = T.inverse()
+    brackets = data.draw(antisymmetric_terms(dim, 3, 0))
+    stored = {}
+    for (p, q, r), value in brackets.items():
+        if p < q:
+            stored.setdefault((p, q), {})[r] = value
+    alg = LieAlgebra.from_brackets([f"e{k}" for k in range(dim)], stored)
+    rebased = {}
+    for (p, q, r), value in full_change_slots(brackets, T, T_inv, 2).items():
+        if p < q:
+            rebased.setdefault((p, q), {})[r] = value
+    assert alg.change_of_basis(T).tensor == StructureTensor(rebased)
+    values = data.draw(antisymmetric_terms(dim, 3, 1))
+    entries = {}
+    for (p, q, r), value in values.items():
+        entries.setdefault(p, {})[(q, r)] = value
+    delta = Cocommutator(dim, entries)
+    moved = {}
+    for (p, q, r), value in full_change_slots(values, T, T_inv, 1).items():
+        moved.setdefault(p, {})[(q, r)] = value
+    assert express_in_basis(delta, T) == Cocommutator(dim, moved)
+    for r in (data.draw(antisymmetric_terms(dim, 2, 0)), data.draw(general_terms(dim, 2))):
+        tensor = TwoTensor(r)
+        expected = TwoTensor(full_change_slots(r, None, T_inv, 0))
+        assert tensor.transport(T_inv) == expected == plain_products(tensor.transport, T_inv)
+
+
+def outcome(func, *args):
+    """``func(*args)``, or the type and text of the ValueError it raises."""
+    try:
+        return func(*args)
+    except ValueError as err:
+        return ValueError, str(err)
+
+
+@settings(deadline=None, max_examples=40)
+@given(random_kernel_inputs(), st.data())
+def test_coboundary_of_a_tensor_that_is_not_antisymmetric_takes_the_full_loop(inputs, data):
+    alg = inputs[0]
+    r = TwoTensor(data.draw(general_terms(alg.dim, 2)))
+    expected = outcome(dense_coboundary, alg, r)
+    assert outcome(coboundary, alg, r) == expected
+    assert outcome(plain_products, coboundary, alg, r) == expected
+
+
+@st.composite
+def doctored_cocommutators(draw):
+    """gl(n) + t_n in the paired or the H/I/F basis, with one delta value changed:
+    a wedge term scaled, dropped or added."""
+    n = draw(st.sampled_from([2, 3]))
+    triple = build_gln_triple(n)
+    if draw(st.booleans()):
+        alg, delta = build_double(triple).algebra, cocommutator_from_triple(triple)
+    else:
+        alg, delta = double_in_gln_basis(n, triple), delta_in_gln_basis(n, triple)
+    entries = dict(delta.items())
+    p = draw(st.sampled_from(sorted(entries)))
+    terms = dict(entries[p].items())
+    q, r = draw(st.sampled_from(sorted(key for key in terms if key[0] < key[1])))
+    change = draw(st.sampled_from(["scale", "drop", "add"]))
+    if change == "scale":
+        factor = draw(st.sampled_from(IRRATIONAL))
+        terms[(q, r)], terms[(r, q)] = terms[(q, r)] * factor, terms[(r, q)] * factor
+    elif change == "drop":
+        del terms[(q, r)], terms[(r, q)]
+    else:
+        q, r = draw(st.lists(st.integers(0, alg.dim - 1), min_size=2, max_size=2, unique=True))
+        value = draw(st.sampled_from(IRRATIONAL))
+        terms = dict((TwoTensor(terms) + TwoTensor.wedge(q, r, value)).items())
+    entries[p] = TwoTensor(terms)
+    return alg, Cocommutator(delta.dim, entries)
+
+
+@settings(deadline=None, max_examples=30)
+@given(doctored_cocommutators())
+def test_cocycle_counterexamples_of_doctored_cocommutators_match_the_full_loop(case):
+    alg, delta = case
+    report = check_cocycle(alg, delta)
+    assert report == dense_cocycle(alg, delta) == plain_products(check_cocycle, alg, delta)
+
+
+def counting_table():
+    """A plain table whose ``mul`` counts its calls in ``products``."""
+    products = collections.Counter()
+
+    def mul(x, y):
+        products["mul"] += 1
+        return x * y
+
+    return products, ScalarTable(mul, operator.add, Scalar.inverse)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sorted_halves_form_at_most_half_the_products_of_the_full_loops(n):
+    products, table = counting_table()
+    alg, delta, r_skew, T, *_ = gln_case(n)
+    T_inv = T.inverse()
+    full_delta = {(p,) + key: c for p, value in delta.items() for key, c in value.items()}
+    brackets = {
+        (p, q, r): c for (p, q), coeffs in alg.tensor.oriented() for r, c in coeffs.items()
+    }
+
+    def full_coboundary():
+        index = bialg._by_slot(r_skew._c)
+        for x in range(alg.dim):
+            bialg._add_action({}, alg.tensor.pair, x, index, table.mul, table.add)
+
+    def count(func, *args, **kw):
+        products.clear()
+        func(*args, **kw)
+        return products["mul"]
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (liealg, bialg):
+            patch.setattr(module, "scalar_table", lambda: table)
+        patch.setattr(Matrix, "inverse", lambda self: T_inv)  # count the kernels' products only
+        pairs = {
+            "transport": (
+                count(r_skew.transport, T_inv),
+                count(liealg._change_slots, r_skew._c, None, T_inv, arguments=0, pair=None),
+            ),
+            "express_in_basis": (
+                count(express_in_basis, delta, T),
+                count(liealg._change_slots, full_delta, T, T_inv, arguments=1, pair=None),
+            ),
+            "coboundary": (count(coboundary, alg, r_skew), count(full_coboundary)),
+            "check_cocycle": (
+                count(check_cocycle, alg, delta),
+                count(full_cocycle, alg, delta, table.mul, table.add),
+            ),
+            "change_of_basis": (
+                count(alg.change_of_basis, T),
+                count(liealg._change_slots, brackets, T, T_inv, arguments=2, pair=None),
+            ),
+        }
+    for kernel, (half, full) in pairs.items():
+        if kernel == "change_of_basis":
+            # The full loop merges the images of [X_i, Y] and [x_i, Y] after
+            # its first slot (X_i and x_i have the same two weights); the
+            # sorted half holds the pairs as (X_i, Y) and (Y, x_i), whose
+            # images meet only after the second slot: 44 of 84 at n = 2.
+            assert 0 < half < full and 100 * half <= 53 * full, (kernel, half, full)
+        else:
+            assert 0 < 2 * half <= full, (kernel, half, full)
+
+
+@pytest.fixture()
+def negations():
+    """Count Scalar.__neg__ calls per operand object; the operands are kept
+    alive, so no id is reused."""
+    calls = collections.Counter()
+    operands = []
+    original = Scalar.__neg__
+
+    def counted(self):
+        calls[id(self)] += 1
+        operands.append(self)
+        return original(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Scalar, "__neg__", counted)
+        yield calls
+
+
+def test_structure_tensor_negates_each_coefficient_object_once(negations):
+    x, y = Scalar(0, 1), Scalar(1, 0, 2)
+    tensor = StructureTensor({(0, 1): {2: x}, (0, 2): {1: x, 0: y}, (2, 1): {0: x}})
+    # x and y for the reversed view, and x once more for (2, 1) stored as (1, 2),
+    # whose negated value the view negates back
+    assert sorted(negations.values()) == [1, 1, 1]
+    assert tensor.pair(1, 2) == {0: -x} and tensor.pair(2, 1) == {0: x}
+
+
+def test_kernels_negate_each_value_object_once(negations):
+    triple = build_gln_triple(3)
+    alg, delta, r_skew, T, *_ = gln_case(3)
+    negations.clear()
+    T_inv = T.inverse()
+    assert negations and max(negations.values()) == 1  # Gauss-Jordan's pivot rows
+    doctored = dict(delta.items())
+    doctored.pop(min(doctored))
+    doctored = Cocommutator(delta.dim, doctored)
+    calls = [
+        lambda: cocommutator_from_triple(triple),
+        lambda: express_in_basis(delta, T),
+        lambda: alg.change_of_basis(T),
+        lambda: r_skew.transport(T_inv),
+        lambda: coboundary(alg, r_skew),
+        lambda: check_cocycle(alg, doctored),
+    ]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Matrix, "inverse", lambda self: T_inv)
+        for call in calls:
+            negations.clear()
+            result = call()
+            assert negations and max(negations.values()) == 1
+    assert not result.ok  # the cocycle counterexamples were mirrored too
+
+
+def test_values_antisymmetric_by_construction_are_not_checked_again(monkeypatch):
+    calls = counted_methods(monkeypatch, TwoTensor, ("is_antisymmetric",))
+    triple = build_gln_triple(3)
+    alg, delta, r_skew, T, *_ = gln_case(3)
+    T_inv = T.inverse()
+    assert calls == {}
+    cocommutator_from_triple(triple)
+    express_in_basis(delta, T)
+    assert calls == {}
+    coboundary(alg, r_skew)
+    assert calls == {"is_antisymmetric": 1}  # its input only
+    r_skew.transport(T_inv)
+    assert calls == {"is_antisymmetric": 2}
+    calls.clear()
+    assert Cocommutator(delta.dim, dict(delta.items())) == delta
+    assert calls == {"is_antisymmetric": len(delta.items())}
