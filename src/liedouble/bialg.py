@@ -299,10 +299,12 @@ def _add_action(acc: dict, pair, x: int, by_slot, mul, add, negate=False) -> Non
                     add_into(acc, key[:slot] + (k,) + key[slot + 1 :], mul(value, coeff), add)
 
 
-def _sorted_action(acc: dict, pair, x: int, index, mul, add, negate=False) -> None:
+def _sorted_action(acc: dict, bracket, x: int, index, mul, add, negate=False) -> None:
     """Add the p < q terms of ad_x, or of -ad_x with ``negate``, of an antisymmetric 2-tensor into ``acc``.
 
-    ``index`` is the ``_by_slot`` index of the tensor's p < q terms.  The
+    ``bracket((p, q))`` is the coefficient mapping of [e_p, e_q] or None
+    (the algebra's ``tensor._view.get``), and ``index`` is the ``_by_slot``
+    index of the tensor's p < q terms.  The
     action commutes with swapping the slots, so its result is antisymmetric
     too, and it is the action on those terms minus its mirror.  So each
     product lands on its key sorted, through the mirrored coefficient
@@ -311,10 +313,10 @@ def _sorted_action(acc: dict, pair, x: int, index, mul, add, negate=False) -> No
     """
     for slot, terms_at in enumerate(index):
         for s, terms in terms_at.items():
-            w = pair(x, s)
+            w = bracket((x, s))
             if not w:
                 continue
-            mirror = pair(s, x)
+            mirror = bracket((s, x))
             if negate:
                 w, mirror = mirror, w
             # the coefficients for a new index k below the kept index, and above it
@@ -339,7 +341,7 @@ def check_cocycle(alg: LieAlgebra, delta: Cocommutator) -> ViolationReport:
     if delta.dim != alg.dim:
         raise ValueError("cocommutator dimension does not match the algebra")
     report = ViolationReport("cocycle")
-    pair = alg.tensor.pair
+    bracket = alg.tensor._view.get
     mul, add, _ = scalar_table()
     neg = _negator()
     halves = [delta.get(p)._sorted_half() for p in range(alg.dim)]
@@ -347,13 +349,13 @@ def check_cocycle(alg: LieAlgebra, delta: Cocommutator) -> ViolationReport:
     for p in range(alg.dim):
         for q in range(p + 1, alg.dim):
             acc: dict[tuple[int, int], Scalar] = {}
-            coeffs = pair(p, q)
+            coeffs = bracket((p, q))
             if coeffs:
                 for r, value in coeffs.items():
                     for key, coeff in halves[r].items():
                         add_into(acc, key, mul(value, coeff), add)
-            _sorted_action(acc, pair, p, slots[q], mul, add, negate=True)
-            _sorted_action(acc, pair, q, slots[p], mul, add)
+            _sorted_action(acc, bracket, p, slots[q], mul, add, negate=True)
+            _sorted_action(acc, bracket, q, slots[p], mul, add)
             if acc:
                 report.violations.append(
                     Violation((p, q), _mirrored(acc, neg).format(alg.labels))
@@ -380,15 +382,15 @@ def coboundary(alg: LieAlgebra, r_skew: TwoTensor) -> Cocommutator:
     on, and a value that comes out not antisymmetric raises ValueError.
     """
     r_skew._require_indices(alg.dim, "two-tensor")
-    pair = alg.tensor.pair
     mul, add, _ = scalar_table()
     if r_skew.is_antisymmetric():
+        bracket = alg.tensor._view.get
         index = _by_slot(r_skew._sorted_half())
         neg = _negator()
         values = {}
         for x in range(alg.dim):
             acc: dict[tuple[int, int], Scalar] = {}
-            _sorted_action(acc, pair, x, index, mul, add)
+            _sorted_action(acc, bracket, x, index, mul, add)
             if acc:
                 values[x] = _mirrored(acc, neg)
         return Cocommutator._of_antisymmetric(alg.dim, values)
@@ -396,7 +398,7 @@ def coboundary(alg: LieAlgebra, r_skew: TwoTensor) -> Cocommutator:
     entries = {}
     for x in range(alg.dim):
         acc: dict[tuple[int, int], Scalar] = {}
-        _add_action(acc, pair, x, by_slot, mul, add)
+        _add_action(acc, alg.tensor.pair, x, by_slot, mul, add)
         if acc:
             entries[x] = acc
     return Cocommutator(alg.dim, entries)
@@ -427,24 +429,69 @@ class QuasitriangularReport:
 
 
 def schouten_bracket(alg: LieAlgebra, r: TwoTensor) -> ThreeTensor:
-    """[[r, r]] = [r_12, r_13] + [r_12, r_23] + [r_13, r_23]."""
+    """[[r, r]] = [r_12, r_13] + [r_12, r_23] + [r_13, r_23].
+
+    For an antisymmetric r, [r_13, r_23] is a cyclic permutation of
+    S = [r_12, r_13] and [r_12, r_23] is minus its (1 2) transpose, and S is
+    antisymmetric in slots 2 and 3.  So [[r, r]] is alternating, and its
+    sorted key a < b < c is the sum of the products [e_a1, e_a2] (x) e_b1
+    (x) e_b2 of the term pairs with b1 < b2, each landed on its key sorted
+    with the sign of the sort; a key that repeats an index is skipped.  The
+    sorted values are mirrored to all six orientations.  That is one bracket
+    lookup per term pair with b1 < b2, against three per pair of terms.  Any
+    other r takes the three terms over every pair of terms.
+    """
     r._require_indices(alg.dim, "two-tensor")
-    terms = r.items()
-    pair = alg.tensor.pair
     mul, add, _ = scalar_table()
+    if not r.is_antisymmetric():
+        return _schouten_terms(alg, r, mul, add)
+    bracket = alg.tensor._view.get
+    neg = _negator()
+    by_second: dict[int, list] = {}  # b -> the terms (a, value) of r with second index b
+    for (a, b), value in r._c.items():
+        by_second.setdefault(b, []).append((a, value))
+    groups = sorted(by_second.items())
+    acc: dict[tuple[int, int, int], Scalar] = {}
+    for position, (b1, firsts) in enumerate(groups):
+        for b2, seconds in groups[position + 1 :]:
+            for a1, v1 in firsts:
+                for a2, v2 in seconds:
+                    w = bracket((a1, a2))
+                    if not w:
+                        continue
+                    coeff = mul(v1, v2)
+                    for k, cv in w.items():
+                        if k < b1:
+                            add_into(acc, (k, b1, b2), mul(coeff, cv), add)
+                        elif b1 < k < b2:
+                            add_into(acc, (b1, k, b2), neg(mul(coeff, cv)), add)
+                        elif b2 < k:
+                            add_into(acc, (b1, b2, k), mul(coeff, cv), add)
+    data = {}
+    for (a, b, c), value in acc.items():
+        opposite = neg(value)
+        data[(a, b, c)] = data[(b, c, a)] = data[(c, a, b)] = value
+        data[(a, c, b)] = data[(b, a, c)] = data[(c, b, a)] = opposite
+    return ThreeTensor._of_nonzero(data)
+
+
+def _schouten_terms(alg: LieAlgebra, r: TwoTensor, mul, add) -> ThreeTensor:
+    """[[r, r]] from its three terms over every ordered pair of terms of r."""
+    terms = r.items()
+    bracket = alg.tensor._view.get
     acc: dict[tuple[int, int, int], Scalar] = {}
     for (a1, b1), v1 in terms:
         for (a2, b2), v2 in terms:
             coeff = mul(v1, v2)
-            w = pair(a1, a2)
+            w = bracket((a1, a2))
             if w:
                 for k, cv in w.items():
                     add_into(acc, (k, b1, b2), mul(coeff, cv), add)
-            w = pair(b1, a2)
+            w = bracket((b1, a2))
             if w:
                 for k, cv in w.items():
                     add_into(acc, (a1, k, b2), mul(coeff, cv), add)
-            w = pair(b1, b2)
+            w = bracket((b1, b2))
             if w:
                 for k, cv in w.items():
                     add_into(acc, (a1, a2, k), mul(coeff, cv), add)
@@ -484,18 +531,19 @@ def _alternating_index(tensor: ThreeTensor, add) -> list[dict[int, list]] | None
     return index
 
 
-def _sorted_action_vanishes(pair, x: int, index, mul, add) -> bool:
+def _sorted_action_vanishes(bracket, x: int, index, mul, add) -> bool:
     """True iff ad_x of the alternating tensor that ``index`` describes is 0.
 
     The action commutes with permuting slots, so its result is alternating
     too, and it vanishes iff its a < b < c terms do.  Each product of a
     sorted term lands on its key sorted, with the sign of the sort; a key
     with a repeated index cancels against its transposition and is skipped.
+    ``bracket`` looks brackets up as in :func:`_sorted_action`.
     """
     acc: dict[tuple[int, int, int], Scalar] = {}
     for slot, terms_at in enumerate(index):
         for s, terms in terms_at.items():
-            w = pair(x, s)
+            w = bracket((x, s))
             if not w:
                 continue
             for p, q, values in terms:
@@ -517,18 +565,18 @@ def schouten_check(alg: LieAlgebra, r_skew: TwoTensor) -> QuasitriangularReport:
     over every term, so each violation lists the full tensor ad_x [[r, r]].
     """
     schouten = schouten_bracket(alg, r_skew)
-    pair = alg.tensor.pair
+    bracket = alg.tensor._view.get
     mul, add, _ = scalar_table()
     index = _alternating_index(schouten, add)
     by_slot = None
     violations: list[Violation] = []
     for x in range(alg.dim):
-        if index is not None and _sorted_action_vanishes(pair, x, index, mul, add):
+        if index is not None and _sorted_action_vanishes(bracket, x, index, mul, add):
             continue
         if by_slot is None:
             by_slot = _by_slot(schouten._c)
         acc: dict[tuple[int, int, int], Scalar] = {}
-        _add_action(acc, pair, x, by_slot, mul, add)
+        _add_action(acc, alg.tensor.pair, x, by_slot, mul, add)
         if acc:
             violations.append(
                 Violation((x,), ThreeTensor(acc).format(alg.labels))

@@ -88,12 +88,23 @@ _I_HALF_SQRT2 = Scalar(0, 0, 0, Fraction(1, 2))
 _MINUS_I_HALF_SQRT2 = -_I_HALF_SQRT2
 
 
+def _require_size(n: int) -> None:
+    """Raise ValueError unless n, the size of gl(n), is at least 1.
+
+    Every public function here that builds or reads a size-n object calls it.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+
+
 def solvable_dim(n: int) -> int:
+    _require_size(n)
     return n * (n + 1) // 2
 
 
 def cartan_index(n: int, i: int) -> int:
     """0-based index of X_i / x^i, i given 1-based."""
+    _require_size(n)
     if not 1 <= i <= n:
         raise ValueError(f"Cartan index {i} outside 1..{n}")
     return i - 1
@@ -101,6 +112,7 @@ def cartan_index(n: int, i: int) -> int:
 
 def root_index(n: int, i: int, j: int) -> int:
     """0-based index of Y_ij / y^ij, pair given 1-based with i < j."""
+    _require_size(n)
     if not (1 <= i < j <= n):
         raise ValueError(f"root pair ({i},{j}) must satisfy 1 <= i < j <= {n}")
     return n + (i - 1) * n - i * (i - 1) // 2 + (j - i - 1)
@@ -115,6 +127,7 @@ def _pair_label(n: int, prefix: str, i: int, j: int) -> str:
 
 
 def solvable_labels(n: int, lower: bool = False) -> tuple[str, ...]:
+    _require_size(n)
     cartan = "x" if lower else "X"
     root = "y" if lower else "Y"
     labels = [f"{cartan}{i}" for i in range(1, n + 1)]
@@ -125,28 +138,33 @@ def solvable_labels(n: int, lower: bool = False) -> tuple[str, ...]:
 
 
 def gln_dim(n: int) -> int:
+    _require_size(n)
     return n * n + n
 
 
 def h_index(n: int, i: int) -> int:
+    _require_size(n)
     if not 1 <= i <= n:
         raise ValueError(f"H index {i} outside 1..{n}")
     return i - 1
 
 
 def i_index(n: int, i: int) -> int:
+    _require_size(n)
     if not 1 <= i <= n:
         raise ValueError(f"I index {i} outside 1..{n}")
     return n + i - 1
 
 
 def f_index(n: int, i: int, j: int) -> int:
+    _require_size(n)
     if i == j or not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"F pair ({i},{j}) must have distinct entries in 1..{n}")
     return 2 * n + (i - 1) * (n - 1) + (j - 1 if j < i else j - 2)
 
 
 def gln_labels(n: int) -> tuple[str, ...]:
+    _require_size(n)
     labels = [f"H{i}" for i in range(1, n + 1)]
     labels += [f"I{i}" for i in range(1, n + 1)]
     labels += [
@@ -192,8 +210,7 @@ def _commutator_table(index: dict, scale) -> StructureTensor:
 def _borel_half(n: int, kappa: Scalar, lower: bool) -> LieAlgebra:
     """Span of E_ii, then E_ij (i < j): each bracket times kappa when a unit is
     diagonal, and negated in the lower half."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _require_size(n)
     units = [(i, j) for i, j in _matrix_units(n) if i <= j]
     sign = MINUS_ONE if lower else ONE
     cartan = kappa * sign
@@ -216,6 +233,7 @@ def build_s_minus(n: int, cartan_coefficient: Scalar = HALF_SQRT2) -> LieAlgebra
 
 def build_gln_triple(n: int, cartan_coefficient: Scalar = HALF_SQRT2) -> ManinTriple:
     """Pair the two solvable algebras index-by-index into a Manin triple."""
+    _require_size(n)
     return ManinTriple(build_s_plus(n, cartan_coefficient), build_s_minus(n, cartan_coefficient))
 
 
@@ -223,21 +241,31 @@ def gln_change_of_basis(n: int) -> Matrix:
     """Columns express H_i, I_i, F_ij through the double's X, Y, x, y basis.
 
     H_i = (X_i + x^i)/sqrt2, I_i = (X_i - x^i)/(i*sqrt2) and F_ij is Y_ij
-    for i < j, y^ji for i > j.  The exact inverse realizes
-    X_i = (H_i + i I_i)/sqrt2 and x^i = (H_i - i I_i)/sqrt2.
+    for i < j, y^ji for i > j.  The inverse is built with it in closed form,
+    X_i = (H_i + i I_i)/sqrt2, x^i = (H_i - i I_i)/sqrt2, Y_ij = F_ij and
+    y^ji = F_ij, and handed to the matrix, so ``inverse()`` eliminates
+    nothing.  T is unitary: row s of the inverse is the complex conjugate of
+    column s, which is column s itself for H_i and F_ij and its negative
+    for I_i.
     """
+    _require_size(n)
     m = solvable_dim(n)
     dim = gln_dim(n)
     cartan = [(cartan_index(n, i), m + cartan_index(n, i)) for i in range(1, n + 1)]
     columns = [{X: HALF_SQRT2, x: HALF_SQRT2} for X, x in cartan]
     columns += [{X: _MINUS_I_HALF_SQRT2, x: _I_HALF_SQRT2} for X, x in cartan]
+    inverse_rows = columns[:n] + [{X: _I_HALF_SQRT2, x: _MINUS_I_HALF_SQRT2} for X, x in cartan]
     for i, j in _matrix_units(n)[n:]:
         columns.append({root_index(n, i, j): ONE} if i < j else {m + root_index(n, j, i): ONE})
-    return Matrix.from_columns(dim, [Vector(col) for col in columns])
+    inverse_rows += columns[2 * n :]
+    T = Matrix.from_columns(dim, columns)
+    T._inverse = Matrix._of_rows(inverse_rows, dim)
+    return T
 
 
 def fundamental_representation(n: int) -> list[Matrix]:
     """n x n matrices for the gl(n) block: H_i = E_ii, F_ij = E_ij (i != j)."""
+    _require_size(n)
     return [
         Matrix._of_rows([{j - 1: ONE} if r == i - 1 else {} for r in range(n)], n)
         for i, j in _matrix_units(n)
@@ -246,19 +274,20 @@ def fundamental_representation(n: int) -> list[Matrix]:
 
 def representation_index(n: int) -> list[int]:
     """gl(n)+t_n index of each fundamental_representation(n) matrix, in order."""
+    _require_size(n)
     return [_unit_index(n, i, j) for i, j in _matrix_units(n)]
 
 
 def build_gln_tn(n: int) -> LieAlgebra:
     """gl(n) from [E_ij, E_kl] = d_jk E_il - d_li E_kj, plus n central I_i."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _require_size(n)
     index = {(i, j): _unit_index(n, i, j) for i, j in _matrix_units(n)}
     return LieAlgebra(gln_labels(n), _commutator_table(index, lambda i, j, k, l: ONE))
 
 
 def gln_tn_trace_form(n: int) -> BilinearForm:
     """Fundamental trace form on the gl(n) block, extended by <I_i, I_j> = d_ij."""
+    _require_size(n)
     dim = gln_dim(n)
     rows: list[dict] = [{} for _ in range(dim)]
     block = trace_form(fundamental_representation(n)).matrix()
@@ -273,6 +302,7 @@ def gln_tn_trace_form(n: int) -> BilinearForm:
 
 def double_in_gln_basis(n: int, triple: ManinTriple | None = None) -> LieAlgebra:
     """The double's bracket table rewritten in the H, I, F basis."""
+    _require_size(n)
     if triple is None:
         triple = build_gln_triple(n)
     double = build_double(triple)
@@ -281,6 +311,7 @@ def double_in_gln_basis(n: int, triple: ManinTriple | None = None) -> LieAlgebra
 
 def delta_in_gln_basis(n: int, triple: ManinTriple | None = None) -> Cocommutator:
     """The double's cocommutator transported to the H, I, F basis."""
+    _require_size(n)
     if triple is None:
         triple = build_gln_triple(n)
     return express_in_basis(cocommutator_from_triple(triple), gln_change_of_basis(n))
@@ -304,6 +335,7 @@ def split_twist(n: int, r_skew: TwoTensor) -> tuple[TwoTensor, TwoTensor]:
 
     Any term outside both patterns signals malformed input.
     """
+    _require_size(n)
     standard: dict[tuple[int, int], Scalar] = {}
     twist: dict[tuple[int, int], Scalar] = {}
     for key, value, blocks in _term_blocks(n, r_skew):
@@ -325,6 +357,7 @@ def identify_central(n: int, tensor: TwoTensor) -> TwoTensor:
     The image of a wedge F^(I_i - I_j) is zero, which is the operational
     sense in which the twist becomes trivial.
     """
+    _require_size(n)
     common = i_index(n, 1)
     acc: dict[tuple[int, int], Scalar] = {}
     for key, value, blocks in _term_blocks(n, tensor):
@@ -334,6 +367,7 @@ def identify_central(n: int, tensor: TwoTensor) -> TwoTensor:
 
 def rmatrix_in_gln_basis(n: int, r_skew: TwoTensor) -> tuple[TwoTensor, TwoTensor, TwoTensor]:
     """The double's skew r-matrix moved to the H/I/F basis, then its ``split_twist`` parts."""
+    _require_size(n)
     r_skew_hif = r_skew.transport(gln_change_of_basis(n).inverse())
     return (r_skew_hif, *split_twist(n, r_skew_hif))
 
@@ -358,6 +392,7 @@ def verify_double_is_gln(n: int, rebased: LieAlgebra | None = None) -> Violation
     ``rebased`` defaults to ``double_in_gln_basis(n)``.  The one violation,
     if any, is the first differing bracket pair with the residual built - expected.
     """
+    _require_size(n)
     if rebased is None:
         rebased = double_in_gln_basis(n)
     expected = build_gln_tn(n)
@@ -378,6 +413,7 @@ def _embedding_map(m: int) -> dict[int, int]:
 
 def check_chain_embedding(m: int) -> ViolationReport:
     """Generator-wise inclusion must commute with brackets and cocommutators."""
+    _require_size(m)
     small_triple = build_gln_triple(m)
     big_triple = build_gln_triple(m + 1)
     small = double_in_gln_basis(m, small_triple)
@@ -385,11 +421,12 @@ def check_chain_embedding(m: int) -> ViolationReport:
     small_delta = delta_in_gln_basis(m, small_triple)
     big_delta = delta_in_gln_basis(m + 1, big_triple)
     emb = _embedding_map(m)
+    small_bracket, big_bracket = small.tensor._view.get, big.tensor._view.get
     report = ViolationReport("chain_embedding")
     for p in range(small.dim):
         for q in range(p + 1, small.dim):
-            pushed = {emb[r]: v for r, v in (small.tensor.pair(p, q) or {}).items()}
-            target = dict(big.tensor.pair(emb[p], emb[q]) or {})
+            pushed = {emb[r]: v for r, v in (small_bracket((p, q)) or {}).items()}
+            target = dict(big_bracket((emb[p], emb[q])) or {})
             if pushed != target:
                 residual = Vector(target) - Vector(pushed)
                 report.violations.append(

@@ -298,6 +298,9 @@ class StructureTensor:
         """Coefficients of [e_p, e_q], or None when the bracket vanishes.
 
         The returned mapping is shared internal state; do not mutate it.
+        A kernel that looks brackets up in its innermost loop binds
+        ``_view.get`` once and passes it the key ``(p, q)``, without this
+        method's frame.
         """
         return self._view.get((p, q))
 
@@ -344,10 +347,13 @@ class Matrix:
 
     Each row is a ``{column: Scalar}`` dict and a column index maps each
     column to its ``{row: Scalar}`` dict, so products, applications and
-    eliminations visit the stored entries only.
+    eliminations visit the stored entries only.  A factory that knows a
+    matrix's inverse in closed form sets ``_inverse``, and ``inverse``
+    returns it without elimination; every other matrix is inverted by
+    Gauss-Jordan.
     """
 
-    __slots__ = ("rows", "cols", "_r", "_c")
+    __slots__ = ("rows", "cols", "_r", "_c", "_inverse")
 
     def __init__(self, entries):
         entries = [[_coerce_scalar(v) for v in row] for row in entries]
@@ -360,6 +366,7 @@ class Matrix:
         self.rows = len(rows)
         self.cols = cols
         self._r = rows
+        self._inverse = None
         self._c = [{} for _ in range(cols)]
         for i, row in enumerate(rows):
             for j, v in row.items():
@@ -490,6 +497,8 @@ class Matrix:
         return det
 
     def inverse(self) -> Matrix:
+        if self._inverse is not None:
+            return self._inverse
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         eliminated = self._eliminated(augment=True)
@@ -694,14 +703,14 @@ class LieAlgebra:
         all triples, in the same order.
         """
         report = ViolationReport("jacobi")
-        pair = self.tensor.pair
+        bracket = self.tensor._view.get
         mul, add, _ = scalar_table()
 
         def accumulate(acc, inner, outer_index):
             if not inner:
                 return
             for k, coeff in inner.items():
-                w = pair(k, outer_index)
+                w = bracket((k, outer_index))
                 if not w:
                     continue
                 for m, c2 in w.items():
@@ -709,9 +718,9 @@ class LieAlgebra:
 
         for p, q, r in self._jacobi_candidates():
             acc: dict[int, Scalar] = {}
-            accumulate(acc, pair(p, q), r)
-            accumulate(acc, pair(q, r), p)
-            accumulate(acc, pair(r, p), q)
+            accumulate(acc, bracket((p, q)), r)
+            accumulate(acc, bracket((q, r)), p)
+            accumulate(acc, bracket((r, p)), q)
             if acc:
                 residual = Vector(acc)
                 report.violations.append(Violation((p, q, r), residual.format(self.labels)))
@@ -792,15 +801,26 @@ def structure_equal(a: LieAlgebra, b: LieAlgebra) -> bool:
 
 
 def trace_form(rep) -> BilinearForm:
-    """Gram matrix B(p, q) = trace(rep[p] * rep[q]) of a matrix representation."""
+    """Gram matrix B(p, q) = trace(rep[p] * rep[q]) of a matrix representation.
+
+    trace(A B) = sum of A[k, l] * B[l, k] over the stored entries (k, l) of
+    A, so no product matrix is formed; the sums go through one scalar table.
+    """
     rep = list(rep)
     for mat in rep:
         if mat.rows != mat.cols or mat.rows != rep[0].rows:
             raise ValueError("representation matrices must be square and equal-sized")
+    mul, add, _ = scalar_table()
     rows: list[dict] = [{} for _ in rep]
     for p, left in enumerate(rep):
+        entries = [(k, l, a) for k, row in enumerate(left._r) for l, a in row.items()]
         for q in range(p, len(rep)):
-            value = (left * rep[q]).trace()
+            right = rep[q]._r
+            value = ZERO
+            for k, l, a in entries:
+                b = right[l].get(k)
+                if b is not None:
+                    value = add(value, mul(a, b))
             if value:
                 rows[p][q] = rows[q][p] = value
     return BilinearForm(Matrix._of_rows(rows, len(rep)))

@@ -332,7 +332,7 @@ def check_ad_invariance(double: DoubleAlgebra) -> InvarianceReport:
     alg = double.algebra
     pairing = double.pairing
     dim = alg.dim
-    pair = alg.tensor.pair
+    bracket = alg.tensor._view.get
     partners = [pairing.matrix().row(r).indices() for r in range(dim)]
     candidates = set()
     for (p, q), coeffs in alg.tensor.stored():
@@ -356,8 +356,8 @@ def check_ad_invariance(double: DoubleAlgebra) -> InvarianceReport:
     plus_bad: list[Violation] = []
     minus_bad: list[Violation] = []
     for a, b, cidx in sorted(candidates):
-        lhs = paired(pair(a, b), cidx)
-        rhs = paired(pair(b, cidx), a)
+        lhs = paired(bracket((a, b)), cidx)
+        rhs = paired(bracket((b, cidx)), a)
         difference = add(lhs, mul(rhs, MINUS_ONE))
         if difference:
             plus_bad.append(Violation((a, b, cidx), str(difference)))

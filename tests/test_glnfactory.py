@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 from liedouble import (
@@ -13,6 +15,7 @@ from liedouble import (
     Matrix,
     Scalar,
     StructureTensor,
+    TwoTensor,
     Vector,
     build_double,
     build_gln_tn,
@@ -179,6 +182,51 @@ def test_gln_change_of_basis_matches_rank_two_map():
     # F_12 = Y_12, F_21 = y^12
     assert T.column(f_index(2, 1, 2)) == Vector({root_index(2, 1, 2): ONE})
     assert T.column(f_index(2, 2, 1)) == Vector({m + root_index(2, 1, 2): ONE})
+
+
+# The arguments after n of each public glnfactory function whose first parameter is a size.
+SIZE_N_ARGUMENTS = {
+    "solvable_dim": (),
+    "cartan_index": (1,),
+    "root_index": (1, 2),
+    "solvable_labels": (),
+    "gln_dim": (),
+    "h_index": (1,),
+    "i_index": (1,),
+    "f_index": (1, 2),
+    "gln_labels": (),
+    "build_s_plus": (),
+    "build_s_minus": (),
+    "build_gln_triple": (),
+    "gln_change_of_basis": (),
+    "fundamental_representation": (),
+    "representation_index": (),
+    "build_gln_tn": (),
+    "gln_tn_trace_form": (),
+    "double_in_gln_basis": (),
+    "delta_in_gln_basis": (),
+    "split_twist": (TwoTensor(),),
+    "identify_central": (TwoTensor(),),
+    "rmatrix_in_gln_basis": (TwoTensor(),),
+    "verify_double_is_gln": (),
+    "check_chain_embedding": (),
+}
+
+
+def test_every_public_size_n_function_is_listed():
+    sized = {
+        name
+        for name in glnfactory.__all__
+        if next(iter(inspect.signature(getattr(glnfactory, name)).parameters)) in ("n", "m")
+    }
+    assert sized == set(SIZE_N_ARGUMENTS)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("name", sorted(SIZE_N_ARGUMENTS))
+def test_size_n_functions_reject_n_below_one(name, n):
+    with pytest.raises(ValueError, match="^n must be at least 1$"):
+        getattr(glnfactory, name)(n, *SIZE_N_ARGUMENTS[name])
 
 
 def test_gln_change_of_basis_inverse_relations():

@@ -15,7 +15,10 @@ time with the table replaced by plain ``*``, ``+`` and ``Scalar.inverse``
 and must agree.  The basis change, ``coboundary`` and ``check_cocycle``
 take antisymmetric pairs from their sorted halves; the last section checks
 them against the loops over both orientations and counts their products
-and negations.
+and negations.  The factory's closed-form inverse of its change of basis
+is checked against Gauss-Jordan, ``trace_form`` against the traces of
+product matrices, and the Schouten bracket of an antisymmetric r, computed
+from one of its three terms, against the three-term loop.
 """
 
 import collections
@@ -73,6 +76,7 @@ from liedouble import (
     dual_algebra,
 )
 from liedouble import bialg, liealg, manin, suite
+from liedouble.cli import MAX_N
 from liedouble.liealg import ScalarTable, add_into, scalar_table
 from liedouble.manin import DoubleAlgebra
 from test_basis_change_properties import invertible
@@ -148,6 +152,34 @@ def dense_trace_form(rep):
                     total = total + a.entry(k, l) * b.entry(l, k)
             gram[p][q] = total
     return BilinearForm(gram)
+
+
+def product_trace_form(rep):
+    """B(p, q) = trace(rep[p] * rep[q]) from the product matrices, pairs p <= q."""
+    rep = list(rep)
+    rows = [{} for _ in rep]
+    for p, left in enumerate(rep):
+        for q in range(p, len(rep)):
+            value = (left * rep[q]).trace()
+            if value:
+                rows[p][q] = rows[q][p] = value
+    return BilinearForm(Matrix._of_rows(rows, len(rep)))
+
+
+def three_term_schouten(alg, r):
+    """[r_12, r_13] + [r_12, r_23] + [r_13, r_23] over every ordered pair of terms, plain products."""
+    pair = alg.tensor.pair
+    acc = {}
+    for (a1, b1), v1 in r.items():
+        for (a2, b2), v2 in r.items():
+            coeff = v1 * v2
+            for k, cv in (pair(a1, a2) or {}).items():
+                add_into(acc, (k, b1, b2), coeff * cv)
+            for k, cv in (pair(b1, a2) or {}).items():
+                add_into(acc, (a1, k, b2), coeff * cv)
+            for k, cv in (pair(b1, b2) or {}).items():
+                add_into(acc, (a1, a2, k), coeff * cv)
+    return ThreeTensor(acc)
 
 
 def dense_ad_invariance(double):
@@ -506,10 +538,42 @@ def test_sparse_matrix_edges():
             matrix.column(j)
 
 
+def eliminated_copy(matrix):
+    """A copy of ``matrix`` with no inverse attached, so ``inverse()`` runs Gauss-Jordan."""
+    return Matrix._of_rows([dict(row) for row in matrix._r], matrix.cols)
+
+
 def test_gauss_jordan_matches_dense_on_the_gln_basis_change():
     T = gln_change_of_basis(3)
     rows = [[T.entry(i, j) for j in range(T.cols)] for i in range(T.rows)]
     assert_matches_dense(rows)
+
+
+# The factory's change of basis carries its inverse in closed form; Gauss-Jordan
+# on a copy with no inverse attached is the oracle, for every size the CLI can
+# build (verify --n MAX_N checks the chain embedding into size MAX_N + 1).
+
+
+@pytest.mark.parametrize("n", range(1, MAX_N + 2))
+def test_closed_form_inverse_of_the_gln_basis_change_matches_gauss_jordan(n):
+    T = gln_change_of_basis(n)
+    inverse = T.inverse()
+    assert inverse is T.inverse()
+    assert inverse == eliminated_copy(T).inverse()
+    identity = Matrix.identity(T.rows)
+    assert T * inverse == identity and inverse * T == identity
+
+
+def test_verify_suite_inverts_without_elimination(monkeypatch):
+    calls = counted_methods(monkeypatch, Matrix, ("inverse", "_eliminated"))
+    suite.verify_suite(3)
+    assert calls["inverse"] > 0 and calls["_eliminated"] == 0
+
+
+def test_verify_suite_looks_brackets_up_without_the_pair_method(monkeypatch):
+    calls = counted_methods(monkeypatch, StructureTensor, ("pair",))
+    suite.verify_suite(3)
+    assert calls == {}
 
 
 # --- Bilinear forms ------------------------------------------------------------
@@ -565,10 +629,10 @@ def test_killing_form_matches_dense_on_gln_tn(n):
     assert algebra.killing_form() == dense_killing_form(algebra)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_trace_form_matches_dense_on_the_fundamental_representation(n):
     rep = fundamental_representation(n)
-    assert trace_form(rep) == dense_trace_form(rep)
+    assert trace_form(rep) == dense_trace_form(rep) == product_trace_form(rep)
 
 
 @settings(deadline=None, max_examples=40)
@@ -577,7 +641,7 @@ def test_trace_form_matches_dense_on_random_matrices(data):
     size = data.draw(st.integers(1, 3))
     count = data.draw(st.integers(1, 4))
     rep = [Matrix(data.draw(rectangular_rows(size, size))) for _ in range(count)]
-    assert trace_form(rep) == dense_trace_form(rep)
+    assert trace_form(rep) == dense_trace_form(rep) == product_trace_form(rep)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -973,6 +1037,92 @@ def test_schouten_check_of_a_mutant_bracket_matches_the_full_loop(monkeypatch):
     assert report.verdict == NOT_INVARIANT
 
 
+# [[r, r]] of an antisymmetric r from the term pairs with b1 < b2 of its first
+# term, mirrored: equal to the three-term loop, at most 1/6 of its lookups.
+
+
+@st.composite
+def skew_two_tensors(draw, dim: int):
+    """A random antisymmetric two-tensor on range(dim): a sum of wedges."""
+    r = TwoTensor()
+    for _ in range(draw(st.integers(0, 6))):
+        p, q = draw(st.lists(st.integers(0, dim - 1), min_size=2, max_size=2, unique=True))
+        r = r + TwoTensor.wedge(p, q, draw(st.sampled_from(WEDGE_SCALES)))
+    return r
+
+
+@st.composite
+def schouten_cases(draw):
+    """(algebra, antisymmetric r): gl(n) + t_n with n <= 4, or a random algebra of dimension 2..5."""
+    if draw(st.booleans()):
+        alg = build_gln_tn(draw(st.integers(1, 4)))
+    else:
+        m = draw(st.integers(2, 5))
+        alg = LieAlgebra.from_brackets([f"e{k}" for k in range(m)], random_tensor(draw, m))
+    return alg, draw(skew_two_tensors(alg.dim))
+
+
+@settings(deadline=None, max_examples=60)
+@given(schouten_cases())
+def test_schouten_bracket_of_a_skew_r_matches_the_three_term_loop(case):
+    alg, r = case
+    assert r.is_antisymmetric()
+    assert schouten_bracket(alg, r) == three_term_schouten(alg, r)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_schouten_bracket_of_the_gln_r_matrix_matches_the_three_term_loop(n):
+    triple = build_gln_triple(n)
+    alg = build_double(triple).algebra
+    _, r_skew = build_rmatrix(triple)
+    schouten = schouten_bracket(alg, r_skew)
+    assert schouten == three_term_schouten(alg, r_skew)
+    assert is_alternating(schouten) and (n == 1) == (not schouten)
+
+
+def test_schouten_bracket_of_a_non_skew_r_takes_the_three_term_loop(monkeypatch):
+    full_loop = []
+    terms = bialg._schouten_terms
+    monkeypatch.setattr(
+        bialg, "_schouten_terms", lambda *args: full_loop.append(args[1]) or terms(*args)
+    )
+    alg = build_gln_tn(2)
+    skew = TwoTensor.wedge(0, 2) + TwoTensor.wedge(2, 3, SQRT2)
+    assert schouten_bracket(alg, skew) == three_term_schouten(alg, skew)
+    assert full_loop == []
+    for r in (skew + TwoTensor({(0, 2): ONE}), TwoTensor({(2, 3): ONE}), TwoTensor({(4, 4): ONE})):
+        assert not r.is_antisymmetric()
+        assert schouten_bracket(alg, r) == three_term_schouten(alg, r)
+        assert full_loop[-1] is r
+
+
+class CountingView(dict):
+    """A bracket view that counts its ``get`` calls."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_schouten_bracket_makes_at_most_a_sixth_of_the_loops_lookups(n):
+    triple = build_gln_triple(n)
+    alg = build_double(triple).algebra
+    _, r_skew = build_rmatrix(triple)
+    view = alg.tensor._view = CountingView(alg.tensor._view)
+    expected = three_term_schouten(alg, r_skew)
+    view.lookups = 0
+    assert schouten_bracket(alg, r_skew) == expected
+    sorted_lookups, view.lookups = view.lookups, 0
+    mul, add, _ = scalar_table()
+    assert bialg._schouten_terms(alg, r_skew, mul, add) == expected
+    full_lookups = view.lookups
+    assert full_lookups == 3 * len(r_skew.items()) ** 2
+    assert 0 < 6 * sorted_lookups <= full_lookups, (sorted_lookups, full_lookups)
+
+
 # --- adjoint action on two-tensors ------------------------------------------------
 
 
@@ -1102,7 +1252,7 @@ def test_express_in_basis_computes_each_value_pair_once(scalar_ops):
 
 
 def test_gauss_jordan_computes_each_value_pair_and_pivot_once(scalar_ops):
-    T = gln_change_of_basis(6)
+    T = eliminated_copy(gln_change_of_basis(6))
     inverse = T.inverse()
     assert {name for name, *_ in scalar_ops} == {"__mul__", "__add__", "inverse"}
     assert max(scalar_ops.values()) == 1
@@ -1667,8 +1817,9 @@ def test_structure_tensor_negates_each_coefficient_object_once(negations):
 def test_kernels_negate_each_value_object_once(negations):
     triple = build_gln_triple(3)
     alg, delta, r_skew, T, *_ = gln_case(3)
-    negations.clear()
     T_inv = T.inverse()
+    negations.clear()
+    assert eliminated_copy(T).inverse() == T_inv
     assert negations and max(negations.values()) == 1  # Gauss-Jordan's pivot rows
     doctored = dict(delta.items())
     doctored.pop(min(doctored))
