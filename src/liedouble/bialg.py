@@ -4,6 +4,9 @@ Wedge convention, fixed repository-wide: a^b = a(x)b - b(x)a, with no 1/2
 factor.  A cocommutator maps each basis index to an antisymmetric TwoTensor;
 its structure constants double as the bracket table of the dual algebra.
 
+A cocommutator stores each value as its sorted half, the q < r terms, and
+the kernels read and write halves; ``get`` and ``items`` mirror them.
+
 For a Manin triple the canonical r-matrix is r = sum_p z^p (x) Z_p (one
 term per index pair, coefficient 1) and its skew part is
 r_tilde = (1/2) sum_p z^p ^ Z_p.  The coboundary of r_tilde reproduces the
@@ -14,6 +17,7 @@ part alone (the report states this assumption).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from .liealg import (
@@ -71,61 +75,63 @@ class TwoTensor(SparseTensor):
         return self._c.get((p, q), ZERO)
 
     def is_antisymmetric(self) -> bool:
-        """True iff every term (p, q) has p != q and (q, p) holds its negative.
+        """True iff every term (p, q) has p != q and (q, p) holds its negative."""
+        return self._antisymmetric_half() is not None
 
-        Each pair is visited once, from p < q, and the two values' integer
-        ratios are compared, numerators negated, so no Scalar comparison, sum
-        or negation runs; the other orientation is then accounted for by
-        counting.
+    def _antisymmetric_half(self) -> dict | None:
+        """The p < q terms, which determine the tensor, when it is antisymmetric; else None.
+
+        One pass: each pair is visited once, from p < q, and the two values'
+        integer ratios are compared, numerators negated, so no Scalar
+        comparison, sum or negation runs; the other orientation is then
+        accounted for by counting.
         """
         terms = self._c
-        pairs = 0
+        half = {}
         for (p, q), value in terms.items():
             if p < q:
                 other = terms.get((q, p))
                 if other is None:
-                    return False
+                    return None
                 # equal denominators and opposite numerators
                 mine, theirs = _ratios(value), _ratios(other)
                 opposite = mine[1::2] == theirs[1::2] and all(
                     m == -t for m, t in zip(mine[::2], theirs[::2])
                 )
                 if not opposite:
-                    return False
-                pairs += 1
-        return 2 * pairs == len(terms)
+                    return None
+                half[(p, q)] = value
+        return half if 2 * len(half) == len(terms) else None
 
-    def _sorted_half(self) -> dict:
-        """The p < q terms, which determine an antisymmetric tensor."""
-        return {key: value for key, value in self._c.items() if key[0] < key[1]}
+    @classmethod
+    def _of_half(cls, half: dict, neg=operator.neg) -> TwoTensor:
+        """The antisymmetric tensor whose p < q terms are ``half``; ``neg`` negates each for (q, p)."""
+        data = dict(half)
+        for (p, q), value in half.items():
+            data[(q, p)] = neg(value)
+        return cls._of_nonzero(data)
 
     def _require_indices(self, dim: int, what: str) -> None:
-        """Raise ValueError, naming ``what``, when a term has an index outside range(dim)."""
+        """Raise ValueError, naming ``what``, when a key is not an index pair or not in range(dim)."""
+        for key in self._c:
+            if type(key) is not tuple or len(key) != 2:
+                raise ValueError(f"{what} has key {key!r}, not an index pair")
         _require_in_range({k for key in self._c for k in key}, dim, what)
 
     def transport(self, inverse_basis_map: Matrix) -> TwoTensor:
-        """Rewrite coordinates through the inverse change-of-basis matrix.
+        """Rewrite coordinates through the inverse change-of-basis matrix, which must be square.
 
         Both slots are outputs, pushed forward by :func:`liealg._change_slots`:
         from the sorted half as an antisymmetric pair when the tensor is
         antisymmetric, from every term otherwise.
         """
-        if self.is_antisymmetric():
-            half = _change_slots(self._sorted_half(), None, inverse_basis_map, arguments=0, pair=0)
-            return _mirrored(half, _negator())
-        return TwoTensor(_change_slots(self._c, None, inverse_basis_map, arguments=0, pair=None))
-
-
-def _mirrored(half: dict, neg) -> TwoTensor:
-    """The antisymmetric TwoTensor whose p < q terms are ``half``, nonzero values.
-
-    ``neg`` negates each value for its (q, p) term.
-    """
-    data = {}
-    for (p, q), value in half.items():
-        data[(p, q)] = value
-        data[(q, p)] = neg(value)
-    return TwoTensor._of_nonzero(data)
+        T_inv = inverse_basis_map
+        if T_inv.rows != T_inv.cols:
+            raise ValueError("change-of-basis matrix has wrong shape")
+        half = self._antisymmetric_half()
+        if half is None:
+            return TwoTensor(_change_slots(self._c, None, T_inv, arguments=0, pair=None))
+        return TwoTensor._of_half(_change_slots(half, None, T_inv, arguments=0, pair=0), _negator())
 
 
 class ThreeTensor(SparseTensor):
@@ -150,47 +156,55 @@ class ThreeTensor(SparseTensor):
 
 
 class Cocommutator:
-    """Map from index to an antisymmetric TwoTensor, all indices in range(dim); zeros omitted."""
+    """Map from index to an antisymmetric TwoTensor, all indices in range(dim); zeros omitted.
 
-    __slots__ = ("dim", "_entries")
+    Each value is stored as its sorted half ``{(q, r): value}`` with q < r.
+    """
+
+    __slots__ = ("dim", "_halves")
 
     def __init__(self, dim: int, entries=None):
         self.dim = dim
-        data = {}
-        if entries:
-            for index, tensor in entries.items():
-                if not 0 <= index < dim:
-                    raise ValueError(f"cocommutator index {index} outside range({dim})")
-                if not isinstance(tensor, TwoTensor):
-                    tensor = TwoTensor(tensor)
-                if tensor:
-                    if not tensor.is_antisymmetric():
-                        raise ValueError(f"cocommutator value at index {index} is not antisymmetric")
-                    tensor._require_indices(dim, f"cocommutator value at index {index}")
-                    data[index] = tensor
-        self._entries = data
+        halves = {}
+        for index, tensor in (entries or {}).items():
+            if not 0 <= index < dim:
+                raise ValueError(f"cocommutator index {index} outside range({dim})")
+            if not isinstance(tensor, TwoTensor):
+                tensor = TwoTensor(tensor)
+            if tensor:
+                what = f"cocommutator value at index {index}"
+                tensor._require_indices(dim, what)
+                half = tensor._antisymmetric_half()
+                if half is None:
+                    raise ValueError(f"{what} is not antisymmetric")
+                halves[index] = half
+        self._halves = halves
 
     @classmethod
-    def _of_antisymmetric(cls, dim: int, entries: dict) -> Cocommutator:
-        """The cocommutator of ``entries``, nonzero antisymmetric TwoTensors with
-        indices in range(dim) by construction; takes the dict, checks nothing."""
+    def _of_halves(cls, dim: int, halves: dict) -> Cocommutator:
+        """The cocommutator of ``halves``, nonempty and in range by construction; checks nothing."""
         out = cls(dim)
-        out._entries = entries
+        out._halves = halves
         return out
 
+    def _half(self, index: int) -> dict:
+        """The stored q < r terms of the value at ``index``; shared, do not mutate."""
+        return self._halves.get(index, {})
+
     def get(self, index: int) -> TwoTensor:
-        return self._entries.get(index, TwoTensor())
+        return TwoTensor._of_half(self._half(index))
 
     def items(self):
-        return sorted(self._entries.items())
+        neg = _negator()
+        return [(p, TwoTensor._of_half(half, neg)) for p, half in sorted(self._halves.items())]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cocommutator):
             return NotImplemented
-        return self.dim == other.dim and self._entries == other._entries
+        return self.dim == other.dim and self._halves == other._halves
 
     def __repr__(self):
-        return f"Cocommutator(dim={self.dim}, entries={len(self._entries)})"
+        return f"Cocommutator(dim={self.dim}, entries={len(self._halves)})"
 
 
 def cocommutator_from_triple(triple: ManinTriple) -> Cocommutator:
@@ -202,21 +216,17 @@ def cocommutator_from_triple(triple: ManinTriple) -> Cocommutator:
             f"paired algebras must share a dimension, got {m} and {triple.minus.dim}"
         )
     neg = _negator()
-    entries: dict[int, dict] = {}
-    # each stored pair (q, r) gives each output p one nonzero term and its mirror
+    halves: dict[int, dict] = {}
+    # each stored pair q < r gives each output p one term of its sorted half
     for (q, r), vec in triple.minus.tensor.stored():
         # stored entry: c^{q,r}_p for each output p
         for p, value in vec.items():
-            terms = entries.setdefault(p, {})
-            terms[(q, r)], terms[(r, q)] = neg(value), value
+            halves.setdefault(p, {})[(q, r)] = neg(value)
     for (q, r), vec in triple.plus.tensor.stored():
         # stored entry: f^p_{q,r} for each output p
         for p, value in vec.items():
-            terms = entries.setdefault(m + p, {})
-            terms[(m + q, m + r)], terms[(m + r, m + q)] = value, neg(value)
-    return Cocommutator._of_antisymmetric(
-        2 * m, {k: TwoTensor._of_nonzero(v) for k, v in entries.items()}
-    )
+            halves.setdefault(m + p, {})[(m + q, m + r)] = value
+    return Cocommutator._of_halves(2 * m, halves)
 
 
 def express_in_basis(delta: Cocommutator, T: Matrix) -> Cocommutator:
@@ -225,36 +235,27 @@ def express_in_basis(delta: Cocommutator, T: Matrix) -> Cocommutator:
     Consistent with LieAlgebra.change_of_basis: the new basis vectors are
     the columns of T in the old basis; the argument slot and the two output
     slots move as :func:`liealg._change_slots` describes.  The outputs are
-    the antisymmetric pair: the sorted halves of the values move, and each
-    new value is mirrored from its half.
+    the antisymmetric pair: the stored sorted halves move to the new halves.
     """
     if T.rows != delta.dim or T.cols != delta.dim:
         raise ValueError("change-of-basis matrix has wrong shape")
     T_inv = T.inverse()
-    terms = {
-        (p,) + key: c
-        for p, tensor in delta._entries.items()
-        for key, c in tensor._sorted_half().items()
-    }
+    terms = {(p,) + key: c for p, half in delta._halves.items() for key, c in half.items()}
     halves: dict[int, dict] = {}
     for (p, q, r), c in _change_slots(terms, T, T_inv, arguments=1, pair=1).items():
         halves.setdefault(p, {})[(q, r)] = c
-    neg = _negator()
-    return Cocommutator._of_antisymmetric(
-        delta.dim, {p: _mirrored(half, neg) for p, half in halves.items()}
-    )
+    return Cocommutator._of_halves(delta.dim, halves)
 
 
 def dual_algebra(delta: Cocommutator, labels=None) -> LieAlgebra:
-    """The algebra on the dual space whose brackets are delta's constants."""
+    """The algebra on the dual space whose brackets are delta's constants: the halves, transposed."""
     labels = tuple(f"d{k}" for k in range(delta.dim)) if labels is None else tuple(labels)
     if len(labels) != delta.dim:
         raise ValueError(f"{len(labels)} labels for a cocommutator of dimension {delta.dim}")
     brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for p, tensor in delta.items():
-        for (q, r), value in tensor.items():
-            if q < r:
-                brackets.setdefault((q, r), {})[p] = value
+    for p, half in delta._halves.items():
+        for key, value in half.items():
+            brackets.setdefault(key, {})[p] = value
     return LieAlgebra(labels, StructureTensor(brackets))
 
 
@@ -335,7 +336,7 @@ def check_cocycle(alg: LieAlgebra, delta: Cocommutator) -> ViolationReport:
 
     Each residual delta([p,q]) - ad_p.delta(q) + ad_q.delta(p) is
     antisymmetric, like every value of delta, so only its p < q terms are
-    summed, in one accumulator, from the p < q terms of the values; a
+    summed, in one accumulator, from the stored halves of the values; a
     residual that does not vanish is mirrored for its counterexample.
     """
     if delta.dim != alg.dim:
@@ -344,7 +345,7 @@ def check_cocycle(alg: LieAlgebra, delta: Cocommutator) -> ViolationReport:
     bracket = alg.tensor._view.get
     mul, add, _ = scalar_table()
     neg = _negator()
-    halves = [delta.get(p)._sorted_half() for p in range(alg.dim)]
+    halves = [delta._half(p) for p in range(alg.dim)]
     slots = [_by_slot(half) for half in halves]
     for p in range(alg.dim):
         for q in range(p + 1, alg.dim):
@@ -358,7 +359,7 @@ def check_cocycle(alg: LieAlgebra, delta: Cocommutator) -> ViolationReport:
             _sorted_action(acc, bracket, q, slots[p], mul, add)
             if acc:
                 report.violations.append(
-                    Violation((p, q), _mirrored(acc, neg).format(alg.labels))
+                    Violation((p, q), TwoTensor._of_half(acc, neg).format(alg.labels))
                 )
     return report
 
@@ -377,23 +378,23 @@ def build_rmatrix(triple: ManinTriple) -> tuple[TwoTensor, TwoTensor]:
 def coboundary(alg: LieAlgebra, r_skew: TwoTensor) -> Cocommutator:
     """delta(x) = (ad_x (x) 1 + 1 (x) ad_x)(r_skew) on every basis element.
 
-    When r_skew is antisymmetric, so is each delta(x): it is computed from
-    the p < q terms of r_skew and mirrored.  Otherwise every term is acted
+    When r_skew is antisymmetric, so is each delta(x): its sorted half is
+    computed from the p < q terms of r_skew.  Otherwise every term is acted
     on, and a value that comes out not antisymmetric raises ValueError.
     """
     r_skew._require_indices(alg.dim, "two-tensor")
     mul, add, _ = scalar_table()
-    if r_skew.is_antisymmetric():
+    half = r_skew._antisymmetric_half()
+    if half is not None:
         bracket = alg.tensor._view.get
-        index = _by_slot(r_skew._sorted_half())
-        neg = _negator()
-        values = {}
+        index = _by_slot(half)
+        halves = {}
         for x in range(alg.dim):
             acc: dict[tuple[int, int], Scalar] = {}
             _sorted_action(acc, bracket, x, index, mul, add)
             if acc:
-                values[x] = _mirrored(acc, neg)
-        return Cocommutator._of_antisymmetric(alg.dim, values)
+                halves[x] = acc
+        return Cocommutator._of_halves(alg.dim, halves)
     by_slot = _by_slot(r_skew._c)
     entries = {}
     for x in range(alg.dim):
@@ -431,22 +432,40 @@ class QuasitriangularReport:
 def schouten_bracket(alg: LieAlgebra, r: TwoTensor) -> ThreeTensor:
     """[[r, r]] = [r_12, r_13] + [r_12, r_23] + [r_13, r_23].
 
-    For an antisymmetric r, [r_13, r_23] is a cyclic permutation of
-    S = [r_12, r_13] and [r_12, r_23] is minus its (1 2) transpose, and S is
-    antisymmetric in slots 2 and 3.  So [[r, r]] is alternating, and its
-    sorted key a < b < c is the sum of the products [e_a1, e_a2] (x) e_b1
-    (x) e_b2 of the term pairs with b1 < b2, each landed on its key sorted
-    with the sign of the sort; a key that repeats an index is skipped.  The
-    sorted values are mirrored to all six orientations.  That is one bracket
-    lookup per term pair with b1 < b2, against three per pair of terms.  Any
-    other r takes the three terms over every pair of terms.
+    For an antisymmetric r it is alternating and is expanded from its
+    a < b < c terms (:func:`_schouten_half`) to all six orientations of each
+    key.  Any other r takes the three terms over every pair of terms.
     """
-    r._require_indices(alg.dim, "two-tensor")
     mul, add, _ = scalar_table()
-    if not r.is_antisymmetric():
-        return _schouten_terms(alg, r, mul, add)
+    return _schouten(alg, r, mul, add, _negator())[0]
+
+
+def _schouten(alg: LieAlgebra, r: TwoTensor, mul, add, neg) -> tuple[ThreeTensor, dict | None]:
+    """[[r, r]], and its a < b < c terms when r is antisymmetric (None otherwise)."""
+    r._require_indices(alg.dim, "two-tensor")
+    if r._antisymmetric_half() is None:
+        return _schouten_terms(alg, r, mul, add), None
+    half = _schouten_half(alg, r, mul, add, neg)
+    data = {}
+    for (a, b, c), value in half.items():
+        opposite = neg(value)
+        data[(a, b, c)] = data[(b, c, a)] = data[(c, a, b)] = value
+        data[(a, c, b)] = data[(b, a, c)] = data[(c, b, a)] = opposite
+    return ThreeTensor._of_nonzero(data), half
+
+
+def _schouten_half(alg: LieAlgebra, r: TwoTensor, mul, add, neg) -> dict:
+    """The a < b < c terms of [[r, r]] for an antisymmetric r.
+
+    [r_13, r_23] is a cyclic permutation of S = [r_12, r_13] and [r_12, r_23]
+    is minus its (1 2) transpose, and S is antisymmetric in slots 2 and 3.
+    So [[r, r]] is alternating, and its sorted key a < b < c is the sum of
+    the products [e_a1, e_a2] (x) e_b1 (x) e_b2 of the term pairs with
+    b1 < b2, each landed on its key sorted with the sign of the sort; a key
+    that repeats an index is skipped.  That is one bracket lookup per term
+    pair with b1 < b2, against three per pair of terms.
+    """
     bracket = alg.tensor._view.get
-    neg = _negator()
     by_second: dict[int, list] = {}  # b -> the terms (a, value) of r with second index b
     for (a, b), value in r._c.items():
         by_second.setdefault(b, []).append((a, value))
@@ -467,12 +486,7 @@ def schouten_bracket(alg: LieAlgebra, r: TwoTensor) -> ThreeTensor:
                             add_into(acc, (b1, k, b2), neg(mul(coeff, cv)), add)
                         elif b2 < k:
                             add_into(acc, (b1, b2, k), mul(coeff, cv), add)
-    data = {}
-    for (a, b, c), value in acc.items():
-        opposite = neg(value)
-        data[(a, b, c)] = data[(b, c, a)] = data[(c, a, b)] = value
-        data[(a, c, b)] = data[(b, a, c)] = data[(c, b, a)] = opposite
-    return ThreeTensor._of_nonzero(data)
+    return acc
 
 
 def _schouten_terms(alg: LieAlgebra, r: TwoTensor, mul, add) -> ThreeTensor:
@@ -498,47 +512,17 @@ def _schouten_terms(alg: LieAlgebra, r: TwoTensor, mul, add) -> ThreeTensor:
     return ThreeTensor(acc)
 
 
-def _alternating_index(tensor: ThreeTensor, add) -> list[dict[int, list]] | None:
-    """Index the a < b < c terms of an alternating 3-tensor by slot, or None if it is not alternating.
-
-    Alternating: every key has three distinct indices, and each permutation
-    of a stored key is stored with the permutation's sign times its value.
-    ``index[slot][s]`` lists ``(p, q, values)`` for the sorted terms with
-    ``s`` in ``slot``: ``p < q`` are the other two indices and ``values[pos]``
-    is the term's value times the sign of moving ``slot`` to ``pos``.
-    """
-    terms = tensor._c
-    index: list[dict[int, list]] = [{}, {}, {}]
-    for (a, b, c), value in terms.items():
-        if not a < b < c:
-            if a == b or b == c or a == c:
-                return None
-            continue  # checked with its sorted key, or counted below
-        neg = -value
-        # an odd permutation stores -value, an even one value: each sum must vanish
-        for key, opposite in (
-            ((a, c, b), value), ((b, a, c), value), ((c, b, a), value),
-            ((b, c, a), neg), ((c, a, b), neg),
-        ):
-            stored = terms.get(key)
-            if stored is None or add(stored, opposite):
-                return None
-        index[0].setdefault(a, []).append((b, c, (value, neg, value)))
-        index[1].setdefault(b, []).append((a, c, (neg, value, neg)))
-        index[2].setdefault(c, []).append((a, b, (value, neg, value)))
-    if 6 * sum(len(terms_at) for terms_at in index[0].values()) != len(terms):
-        return None  # some key's sorted permutation is not stored
-    return index
-
-
 def _sorted_action_vanishes(bracket, x: int, index, mul, add) -> bool:
     """True iff ad_x of the alternating tensor that ``index`` describes is 0.
 
-    The action commutes with permuting slots, so its result is alternating
-    too, and it vanishes iff its a < b < c terms do.  Each product of a
-    sorted term lands on its key sorted, with the sign of the sort; a key
-    with a repeated index cancels against its transposition and is skipped.
-    ``bracket`` looks brackets up as in :func:`_sorted_action`.
+    ``index[slot][s]`` lists ``(p, q, values)`` for the tensor's a < b < c
+    terms with ``s`` in ``slot``: ``p < q`` are the other two indices and
+    ``values[pos]`` is the term's value times the sign of moving ``slot`` to
+    ``pos``.  The action commutes with permuting slots, so its result is
+    alternating too, and it vanishes iff its a < b < c terms do.  Each
+    product of a sorted term lands on its key sorted, with the sign of the
+    sort; a key with a repeated index cancels against its transposition and
+    is skipped.  ``bracket`` looks brackets up as in :func:`_sorted_action`.
     """
     acc: dict[tuple[int, int, int], Scalar] = {}
     for slot, terms_at in enumerate(index):
@@ -560,18 +544,25 @@ def _sorted_action_vanishes(bracket, x: int, index, mul, add) -> bool:
 def schouten_check(alg: LieAlgebra, r_skew: TwoTensor) -> QuasitriangularReport:
     """Compute [[r, r]] and test its invariance under every ad_x (x basis).
 
-    When [[r, r]] is alternating (it is for a skew r), each ad_x acts on its
-    a < b < c terms only; an x whose result does not vanish is recomputed
-    over every term, so each violation lists the full tensor ad_x [[r, r]].
+    For an antisymmetric r, each ad_x acts on the a < b < c terms of
+    [[r, r]] only; an x whose result does not vanish is recomputed over
+    every term, so each violation lists the full tensor ad_x [[r, r]].  Any
+    other r takes the full action for every x.
     """
-    schouten = schouten_bracket(alg, r_skew)
-    bracket = alg.tensor._view.get
     mul, add, _ = scalar_table()
-    index = _alternating_index(schouten, add)
+    neg = _negator()
+    schouten, half = _schouten(alg, r_skew, mul, add, neg)
+    index: list[dict[int, list]] = [{}, {}, {}]  # as _sorted_action_vanishes reads it
+    for (a, b, c), value in (half or {}).items():
+        opposite = neg(value)
+        index[0].setdefault(a, []).append((b, c, (value, opposite, value)))
+        index[1].setdefault(b, []).append((a, c, (opposite, value, opposite)))
+        index[2].setdefault(c, []).append((a, b, (value, opposite, value)))
+    bracket = alg.tensor._view.get
     by_slot = None
     violations: list[Violation] = []
     for x in range(alg.dim):
-        if index is not None and _sorted_action_vanishes(bracket, x, index, mul, add):
+        if half is not None and _sorted_action_vanishes(bracket, x, index, mul, add):
             continue
         if by_slot is None:
             by_slot = _by_slot(schouten._c)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import Phase, settings
 
 from liedouble import (
     HALF_SQRT2,
@@ -8,6 +9,10 @@ from liedouble import (
 )
 
 K = HALF_SQRT2  # 1/sqrt2, the load-bearing normalization
+
+# tests/mutants.py only needs to know that a property fails, not its smallest
+# counterexample: no shrinking and no example database
+settings.register_profile("mutants", phases=[Phase.explicit, Phase.generate], database=None)
 
 
 @pytest.fixture(scope="session")

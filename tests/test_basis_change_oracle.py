@@ -263,9 +263,8 @@ def test_express_in_basis_rejects_a_matrix_of_the_wrong_shape():
 
 def test_transport_through_too_few_columns_raises():
     tensor = TwoTensor.wedge(0, 3, Scalar(2))
-    for matrix in (Matrix.identity(3), Matrix.zeros(4, 3)):
-        with pytest.raises(IndexError, match="index 3 out of range for 3 basis vectors"):
-            tensor.transport(matrix)
+    with pytest.raises(IndexError, match="index 3 out of range for 3 basis vectors"):
+        tensor.transport(Matrix.identity(3))
     with pytest.raises(IndexError):
         TwoTensor({(0, -1): Scalar(1)}).transport(Matrix.identity(2))
     assert tensor.transport(Matrix.identity(4)) == tensor

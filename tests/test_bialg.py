@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from liedouble import (
     Cocommutator,
     LieAlgebra,
     ManinTriple,
+    Matrix,
     Scalar,
     TwoTensor,
     abelian,
@@ -238,6 +240,25 @@ def test_cocommutator_rejects_indices_outside_its_dimension():
         Cocommutator(2, {0: TwoTensor.wedge(0, 7)})
     with pytest.raises(ValueError, match="index -1 outside range"):
         Cocommutator(2, {-1: TwoTensor.wedge(0, 1)})
+
+
+def test_cocommutator_rejects_a_value_key_that_is_not_an_index_pair():
+    # (0, 1, 2) used to fail with "too many values to unpack (expected 2)"
+    for key in ((0, 1, 2), (0,), 5):
+        message = f"cocommutator value at index 1 has key {re.escape(repr(key))}, not an index pair"
+        with pytest.raises(ValueError, match=message):
+            Cocommutator(3, {0: TwoTensor.wedge(0, 1), 1: {key: 1}})
+    with pytest.raises(ValueError, match="value at index 2 has key"):
+        Cocommutator(3, {2: TwoTensor({(0, 1, 2): ONE})})
+
+
+def test_transport_rejects_a_matrix_that_is_not_square():
+    # both used to return a tensor; a change of basis is square
+    for rows in ([[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]]):
+        for tensor in (TwoTensor.wedge(0, 1), TwoTensor({(0, 1): ONE})):
+            with pytest.raises(ValueError, match="change-of-basis matrix has wrong shape"):
+                tensor.transport(Matrix(rows))
+    assert TwoTensor.wedge(0, 1).transport(Matrix.identity(2)) == TwoTensor.wedge(0, 1)
 
 
 def test_coboundary_and_schouten_reject_indices_outside_the_algebra():

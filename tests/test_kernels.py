@@ -26,6 +26,7 @@ import gc
 import itertools
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -941,8 +942,33 @@ def doctored_skew_r(n, scales, extra):
     return TwoTensor(terms)
 
 
+def permutation_sign(perm) -> int:
+    """+1 for an even permutation of range(len(perm)), -1 for an odd one."""
+    inversions = sum(1 for i, j in itertools.combinations(range(len(perm)), 2) if perm[i] > perm[j])
+    return -1 if inversions % 2 else 1
+
+
 def is_alternating(tensor):
-    return bialg._alternating_index(tensor, operator.add) is not None
+    """True iff every key of a 3-tensor has three distinct indices and each
+    permutation of a key holds the permutation's sign times its value."""
+    terms = dict(tensor.items())
+    for key, value in terms.items():
+        if len(set(key)) != 3:
+            return False
+        for perm in itertools.permutations(range(3)):
+            expected = value if permutation_sign(perm) == 1 else -value
+            if terms.get(tuple(key[i] for i in perm)) != expected:
+                return False
+    return True
+
+
+def alternating_from_half(half):
+    """The alternating 3-tensor whose a < b < c terms are ``half``."""
+    terms = {}
+    for key, value in half.items():
+        for perm in itertools.permutations(range(3)):
+            terms[tuple(key[i] for i in perm)] = value if permutation_sign(perm) == 1 else -value
+    return ThreeTensor(terms)
 
 
 @settings(deadline=None, max_examples=25)
@@ -1021,20 +1047,28 @@ def test_alternation_test_rejects_each_broken_orbit():
 
 
 def test_schouten_check_of_a_mutant_bracket_matches_the_full_loop(monkeypatch):
-    # [[r, r]] of gl(3) is invariant; with one permutation's sign flipped the
-    # orbit test must fail, and every x the mutant breaks must be listed
+    # [[r, r]] of gl(3) is invariant; with one sorted term changed, the sorted
+    # action must find every x the mutant breaks, and the full loop list it
     triple = build_gln_triple(3)
     alg = build_double(triple).algebra
-    schouten = schouten_bracket(alg, build_rmatrix(triple)[1])
-    terms = dict(schouten.items())
-    a, b, c = min(key for key in terms if key[0] < key[1] < key[2])
-    terms[(c, a, b)] = -terms[(c, a, b)]
-    mutant = ThreeTensor(terms)
-    monkeypatch.setattr(bialg, "schouten_bracket", lambda *args: mutant)
-    report = schouten_check(alg, TwoTensor())
-    assert report.schouten is mutant
-    assert report.violations == dense_invariance_violations(alg, mutant)
-    assert report.verdict == NOT_INVARIANT
+    _, r_skew = build_rmatrix(triple)
+    half = bialg._schouten_half(alg, r_skew, operator.mul, operator.add, operator.neg)
+    assert alternating_from_half(half) == schouten_bracket(alg, r_skew)
+    key = min(half)
+    unused = min(k for k in itertools.combinations(range(alg.dim), 3) if k not in half)
+    mutants = {
+        "scale": {**half, key: half[key] * 2},
+        "negate": {**half, key: -half[key]},
+        "drop": {k: v for k, v in half.items() if k != key},
+        "add": {**half, unused: ONE},
+    }
+    for change, mutant in mutants.items():
+        monkeypatch.setattr(bialg, "_schouten_half", lambda *args, mutant=mutant: dict(mutant))
+        report = schouten_check(alg, r_skew)
+        expanded = alternating_from_half(mutant)
+        assert report.schouten == expanded, change
+        assert report.violations == dense_invariance_violations(alg, expanded), change
+        assert report.verdict == NOT_INVARIANT, change
 
 
 # [[r, r]] of an antisymmetric r from the term pairs with b1 < b2 of its first
@@ -1319,7 +1353,7 @@ def gln_case(n):
 
 
 def counted_methods(monkeypatch, cls, names):
-    """Count the calls of ``cls``'s methods ``names``, by name."""
+    """Count the calls of ``cls``'s methods ``names``, by name; ``cls`` may be a module."""
     calls = collections.Counter()
     for name in names:
         original = cls.__dict__[name]
@@ -1787,6 +1821,28 @@ def test_sorted_halves_form_at_most_half_the_products_of_the_full_loops(n):
             assert 0 < 2 * half <= full, (kernel, half, full)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_verify_suite_tests_antisymmetry_once_per_public_r_entry(monkeypatch, n):
+    # cocommutator values are stored and passed as sorted halves, so no
+    # kernel tests one; each public entry that takes an r tests it once:
+    # coboundary 4 times, TwoTensor.transport 3 times and schouten_check once
+    callers = collections.Counter()
+    original = TwoTensor._antisymmetric_half
+
+    def counted(self):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return original(self)
+
+    monkeypatch.setattr(TwoTensor, "_antisymmetric_half", counted)
+    schouten = counted_methods(
+        monkeypatch, bialg, ("_schouten_half", "_schouten_terms", "_add_action")
+    )
+    assert all(check.passed for check in suite.verify_suite(n))
+    assert callers == {"coboundary": 4, "transport": 3, "_schouten": 1}
+    # [[r, r]] is summed once as its sorted half, and no x needs the full action
+    assert schouten == {"_schouten_half": 1}
+
+
 @pytest.fixture()
 def negations():
     """Count Scalar.__neg__ calls per operand object; the operands are kept
@@ -1829,11 +1885,13 @@ def test_kernels_negate_each_value_object_once(negations):
         lambda: express_in_basis(delta, T),
         lambda: alg.change_of_basis(T),
         lambda: r_skew.transport(T_inv),
-        lambda: coboundary(alg, r_skew),
         lambda: check_cocycle(alg, doctored),
     ]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Matrix, "inverse", lambda self: T_inv)
+        negations.clear()
+        coboundary(alg, r_skew)
+        assert not negations  # its values stay sorted halves, and nothing is mirrored
         for call in calls:
             negations.clear()
             result = call()
@@ -1842,18 +1900,24 @@ def test_kernels_negate_each_value_object_once(negations):
 
 
 def test_values_antisymmetric_by_construction_are_not_checked_again(monkeypatch):
-    calls = counted_methods(monkeypatch, TwoTensor, ("is_antisymmetric",))
+    # the one-pass test is _antisymmetric_half; is_antisymmetric calls it
+    calls = counted_methods(monkeypatch, TwoTensor, ("_antisymmetric_half",))
+    test = "_antisymmetric_half"
     triple = build_gln_triple(3)
     alg, delta, r_skew, T, *_ = gln_case(3)
     T_inv = T.inverse()
     assert calls == {}
     cocommutator_from_triple(triple)
     express_in_basis(delta, T)
+    check_cocycle(alg, delta)
+    dual_algebra(delta)
     assert calls == {}
     coboundary(alg, r_skew)
-    assert calls == {"is_antisymmetric": 1}  # its input only
+    assert calls == {test: 1}  # its input only
     r_skew.transport(T_inv)
-    assert calls == {"is_antisymmetric": 2}
+    assert calls == {test: 2}
+    schouten_check(alg, r_skew)
+    assert calls == {test: 3}
     calls.clear()
     assert Cocommutator(delta.dim, dict(delta.items())) == delta
-    assert calls == {"is_antisymmetric": len(delta.items())}
+    assert calls == {test: len(delta.items())}
