@@ -433,10 +433,11 @@ def check_chain_embedding(m: int) -> ViolationReport:
                     Violation((p, q), f"bracket mismatch: {residual.format(big.labels)}")
                 )
     for p in range(small.dim):
-        # emb keeps the order of indices, so it maps a sorted half to a sorted half
-        pushed = {(emb[a], emb[b]): v for (a, b), v in small_delta._half(p).items()}
-        target = big_delta._half(emb[p])
+        pushed = TwoTensor._of_half(
+            {(emb[a], emb[b]): v for (a, b), v in small_delta._half(p).items()}
+        )
+        target = big_delta.get(emb[p])
         if pushed != target:
-            residual = (TwoTensor._of_half(target) - TwoTensor._of_half(pushed)).format(big.labels)
+            residual = (target - pushed).format(big.labels)
             report.violations.append(Violation((p,), f"cocommutator mismatch: {residual}"))
     return report

@@ -39,7 +39,7 @@ from .glnfactory import (
     rmatrix_in_gln_basis,
     verify_double_is_gln,
 )
-from .liealg import Violation, add_into, scalar_table
+from .liealg import Violation, scalar_table
 from .manin import (
     ManinTriple,
     build_double,
@@ -142,10 +142,11 @@ def _twist_triviality(n: int, hif, r_skew: TwoTensor, delta_hif) -> list[Violati
             if not identify_central(n, got).is_zero():
                 bad.append(Violation((fij,), f"twist image of {label} survives the quotient"))
     for p in range(hif.dim):
-        summed = dict(standard_delta._half(p))
-        for key, value in twist_delta._half(p).items():
-            add_into(summed, key, value)
-        if summed != delta_hif._half(p):
+        # _combined copies the left dict, so the stored halves stay as they are
+        summed = TwoTensor._of_nonzero(standard_delta._half(p)) + TwoTensor._of_nonzero(
+            twist_delta._half(p)
+        )
+        if summed._c != delta_hif._half(p):
             bad.append(Violation((p,), "standard + twist coboundaries miss delta"))
     return bad
 

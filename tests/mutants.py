@@ -10,8 +10,7 @@ mutant's nodes, and restores the file.  Hypothesis runs with a fixed seed,
 so a verdict repeats, and without shrinking (the ``mutants`` profile that
 ``tests/conftest.py`` registers), since only the failure matters.
 
-    python tests/mutants.py              # every mutant
-    python tests/mutants.py NAME ...     # the named mutants only
+    python tests/mutants.py
 
 Exit status: 0 when every listed node fails under every mutant, 1 when a
 node survives a mutant or fails unmutated, 2 when a snippet is not found
@@ -142,30 +141,25 @@ def failing(copy: Path, nodes) -> set[str] | None:
     return {node for node in nodes if any(b == node or b.startswith(node + "[") for b in bad)}
 
 
-def main(argv: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not argv or m.name in argv]
-    unknown = set(argv) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
-        return 2
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, copy / part,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         shutil.copy(ROOT / "pyproject.toml", copy)
-        for mutant in chosen:
+        for mutant in MUTANTS:
             count = (copy / mutant.path).read_text().count(mutant.snippet)
             if count != 1:
                 print(f"stale row {mutant.name!r}: snippet found {count} times in {mutant.path}")
                 return 2
-        nodes = sorted({node for mutant in chosen for node in mutant.nodes})
+        nodes = sorted({node for mutant in MUTANTS for node in mutant.nodes})
         broken = failing(copy, nodes)
         if broken is None or broken:
             print(f"the unmutated copy fails: {sorted(broken or ['(nothing selected)'])}")
             return 1
         status = 0
-        for mutant in chosen:
+        for mutant in MUTANTS:
             path = copy / mutant.path
             original = path.read_text()
             path.write_text(original.replace(mutant.snippet, mutant.replacement))
@@ -185,4 +179,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -427,15 +427,6 @@ def test_chain_embedding():
         assert report.ok, (m, report.violations[:3])
 
 
-def test_embedding_map_keeps_the_order_of_indices():
-    # check_chain_embedding pushes each sorted half forward key by key, so a
-    # pushed key stays sorted only if the map is increasing
-    for m in range(1, 7):
-        emb = glnfactory._embedding_map(m)
-        assert sorted(emb) == list(range(gln_dim(m)))
-        assert [emb[p] for p in sorted(emb)] == sorted(emb.values())
-
-
 def test_chain_embedding_reports_a_doctored_size_m_plus_1_construction(monkeypatch):
     # scale [H1, F12] and delta(F12) by 3 at size 3 only: the size-2 brackets and
     # cocommutators then push forward to something else
