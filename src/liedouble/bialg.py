@@ -30,12 +30,11 @@ from .liealg import (
     _change_slots,
     _coerce_scalar,
     _negator,
-    _ratios,
     _require_in_range,
-    add_into,
+    ScalarTable,
     scalar_table,
 )
-from .manin import ManinTriple
+from .manin import ManinTriple, _require_equal_halves
 from .scalars import Scalar, ZERO, ONE, rational
 
 __all__ = [
@@ -76,6 +75,7 @@ class TwoTensor(SparseTensor):
 
     def is_antisymmetric(self) -> bool:
         """True iff every term (p, q) has p != q and (q, p) holds its negative."""
+        self._require_pairs("two-tensor")
         return self._antisymmetric_half() is not None
 
     def _antisymmetric_half(self) -> dict | None:
@@ -94,7 +94,7 @@ class TwoTensor(SparseTensor):
                 if other is None:
                     return None
                 # equal denominators and opposite numerators
-                mine, theirs = _ratios(value), _ratios(other)
+                mine, theirs = value._ratios(), other._ratios()
                 opposite = mine[1::2] == theirs[1::2] and all(
                     m == -t for m, t in zip(mine[::2], theirs[::2])
                 )
@@ -111,11 +111,15 @@ class TwoTensor(SparseTensor):
             data[(q, p)] = neg(value)
         return cls._of_nonzero(data)
 
-    def _require_indices(self, dim: int, what: str) -> None:
-        """Raise ValueError, naming ``what``, when a key is not an index pair or not in range(dim)."""
+    def _require_pairs(self, what: str) -> None:
+        """Raise ValueError, naming ``what``, when a key is not an index pair."""
         for key in self._c:
             if type(key) is not tuple or len(key) != 2:
                 raise ValueError(f"{what} has key {key!r}, not an index pair")
+
+    def _require_indices(self, dim: int, what: str) -> None:
+        """Raise ValueError, naming ``what``, when a key is not an index pair or not in range(dim)."""
+        self._require_pairs(what)
         _require_in_range({k for key in self._c for k in key}, dim, what)
 
     def transport(self, inverse_basis_map: Matrix) -> TwoTensor:
@@ -128,6 +132,7 @@ class TwoTensor(SparseTensor):
         T_inv = inverse_basis_map
         if T_inv.rows != T_inv.cols:
             raise ValueError("change-of-basis matrix has wrong shape")
+        self._require_pairs("two-tensor")
         half = self._antisymmetric_half()
         if half is None:
             return TwoTensor(_change_slots(self._c, None, T_inv, arguments=0, pair=None))
@@ -210,11 +215,8 @@ class Cocommutator:
 def cocommutator_from_triple(triple: ManinTriple) -> Cocommutator:
     """Double cocommutator: delta(Z_p) = -c^{q,r}_p Z_q (x) Z_r and
     delta(z^p) = f^p_{q,r} z^q (x) z^r, in double indices (Z-block first)."""
+    _require_equal_halves(triple)  # the index blocks below assume equal halves
     m = triple.plus.dim
-    if triple.minus.dim != m:  # an unchecked triple; the indices below assume equal halves
-        raise ValueError(
-            f"paired algebras must share a dimension, got {m} and {triple.minus.dim}"
-        )
     neg = _negator()
     halves: dict[int, dict] = {}
     # each stored pair q < r gives each output p one term of its sorted half
@@ -281,7 +283,7 @@ def _by_slot(terms: dict) -> list[dict[int, list]]:
     return by_slot
 
 
-def _add_action(acc: dict, pair, x: int, by_slot, mul, add, negate=False) -> None:
+def _add_action(acc: dict, pair, x: int, by_slot, table: ScalarTable, negate=False) -> None:
     """Add the adjoint action of e_x on a tensor into ``acc``, or its negative with ``negate``.
 
     The action is ad_x on each slot in turn, summed: ad_x (x) 1 + 1 (x) ad_x
@@ -290,6 +292,7 @@ def _add_action(acc: dict, pair, x: int, by_slot, mul, add, negate=False) -> Non
     are visited.  The negative reads [e_s, e_x] = -[e_x, e_s] off the stored
     orientations, so no coefficient is negated.
     """
+    mul_into = table.mul_into
     for slot, terms_at in enumerate(by_slot):
         for s, terms in terms_at.items():
             w = pair(s, x) if negate else pair(x, s)
@@ -297,10 +300,10 @@ def _add_action(acc: dict, pair, x: int, by_slot, mul, add, negate=False) -> Non
                 continue
             for key, value in terms:
                 for k, coeff in w.items():
-                    add_into(acc, key[:slot] + (k,) + key[slot + 1 :], mul(value, coeff), add)
+                    mul_into(acc, key[:slot] + (k,) + key[slot + 1 :], value, coeff)
 
 
-def _sorted_action(acc: dict, bracket, x: int, index, mul, add, negate=False) -> None:
+def _sorted_action(acc: dict, bracket, x: int, index, table: ScalarTable, negate=False) -> None:
     """Add the p < q terms of ad_x, or of -ad_x with ``negate``, of an antisymmetric 2-tensor into ``acc``.
 
     ``bracket((p, q))`` is the coefficient mapping of [e_p, e_q] or None
@@ -312,6 +315,7 @@ def _sorted_action(acc: dict, bracket, x: int, index, mul, add, negate=False) ->
     [e_s, e_x] = -[e_x, e_s] when the sort swaps the indices, and a key with
     a repeated index, which cancels against its mirror, is skipped.
     """
+    mul_into = table.mul_into
     for slot, terms_at in enumerate(index):
         for s, terms in terms_at.items():
             w = bracket((x, s))
@@ -326,9 +330,9 @@ def _sorted_action(acc: dict, bracket, x: int, index, mul, add, negate=False) ->
                 kept = key[1 - slot]
                 for k in w:
                     if k < kept:
-                        add_into(acc, (k, kept), mul(value, below[k]), add)
+                        mul_into(acc, (k, kept), value, below[k])
                     elif kept < k:
-                        add_into(acc, (kept, k), mul(value, above[k]), add)
+                        mul_into(acc, (kept, k), value, above[k])
 
 
 def check_cocycle(alg: LieAlgebra, delta: Cocommutator) -> ViolationReport:
@@ -343,7 +347,8 @@ def check_cocycle(alg: LieAlgebra, delta: Cocommutator) -> ViolationReport:
         raise ValueError("cocommutator dimension does not match the algebra")
     report = ViolationReport("cocycle")
     bracket = alg.tensor._view.get
-    mul, add, _ = scalar_table()
+    table = scalar_table()
+    mul_into = table.mul_into
     neg = _negator()
     halves = [delta._half(p) for p in range(alg.dim)]
     slots = [_by_slot(half) for half in halves]
@@ -354,9 +359,9 @@ def check_cocycle(alg: LieAlgebra, delta: Cocommutator) -> ViolationReport:
             if coeffs:
                 for r, value in coeffs.items():
                     for key, coeff in halves[r].items():
-                        add_into(acc, key, mul(value, coeff), add)
-            _sorted_action(acc, bracket, p, slots[q], mul, add, negate=True)
-            _sorted_action(acc, bracket, q, slots[p], mul, add)
+                        mul_into(acc, key, value, coeff)
+            _sorted_action(acc, bracket, p, slots[q], table, negate=True)
+            _sorted_action(acc, bracket, q, slots[p], table)
             if acc:
                 report.violations.append(
                     Violation((p, q), TwoTensor._of_half(acc, neg).format(alg.labels))
@@ -383,7 +388,7 @@ def coboundary(alg: LieAlgebra, r_skew: TwoTensor) -> Cocommutator:
     on, and a value that comes out not antisymmetric raises ValueError.
     """
     r_skew._require_indices(alg.dim, "two-tensor")
-    mul, add, _ = scalar_table()
+    table = scalar_table()
     half = r_skew._antisymmetric_half()
     if half is not None:
         bracket = alg.tensor._view.get
@@ -391,7 +396,7 @@ def coboundary(alg: LieAlgebra, r_skew: TwoTensor) -> Cocommutator:
         halves = {}
         for x in range(alg.dim):
             acc: dict[tuple[int, int], Scalar] = {}
-            _sorted_action(acc, bracket, x, index, mul, add)
+            _sorted_action(acc, bracket, x, index, table)
             if acc:
                 halves[x] = acc
         return Cocommutator._of_halves(alg.dim, halves)
@@ -399,7 +404,7 @@ def coboundary(alg: LieAlgebra, r_skew: TwoTensor) -> Cocommutator:
     entries = {}
     for x in range(alg.dim):
         acc: dict[tuple[int, int], Scalar] = {}
-        _add_action(acc, alg.tensor.pair, x, by_slot, mul, add)
+        _add_action(acc, alg.tensor.pair, x, by_slot, table)
         if acc:
             entries[x] = acc
     return Cocommutator(alg.dim, entries)
@@ -436,16 +441,17 @@ def schouten_bracket(alg: LieAlgebra, r: TwoTensor) -> ThreeTensor:
     a < b < c terms (:func:`_schouten_half`) to all six orientations of each
     key.  Any other r takes the three terms over every pair of terms.
     """
-    mul, add, _ = scalar_table()
-    return _schouten(alg, r, mul, add, _negator())[0]
+    return _schouten(alg, r, scalar_table(), _negator())[0]
 
 
-def _schouten(alg: LieAlgebra, r: TwoTensor, mul, add, neg) -> tuple[ThreeTensor, dict | None]:
+def _schouten(
+    alg: LieAlgebra, r: TwoTensor, table: ScalarTable, neg
+) -> tuple[ThreeTensor, dict | None]:
     """[[r, r]], and its a < b < c terms when r is antisymmetric (None otherwise)."""
     r._require_indices(alg.dim, "two-tensor")
     if r._antisymmetric_half() is None:
-        return _schouten_terms(alg, r, mul, add), None
-    half = _schouten_half(alg, r, mul, add, neg)
+        return _schouten_terms(alg, r, table), None
+    half = _schouten_half(alg, r, table, neg)
     data = {}
     for (a, b, c), value in half.items():
         opposite = neg(value)
@@ -454,7 +460,7 @@ def _schouten(alg: LieAlgebra, r: TwoTensor, mul, add, neg) -> tuple[ThreeTensor
     return ThreeTensor._of_nonzero(data), half
 
 
-def _schouten_half(alg: LieAlgebra, r: TwoTensor, mul, add, neg) -> dict:
+def _schouten_half(alg: LieAlgebra, r: TwoTensor, table: ScalarTable, neg) -> dict:
     """The a < b < c terms of [[r, r]] for an antisymmetric r.
 
     [r_13, r_23] is a cyclic permutation of S = [r_12, r_13] and [r_12, r_23]
@@ -466,6 +472,7 @@ def _schouten_half(alg: LieAlgebra, r: TwoTensor, mul, add, neg) -> dict:
     pair with b1 < b2, against three per pair of terms.
     """
     bracket = alg.tensor._view.get
+    mul, mul_into = table.mul, table.mul_into
     by_second: dict[int, list] = {}  # b -> the terms (a, value) of r with second index b
     for (a, b), value in r._c.items():
         by_second.setdefault(b, []).append((a, value))
@@ -481,18 +488,19 @@ def _schouten_half(alg: LieAlgebra, r: TwoTensor, mul, add, neg) -> dict:
                     coeff = mul(v1, v2)
                     for k, cv in w.items():
                         if k < b1:
-                            add_into(acc, (k, b1, b2), mul(coeff, cv), add)
+                            mul_into(acc, (k, b1, b2), coeff, cv)
                         elif b1 < k < b2:
-                            add_into(acc, (b1, k, b2), neg(mul(coeff, cv)), add)
+                            mul_into(acc, (b1, k, b2), neg(coeff), cv)
                         elif b2 < k:
-                            add_into(acc, (b1, b2, k), mul(coeff, cv), add)
+                            mul_into(acc, (b1, b2, k), coeff, cv)
     return acc
 
 
-def _schouten_terms(alg: LieAlgebra, r: TwoTensor, mul, add) -> ThreeTensor:
+def _schouten_terms(alg: LieAlgebra, r: TwoTensor, table: ScalarTable) -> ThreeTensor:
     """[[r, r]] from its three terms over every ordered pair of terms of r."""
     terms = r.items()
     bracket = alg.tensor._view.get
+    mul, mul_into = table.mul, table.mul_into
     acc: dict[tuple[int, int, int], Scalar] = {}
     for (a1, b1), v1 in terms:
         for (a2, b2), v2 in terms:
@@ -500,19 +508,19 @@ def _schouten_terms(alg: LieAlgebra, r: TwoTensor, mul, add) -> ThreeTensor:
             w = bracket((a1, a2))
             if w:
                 for k, cv in w.items():
-                    add_into(acc, (k, b1, b2), mul(coeff, cv), add)
+                    mul_into(acc, (k, b1, b2), coeff, cv)
             w = bracket((b1, a2))
             if w:
                 for k, cv in w.items():
-                    add_into(acc, (a1, k, b2), mul(coeff, cv), add)
+                    mul_into(acc, (a1, k, b2), coeff, cv)
             w = bracket((b1, b2))
             if w:
                 for k, cv in w.items():
-                    add_into(acc, (a1, a2, k), mul(coeff, cv), add)
+                    mul_into(acc, (a1, a2, k), coeff, cv)
     return ThreeTensor(acc)
 
 
-def _sorted_action_vanishes(bracket, x: int, index, mul, add) -> bool:
+def _sorted_action_vanishes(bracket, x: int, index, table: ScalarTable) -> bool:
     """True iff ad_x of the alternating tensor that ``index`` describes is 0.
 
     ``index[slot][s]`` lists ``(p, q, values)`` for the tensor's a < b < c
@@ -524,6 +532,7 @@ def _sorted_action_vanishes(bracket, x: int, index, mul, add) -> bool:
     sort; a key with a repeated index cancels against its transposition and
     is skipped.  ``bracket`` looks brackets up as in :func:`_sorted_action`.
     """
+    mul_into = table.mul_into
     acc: dict[tuple[int, int, int], Scalar] = {}
     for slot, terms_at in enumerate(index):
         for s, terms in terms_at.items():
@@ -533,11 +542,11 @@ def _sorted_action_vanishes(bracket, x: int, index, mul, add) -> bool:
             for p, q, values in terms:
                 for k, coeff in w.items():
                     if k < p:
-                        add_into(acc, (k, p, q), mul(values[0], coeff), add)
+                        mul_into(acc, (k, p, q), values[0], coeff)
                     elif p < k < q:
-                        add_into(acc, (p, k, q), mul(values[1], coeff), add)
+                        mul_into(acc, (p, k, q), values[1], coeff)
                     elif k > q:
-                        add_into(acc, (p, q, k), mul(values[2], coeff), add)
+                        mul_into(acc, (p, q, k), values[2], coeff)
     return not acc
 
 
@@ -549,9 +558,9 @@ def schouten_check(alg: LieAlgebra, r_skew: TwoTensor) -> QuasitriangularReport:
     every term, so each violation lists the full tensor ad_x [[r, r]].  Any
     other r takes the full action for every x.
     """
-    mul, add, _ = scalar_table()
+    table = scalar_table()
     neg = _negator()
-    schouten, half = _schouten(alg, r_skew, mul, add, neg)
+    schouten, half = _schouten(alg, r_skew, table, neg)
     index: list[dict[int, list]] = [{}, {}, {}]  # as _sorted_action_vanishes reads it
     for (a, b, c), value in (half or {}).items():
         opposite = neg(value)
@@ -562,12 +571,12 @@ def schouten_check(alg: LieAlgebra, r_skew: TwoTensor) -> QuasitriangularReport:
     by_slot = None
     violations: list[Violation] = []
     for x in range(alg.dim):
-        if half is not None and _sorted_action_vanishes(bracket, x, index, mul, add):
+        if half is not None and _sorted_action_vanishes(bracket, x, index, table):
             continue
         if by_slot is None:
             by_slot = _by_slot(schouten._c)
         acc: dict[tuple[int, int, int], Scalar] = {}
-        _add_action(acc, alg.tensor.pair, x, by_slot, mul, add)
+        _add_action(acc, alg.tensor.pair, x, by_slot, table)
         if acc:
             violations.append(
                 Violation((x,), ThreeTensor(acc).format(alg.labels))

@@ -45,10 +45,10 @@ def _coerce_scalar(value) -> Scalar:
     return Scalar(value)
 
 
-def add_into(acc: dict, key, value, add=operator.add) -> None:
-    """Add ``value`` to ``acc[key]`` with ``add``, dropping the key when the sum is zero."""
+def add_into(acc: dict, key, value) -> None:
+    """Add ``value`` to ``acc[key]``, dropping the key when the sum is zero."""
     s = acc.get(key)
-    s = value if s is None else add(s, value)
+    s = value if s is None else s + value
     if s:
         acc[key] = s
     else:
@@ -62,51 +62,56 @@ def _require_in_range(indices, dim: int, what: str) -> None:
             raise ValueError(f"{what} has index {k} outside range({dim})")
 
 
-def _ratios(x: Scalar) -> tuple[int, ...]:
-    """The exact integer ratios of ``x``: numerator and denominator of a, b, c and d.
-
-    Equal values have equal ratios, so values compare and hash through them
-    with no Scalar or Fraction comparison.
-    """
-    a, b, c, d = x.a, x.b, x.c, x.d
-    return (a.numerator, a.denominator, b.numerator, b.denominator,
-            c.numerator, c.denominator, d.numerator, d.denominator)
-
-
 class ScalarTable(NamedTuple):
-    """The field operations a kernel computes through: ``mul``, ``add`` and ``inverse``."""
+    """The field operations a kernel computes through.
+
+    ``mul(x, y)``, ``add(x, y)`` and ``inverse(x)`` return the result, and
+    ``mul_into(acc, key, x, y)`` adds x*y to ``acc[key]`` as ``add_into``
+    does: it drops the key when the sum is zero.
+    """
 
     mul: Callable
     add: Callable
     inverse: Callable
+    mul_into: Callable
 
 
 def scalar_table() -> ScalarTable:
-    """Return ``mul(x, y)``, ``add(x, y)`` and ``inverse(x)`` that compute each value (pair) once.
+    """Return a :class:`ScalarTable` that computes each value (pair) once.
 
     A kernel over the gl(n) double combines a handful of distinct values
     (0, +-1, +-sqrt2/2, +-i/2, ...) thousands of times, and a Scalar product,
     sum or inverse costs as much as several dict lookups.  The table reads
-    each operand object's integer ratios (``_ratios``) once, maps them to one
-    canonical object per value and keys every result on the ids of those
-    canonical objects, so no Scalar or Fraction comparison runs.  It keeps
-    every operand it has seen alive for as long as it lives, so no id is
-    reused while it is a key.  Make one table per kernel call and let it go
-    with the call.
+    each operand object's integer ratios (``Scalar._ratios``) once, maps them
+    to one canonical object per value and keys every result on the ids of
+    those canonical objects, so no Scalar or Fraction comparison runs.  Each
+    product and sum is registered as it is made, so it is found at once when
+    it comes back as an operand, and it is zero-tested then and only then: a
+    zero result is stored as ZERO, which ``mul_into`` tests by identity.  So
+    ``mul_into`` makes each distinct product and each distinct sum of two
+    values once and tests no value per term.  The table keeps every operand
+    it has seen alive for as long as it lives, so no id is reused while it
+    is a key.  Make one table per kernel call and let it go with the call.
     """
-    canonical: dict[tuple[int, ...], Scalar] = {}  # integer ratios -> first operand of that value
-    seen: dict[int, tuple[Scalar, int]] = {}  # id(operand) -> (operand, id of its value)
+    # integer ratios -> the first object of that value, ZERO for zero
+    canonical: dict[tuple[int, ...], Scalar] = {ZERO._ratios(): ZERO}
+    # id(operand) -> (operand, id of its value's canonical object)
+    seen: dict[int, tuple[Scalar, int]] = {id(ZERO): (ZERO, id(ZERO))}
+    products: dict[tuple[int, int], Scalar] = {}
+    sums: dict[tuple[int, int], Scalar] = {}
     inverses: dict[int, Scalar] = {}
 
     def value_id(x) -> int:
         entry = seen.get(id(x))
         if entry is None:
-            entry = seen[id(x)] = (x, id(canonical.setdefault(_ratios(x), x)))
+            entry = seen[id(x)] = (x, id(canonical.setdefault(x._ratios(), x)))
         return entry[1]
 
-    def binary(op):
-        results: dict[tuple[int, int], Scalar] = {}
+    def registered(x) -> Scalar:
+        """``x``, a result the table has just made, now seen; ZERO when it is zero."""
+        return ZERO if value_id(x) == id(ZERO) else x
 
+    def binary(op, results):
         def apply(x, y):
             try:  # both operands seen before: skip the calls
                 key = (seen[id(x)][1], seen[id(y)][1])
@@ -114,10 +119,38 @@ def scalar_table() -> ScalarTable:
                 key = (value_id(x), value_id(y))
             result = results.get(key)
             if result is None:
-                result = results[key] = op(x, y)
+                result = results[key] = registered(op(x, y))
             return result
 
         return apply
+
+    mul = binary(operator.mul, products)
+
+    def mul_into(acc, key, x, y):
+        try:
+            pair = (seen[id(x)][1], seen[id(y)][1])
+        except KeyError:
+            pair = (value_id(x), value_id(y))
+        product = products.get(pair)
+        if product is None:
+            product = products[pair] = registered(x * y)
+        if product is ZERO:
+            return
+        s = acc.get(key)
+        if s is None:
+            acc[key] = product
+            return
+        try:
+            pair = (seen[id(s)][1], seen[id(product)][1])
+        except KeyError:
+            pair = (value_id(s), seen[id(product)][1])
+        total = sums.get(pair)
+        if total is None:
+            total = sums[pair] = registered(s + product)
+        if total is ZERO:
+            del acc[key]
+        else:
+            acc[key] = total
 
     def inverse(x):
         key = value_id(x)
@@ -126,7 +159,7 @@ def scalar_table() -> ScalarTable:
             inv = inverses[key] = x.inverse()
         return inv
 
-    return ScalarTable(binary(operator.mul), binary(operator.add), inverse)
+    return ScalarTable(mul, binary(operator.add, sums), inverse, mul_into)
 
 
 def _negator() -> Callable:
@@ -287,9 +320,25 @@ class StructureTensor:
             if key in stored:
                 raise ValueError(f"duplicate bracket declaration for pair {key}")
             stored[key] = {r: neg(v) for r, v in coeffs.items()} if flip else coeffs
-        self._stored = dict(sorted(stored.items()))
+        self._set_stored(dict(sorted(stored.items())), neg)
+
+    @classmethod
+    def _of_sorted(cls, brackets: dict) -> StructureTensor:
+        """The tensor that stores ``brackets``, trusted, not checked; takes the dicts.
+
+        Each key is a pair p < q, the keys come in sorted order, and each
+        maps to its nonzero Scalar coefficients, in sorted order of the
+        output index: what the constructor would store.
+        """
+        out = cls.__new__(cls)
+        out._set_stored(brackets, _negator())
+        return out
+
+    def _set_stored(self, stored: dict, neg) -> None:
+        """Store the sorted pairs and their view in both orientations, negating with ``neg``."""
+        self._stored = stored
         view = {}
-        for (p, q), coeffs in self._stored.items():
+        for (p, q), coeffs in stored.items():
             view[(p, q)] = coeffs
             view[(q, p)] = {r: neg(v) for r, v in coeffs.items()}
         self._view = view
@@ -448,7 +497,7 @@ class Matrix:
         no pivot makes the matrix singular and the result None.
         """
         n = self.rows
-        mul, add, inverse = scalar_table()
+        mul, _, inverse, mul_into = scalar_table()
         neg = _negator()
         work = [dict(row) for row in self._r]
         if augment:
@@ -478,7 +527,7 @@ class Matrix:
                 if r == col or factor is None:
                     continue
                 for j, w in negated:
-                    add_into(row, j, mul(factor, w), add)
+                    mul_into(row, j, factor, w)
         if not augment:
             return None, pivots, swaps
         return [{j - n: v for j, v in row.items() if j >= n} for row in work], pivots, swaps
@@ -543,7 +592,7 @@ def _change_slots(
         for index, weights in zip(key, slot_weights):
             if not 0 <= index < len(weights):
                 raise IndexError(f"index {index} out of range for {len(weights)} basis vectors")
-    mul, add, _ = scalar_table()
+    mul_into = scalar_table().mul_into
     neg = _negator()
     fold = None if pair is None else pair + 1
     for slot, weights in enumerate(slot_weights):
@@ -554,17 +603,17 @@ def _change_slots(
                 head, first = head[:-1], head[-1]
                 for k, w in weights[index].items():
                     if first < k:
-                        add_into(acc, head + (first, k) + tail, mul(value, w), add)
+                        mul_into(acc, head + (first, k) + tail, value, w)
                     elif k < first:
-                        add_into(acc, head + (k, first) + tail, mul(value, neg(w)), add)
+                        mul_into(acc, head + (k, first) + tail, value, neg(w))
             elif slot == pair and len(weights[tail[0]]) < len(weights[index]):
                 # the mirror, -value with the pair swapped, forms fewer products
                 other, tail = tail[0], (index,) + tail[1:]
                 for k, w in weights[other].items():
-                    add_into(acc, head + (k,) + tail, mul(value, neg(w)), add)
+                    mul_into(acc, head + (k,) + tail, value, neg(w))
             else:
                 for k, w in weights[index].items():
-                    add_into(acc, head + (k,) + tail, mul(value, w), add)
+                    mul_into(acc, head + (k,) + tail, value, w)
         terms = acc
     return terms
 
@@ -659,7 +708,7 @@ class LieAlgebra:
         return Vector(coeffs) if coeffs else Vector()
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
-        mul, add, _ = scalar_table()
+        mul, _, _, mul_into = scalar_table()
         acc: dict[int, Scalar] = {}
         for p, xv in x.items():
             self._check_index(p)
@@ -670,7 +719,7 @@ class LieAlgebra:
                     continue
                 factor = mul(xv, yv)
                 for r, coeff in coeffs.items():
-                    add_into(acc, r, mul(factor, coeff), add)
+                    mul_into(acc, r, factor, coeff)
         return Vector(acc)
 
     def _jacobi_candidates(self) -> list[tuple[int, int, int]]:
@@ -704,7 +753,7 @@ class LieAlgebra:
         """
         report = ViolationReport("jacobi")
         bracket = self.tensor._view.get
-        mul, add, _ = scalar_table()
+        mul_into = scalar_table().mul_into
 
         def accumulate(acc, inner, outer_index):
             if not inner:
@@ -714,7 +763,7 @@ class LieAlgebra:
                 if not w:
                     continue
                 for m, c2 in w.items():
-                    add_into(acc, m, mul(coeff, c2), add)
+                    mul_into(acc, m, coeff, c2)
 
         for p, q, r in self._jacobi_candidates():
             acc: dict[int, Scalar] = {}
@@ -738,7 +787,7 @@ class LieAlgebra:
         for (p, l), coeffs in self.tensor.oriented():
             for k, c in coeffs.items():
                 at.setdefault((k, l), []).append((p, c))
-        mul, add, _ = scalar_table()
+        mul_into = scalar_table().mul_into
         acc: dict[tuple[int, int], Scalar] = {}
         for (k, l), left in at.items():
             right = at.get((l, k))
@@ -747,7 +796,7 @@ class LieAlgebra:
             for p, a in left:
                 for q, b in right:
                     if p <= q:
-                        add_into(acc, (p, q), mul(a, b), add)
+                        mul_into(acc, (p, q), a, b)
         rows: list[dict] = [{} for _ in range(self.dim)]
         for (p, q), value in acc.items():
             rows[p][q] = rows[q][p] = value
@@ -766,10 +815,13 @@ class LieAlgebra:
         terms = {
             (p, q, r): c for (p, q), coeffs in self.tensor.stored() for r, c in coeffs.items()
         }
+        new_terms = _change_slots(terms, T, T_inv, arguments=2, pair=0)
         brackets: dict[tuple[int, int], dict] = {}
-        for (p, q, r), c in _change_slots(terms, T, T_inv, arguments=2, pair=0).items():
-            brackets.setdefault((p, q), {})[r] = c
-        return LieAlgebra(labels if labels is not None else self.labels, StructureTensor(brackets))
+        for p, q, r in sorted(new_terms):
+            brackets.setdefault((p, q), {})[r] = new_terms[(p, q, r)]
+        return LieAlgebra(
+            labels if labels is not None else self.labels, StructureTensor._of_sorted(brackets)
+        )
 
 
 def abelian(dim: int, labels=None) -> LieAlgebra:
@@ -810,7 +862,7 @@ def trace_form(rep) -> BilinearForm:
     for mat in rep:
         if mat.rows != mat.cols or mat.rows != rep[0].rows:
             raise ValueError("representation matrices must be square and equal-sized")
-    mul, add, _ = scalar_table()
+    mul, add, _, _ = scalar_table()
     rows: list[dict] = [{} for _ in rep]
     for p, left in enumerate(rep):
         entries = [(k, l, a) for k, row in enumerate(left._r) for l, a in row.items()]

@@ -213,10 +213,7 @@ class ManinTriple:
     def __post_init__(self, validate: bool):
         if not validate:
             return
-        if self.plus.dim != self.minus.dim:
-            raise ValueError(
-                f"paired algebras must share a dimension, got {self.plus.dim} and {self.minus.dim}"
-            )
+        _require_equal_halves(self)
         report = check_compatibility(self.plus.tensor, self.minus.tensor)
         if not report.ok:
             raise CompatibilityError(report)
@@ -229,6 +226,14 @@ class ManinTriple:
     @property
     def dim(self) -> int:
         return self.plus.dim
+
+
+def _require_equal_halves(triple: ManinTriple) -> None:
+    """Raise ValueError when the halves of a triple, checked or not, differ in dimension."""
+    if triple.plus.dim != triple.minus.dim:
+        raise ValueError(
+            f"paired algebras must share a dimension, got {triple.plus.dim} and {triple.minus.dim}"
+        )
 
 
 @dataclass(frozen=True)
@@ -251,6 +256,7 @@ def _hyperbolic_pairing(m: int) -> BilinearForm:
 
 def build_double(triple: ManinTriple) -> DoubleAlgebra:
     """Assemble the double bracket table from the two structure tensors."""
+    _require_equal_halves(triple)  # the index blocks below assume equal halves
     m = triple.plus.dim
     f = triple.plus.tensor
     c = triple.minus.tensor
@@ -266,7 +272,10 @@ def build_double(triple: ManinTriple) -> DoubleAlgebra:
     for p, r, q, v in _tensor_triples(c):
         brackets.setdefault((q, m + p), {})[r] = v
     labels = joined_labels(triple.plus.labels, triple.minus.labels)
-    algebra = LieAlgebra(labels, StructureTensor(brackets))
+    tensor = StructureTensor._of_sorted(
+        {key: dict(sorted(coeffs.items())) for key, coeffs in sorted(brackets.items())}
+    )
+    algebra = LieAlgebra(labels, tensor)
     return DoubleAlgebra(algebra, _hyperbolic_pairing(m), triple)
 
 
@@ -341,7 +350,7 @@ def check_ad_invariance(double: DoubleAlgebra) -> InvarianceReport:
                 for c in partners[r]:
                     candidates.add((x, y, c))  # <[x,y],c> side
                     candidates.add((c, x, y))  # <c,[x,y]> side
-    mul, add, _ = scalar_table()
+    mul, add, _, _ = scalar_table()
 
     def paired(coeffs, index) -> Scalar:
         if not coeffs:

@@ -98,14 +98,20 @@ class Scalar:
         )
 
     def __hash__(self):
-        a, b, c, d = self._a, self._b, self._c, self._d
-        if not (b or c or d):
+        a = self._a
+        if not (self._b or self._c or self._d):
             # a rational equals the int or Fraction it names, so it hashes like one
             return hash(a.numerator) if a.denominator == 1 else hash(a)
-        return hash(
-            (a.numerator, a.denominator, b.numerator, b.denominator,
-             c.numerator, c.denominator, d.numerator, d.denominator)
-        )
+        return hash(self._ratios())
+
+    def _ratios(self) -> tuple[int, ...]:
+        """The numerator and denominator of a, b, c and d, in that order.
+
+        Equal values, and only they, have equal ratios, so the scalar tables
+        compare and key values through them with no Fraction comparison.
+        """
+        return (*self._a.as_integer_ratio(), *self._b.as_integer_ratio(),
+                *self._c.as_integer_ratio(), *self._d.as_integer_ratio())
 
     # Addition, subtraction and negation skip zero components: a Fraction
     # operation costs a microsecond, and most components in the gl(n) checks

@@ -167,7 +167,7 @@ def _forms_comparison(n: int) -> list[Violation]:
     for form in (killing, trace):
         pairs.update((p, q) for p in range(form.dim) for q in form.matrix().row(p).indices())
     bad: list[Violation] = []
-    mul, add, _ = scalar_table()
+    mul, add, _, _ = scalar_table()
     two_n, minus_two = Scalar(2 * n), Scalar(-2)
     for p, q in sorted(pairs):
         if p in trace_of and q in trace_of:

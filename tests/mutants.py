@@ -42,8 +42,10 @@ class Mutant(NamedTuple):
 
 BIALG = "src/liedouble/bialg.py"
 LIEALG = "src/liedouble/liealg.py"
+MANIN = "src/liedouble/manin.py"
 KERNELS = "tests/test_kernels.py::"
 STORAGE = "tests/test_cocommutator_storage.py::"
+COMPAT = "tests/test_manin.py::"
 
 MUTANTS = (
     Mutant(
@@ -71,8 +73,8 @@ MUTANTS = (
     Mutant(
         "schouten half: middle-case sign dropped",
         BIALG,
-        "add_into(acc, (b1, k, b2), neg(mul(coeff, cv)), add)",
-        "add_into(acc, (b1, k, b2), mul(coeff, cv), add)",
+        "mul_into(acc, (b1, k, b2), neg(coeff), cv)",
+        "mul_into(acc, (b1, k, b2), coeff, cv)",
         (
             KERNELS + "test_schouten_bracket_of_a_skew_r_matches_the_three_term_loop",
             KERNELS + "test_schouten_bracket_of_the_gln_r_matrix_matches_the_three_term_loop[3]",
@@ -103,8 +105,8 @@ MUTANTS = (
     Mutant(
         "change slots: the fold's negated weight dropped",
         LIEALG,
-        "add_into(acc, head + (k, first) + tail, mul(value, neg(w)), add)",
-        "add_into(acc, head + (k, first) + tail, mul(value, w), add)",
+        "mul_into(acc, head + (k, first) + tail, value, neg(w))",
+        "mul_into(acc, head + (k, first) + tail, value, w)",
         (
             KERNELS + "test_sorted_half_basis_change_matches_the_full_loop",
             KERNELS + "test_public_basis_changes_match_the_full_loop_on_block_matrices",
@@ -117,6 +119,93 @@ MUTANTS = (
         "return half",
         (
             "tests/test_bialg.py::test_is_antisymmetric_on_each_kind_of_break",
+        ),
+    ),
+    Mutant(
+        "scalar table: a zero sum kept in the accumulator",
+        LIEALG,
+        """        if total is ZERO:
+            del acc[key]
+        else:
+            acc[key] = total""",
+        """        acc[key] = total""",
+        (
+            KERNELS + "test_mul_into_matches_add_into_of_the_product",
+            KERNELS + "test_add_into_drops_a_zero_sum_from_the_table",
+            KERNELS + "test_tabled_kernels_match_plain_products_on_gln[2]",
+        ),
+    ),
+    Mutant(
+        "scalar table: the sum cache keyed on the product only",
+        LIEALG,
+        """        try:
+            pair = (seen[id(s)][1], seen[id(product)][1])
+        except KeyError:
+            pair = (value_id(s), seen[id(product)][1])""",
+        """        pair = seen[id(product)][1]""",
+        (
+            KERNELS + "test_mul_into_matches_add_into_of_the_product",
+            KERNELS + "test_tabled_kernels_match_plain_products_on_random_algebras",
+        ),
+    ),
+    Mutant(
+        "trusted bracket table: the stored coefficients reused for the mirror",
+        LIEALG,
+        "out._set_stored(brackets, _negator())",
+        "out._set_stored(brackets, lambda value: value)",
+        (
+            KERNELS + "test_trusted_brackets_are_what_the_constructor_stores_on_gln[2]",
+            KERNELS + "test_trusted_brackets_are_what_the_constructor_stores_on_random_algebras",
+        ),
+    ),
+    Mutant(
+        "closed-form inverse: the I rows of T^-1 with the wrong sign",
+        "src/liedouble/glnfactory.py",
+        "[{X: _I_HALF_SQRT2, x: _MINUS_I_HALF_SQRT2} for X, x in cartan]",
+        "[{X: _MINUS_I_HALF_SQRT2, x: _I_HALF_SQRT2} for X, x in cartan]",
+        (
+            KERNELS + "test_closed_form_inverse_of_the_gln_basis_change_matches_gauss_jordan[1]",
+            KERNELS + "test_closed_form_inverse_of_the_gln_basis_change_matches_gauss_jordan[3]",
+        ),
+    ),
+    Mutant(
+        "rational-factor multiply: the rational left operand not swapped out",
+        "src/liedouble/scalars.py",
+        "q, a1, b1, c1, d1 = a1, a2, b2, c2, d2",
+        "q = a1",
+        (
+            "tests/test_scalar_properties.py::test_multiply_matches_the_sixteen_product_formula",
+            "tests/test_scalar_properties.py::test_field_axioms",
+        ),
+    ),
+    Mutant(
+        "integer compatibility: the lcm scaling of denominator groups dropped",
+        MANIN,
+        "total = sum(t * (den // d) for t, d in terms)",
+        "total = sum(t for t, d in terms)",
+        (
+            COMPAT + "test_integer_unit_path_matches_scalar_path_and_brute_force",
+            COMPAT + "test_scaled_gln_halves_cancel_only_across_denominator_groups",
+        ),
+    ),
+    Mutant(
+        "monomial compatibility: i * i = +1 in the unit table",
+        MANIN,
+        "((1, 2), (1, 3), (-1, 0), (-1, 1)),",
+        "((1, 2), (1, 3), (1, 0), (-1, 1)),",
+        (
+            COMPAT + "test_unit_table_matches_scalar_products",
+            COMPAT + "test_monomial_path_matches_scalar_path_and_brute_force",
+        ),
+    ),
+    Mutant(
+        "monomial compatibility: a two-component value taken for a monomial",
+        MANIN,
+        "return parts[0] if len(parts) == 1 else None",
+        "return parts[0] if parts else None",
+        (
+            COMPAT + "test_a_two_component_coefficient_takes_the_scalar_path",
+            COMPAT + "test_compatibility_matches_brute_force_on_mixed_coefficients",
         ),
     ),
 )

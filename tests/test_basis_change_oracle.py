@@ -2,7 +2,8 @@
 
 ``_bracket``, ``_apply``, ``change_of_basis``, ``_transport`` and
 ``express_in_basis`` below are the earlier code, kept verbatim apart from
-calling each other as functions instead of methods, as slow oracles:
+calling each other as functions instead of methods and summing with plain
+``+``, as slow oracles:
 ``change_of_basis`` brackets the columns of T pairwise and applies T^-1 to
 each result, ``express_in_basis`` pulls each column back through delta and
 transports the result, and ``_transport`` pushes every term of a two-tensor
@@ -38,7 +39,7 @@ from test_basis_change_properties import invertible
 
 
 def _bracket(self, x: Vector, y: Vector, table: ScalarTable) -> Vector:
-    mul, add = table.mul, table.add
+    mul = table.mul
     acc: dict[int, Scalar] = {}
     for p, xv in x.items():
         self._check_index(p)
@@ -49,18 +50,18 @@ def _bracket(self, x: Vector, y: Vector, table: ScalarTable) -> Vector:
                 continue
             factor = mul(xv, yv)
             for r, coeff in coeffs.items():
-                add_into(acc, r, mul(factor, coeff), add)
+                add_into(acc, r, mul(factor, coeff))
     return Vector(acc)
 
 
 def _apply(self, vec: Vector, table: ScalarTable) -> Vector:
-    mul, add = table.mul, table.add
+    mul = table.mul
     acc: dict[int, Scalar] = {}
     for j, v in vec.items():
         if j >= self.cols:
             raise IndexError(f"vector index {j} out of range for {self.cols} columns")
         for i, m in self._c[j].items():
-            add_into(acc, i, mul(m, v), add)
+            add_into(acc, i, mul(m, v))
     return Vector(acc)
 
 
@@ -83,7 +84,7 @@ def change_of_basis(self, T: Matrix, labels=None) -> LieAlgebra:
 
 
 def _transport(self, inverse_basis_map: Matrix, table: ScalarTable) -> TwoTensor:
-    mul, add = table.mul, table.add
+    mul = table.mul
     columns: dict[int, list] = {}
 
     def column(index):
@@ -96,7 +97,7 @@ def _transport(self, inverse_basis_map: Matrix, table: ScalarTable) -> TwoTensor
     for (p, q), value in self._c.items():
         for k, left in column(p):
             for l, right in column(q):
-                add_into(acc, (k, l), mul(mul(value, left), right), add)
+                add_into(acc, (k, l), mul(mul(value, left), right))
     return TwoTensor(acc)
 
 
@@ -116,7 +117,7 @@ def oracle_express_in_basis(delta: Cocommutator, T: Matrix) -> Cocommutator:
         raise ValueError("change-of-basis matrix has wrong shape")
     T_inv = T.inverse()
     table = scalar_table()
-    mul, add = table.mul, table.add
+    mul = table.mul
     entries = {}
     for j in range(delta.dim):
         acc: dict[tuple[int, int], Scalar] = {}
@@ -125,7 +126,7 @@ def oracle_express_in_basis(delta: Cocommutator, T: Matrix) -> Cocommutator:
             if not value:
                 continue
             for key, coeff in value.items():
-                add_into(acc, key, mul(weight, coeff), add)
+                add_into(acc, key, mul(weight, coeff))
         if acc:
             entries[j] = _transport(TwoTensor(acc), T_inv, table)
     return Cocommutator(delta.dim, entries)

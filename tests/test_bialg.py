@@ -242,6 +242,18 @@ def test_cocommutator_rejects_indices_outside_its_dimension():
         Cocommutator(2, {-1: TwoTensor.wedge(0, 1)})
 
 
+def test_two_tensor_methods_reject_a_key_that_is_not_an_index_pair():
+    # (0, 1, 2) used to fail with "too many values to unpack (expected 2)",
+    # and 5 with "cannot unpack non-iterable int object"
+    for key in ((0, 1, 2), 5):
+        message = f"two-tensor has key {re.escape(repr(key))}, not an index pair"
+        tensor = TwoTensor({key: 1})
+        with pytest.raises(ValueError, match=message):
+            tensor.transport(Matrix.identity(3))
+        with pytest.raises(ValueError, match=message):
+            tensor.is_antisymmetric()
+
+
 def test_cocommutator_rejects_a_value_key_that_is_not_an_index_pair():
     # (0, 1, 2) used to fail with "too many values to unpack (expected 2)"
     for key in ((0, 1, 2), (0,), 5):

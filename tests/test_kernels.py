@@ -1052,7 +1052,7 @@ def test_schouten_check_of_a_mutant_bracket_matches_the_full_loop(monkeypatch):
     triple = build_gln_triple(3)
     alg = build_double(triple).algebra
     _, r_skew = build_rmatrix(triple)
-    half = bialg._schouten_half(alg, r_skew, operator.mul, operator.add, operator.neg)
+    half = bialg._schouten_half(alg, r_skew, PLAIN, operator.neg)
     assert alternating_from_half(half) == schouten_bracket(alg, r_skew)
     key = min(half)
     unused = min(k for k in itertools.combinations(range(alg.dim), 3) if k not in half)
@@ -1150,8 +1150,7 @@ def test_schouten_bracket_makes_at_most_a_sixth_of_the_loops_lookups(n):
     view.lookups = 0
     assert schouten_bracket(alg, r_skew) == expected
     sorted_lookups, view.lookups = view.lookups, 0
-    mul, add, _ = scalar_table()
-    assert bialg._schouten_terms(alg, r_skew, mul, add) == expected
+    assert bialg._schouten_terms(alg, r_skew, scalar_table()) == expected
     full_lookups = view.lookups
     assert full_lookups == 3 * len(r_skew.items()) ** 2
     assert 0 < 6 * sorted_lookups <= full_lookups, (sorted_lookups, full_lookups)
@@ -1244,16 +1243,55 @@ def test_scalar_table_when_ids_are_recycled():
 
 
 def test_add_into_drops_a_zero_sum_from_the_table():
+    # add_into sums with plain +; the table's mul_into adds the product x * 1
     table = scalar_table()
     x = Scalar(0, 1, Fraction(1, 3))
-    acc = {"kept": ONE}
-    add_into(acc, "key", x, table.add)
-    assert acc == {"kept": ONE, "key": x}
-    add_into(acc, "key", -x, table.add)
-    assert acc == {"kept": ONE}
-    add_into(acc, "key", ZERO, table.add)
-    add_into(acc, "kept", -ONE, table.add)
-    assert acc == {}
+    for put in (add_into, lambda acc, key, value: table.mul_into(acc, key, value, ONE)):
+        acc = {"kept": ONE}
+        put(acc, "key", x)
+        assert acc == {"kept": ONE, "key": x}
+        put(acc, "key", -x)
+        assert acc == {"kept": ONE}
+        put(acc, "key", ZERO)
+        put(acc, "kept", -ONE)
+        assert acc == {}
+
+
+# few values, each with its negative, so that sums cancel to zero and refill;
+# the last two have four nonzero components
+cancelling = st.sampled_from(
+    [ONE, -ONE, SQRT2, Scalar(0, 0, Fraction(-1, 2)), ZERO,
+     Scalar(1, Fraction(-1, 3), 2, Fraction(1, 7)), Scalar(-1, Fraction(1, 3), -2, Fraction(-1, 7))]
+)
+
+
+def fresh(value):
+    """An equal value in a distinct object."""
+    return Scalar(value.a, value.b, value.c, value.d)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.dictionaries(st.integers(0, 2), cancelling.filter(bool), max_size=3),
+    st.lists(st.tuples(st.integers(0, 2), cancelling, cancelling, st.booleans()), max_size=40),
+)
+def test_mul_into_matches_add_into_of_the_product(initial, steps):
+    # the accumulator starts with values the table has not seen; a fresh
+    # operand is an equal value in a new object, dropped by the test and
+    # collected after its step, so its id would go to a later Scalar if the
+    # table did not keep it alive
+    table = scalar_table()
+    acc = {key: fresh(value) for key, value in initial.items()}
+    expected = dict(initial)
+    for key, x, y, copy in steps:
+        if copy:
+            x, y = fresh(x), fresh(y)
+        table.mul_into(acc, key, x, y)
+        add_into(expected, key, x * y)
+        assert acc == expected
+        del x, y
+        gc.collect(0)
+    assert all(acc.values())
 
 
 @pytest.fixture()
@@ -1293,12 +1331,19 @@ def test_gauss_jordan_computes_each_value_pair_and_pivot_once(scalar_ops):
     assert T * inverse == Matrix.identity(T.rows)
 
 
+def plain_mul_into(acc, key, x, y):
+    add_into(acc, key, x * y)
+
+
+# a scalar table that computes every result afresh with plain Scalar arithmetic
+PLAIN = ScalarTable(operator.mul, operator.add, Scalar.inverse, plain_mul_into)
+
+
 def plain_products(func, *args):
-    """``func(*args)`` with every scalar table replaced by plain ``*``, ``+`` and ``inverse``."""
-    plain = ScalarTable(operator.mul, operator.add, Scalar.inverse)
+    """``func(*args)`` with every scalar table replaced by ``PLAIN``."""
     with pytest.MonkeyPatch.context() as patch:
         for module in (liealg, manin, bialg, suite):
-            patch.setattr(module, "scalar_table", lambda: plain)
+            patch.setattr(module, "scalar_table", lambda: PLAIN)
         return func(*args)
 
 
@@ -1503,6 +1548,36 @@ def test_coboundary_and_cocycle_match_dense_on_random_algebras(inputs):
     assert_action_matches_dense(alg, delta, r_skew)
 
 
+# --- bracket tables stored without the constructor's checks ------------------------
+
+
+def assert_stored_as_constructed(tensor):
+    """``tensor`` holds what the validating constructor stores for its brackets:
+    the same pairs and coefficients, mirrors and order."""
+    checked = StructureTensor({key: dict(coeffs) for key, coeffs in tensor.stored()})
+    assert [(key, list(coeffs.items())) for key, coeffs in tensor.oriented()] == [
+        (key, list(coeffs.items())) for key, coeffs in checked.oriented()
+    ]
+    assert tensor == checked and hash(tensor) == hash(checked)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_trusted_brackets_are_what_the_constructor_stores_on_gln(n):
+    triple = build_gln_triple(n)
+    for alg in (build_double(triple).algebra, double_in_gln_basis(n, triple)):
+        assert_stored_as_constructed(alg.tensor)
+
+
+@settings(deadline=None, max_examples=40)
+@given(random_kernel_inputs())
+def test_trusted_brackets_are_what_the_constructor_stores_on_random_algebras(inputs):
+    alg, _, _, T, *_ = inputs
+    brackets = {key: dict(coeffs) for key, coeffs in alg.tensor.stored()}
+    assert_stored_as_constructed(StructureTensor._of_sorted(brackets))
+    assert_stored_as_constructed(alg.change_of_basis(T).tensor)
+    assert_stored_as_constructed(build_double(ManinTriple.unchecked(alg, alg)).algebra.tensor)
+
+
 # --- Jacobi over the candidate triples ----------------------------------------------
 
 
@@ -1567,7 +1642,7 @@ def full_change_slots(terms, T, T_inv, arguments):
     return terms
 
 
-def full_cocycle(alg, delta, mul, add):
+def full_cocycle(alg, delta, table):
     """check_cocycle's loop before sorted halves: every term of every value acted on."""
     pair = alg.tensor.pair
     slots = [bialg._by_slot(delta.get(p)._c) for p in range(alg.dim)]
@@ -1577,9 +1652,9 @@ def full_cocycle(alg, delta, mul, add):
             acc = {}
             for r, value in (pair(p, q) or {}).items():
                 for key, coeff in delta.get(r)._c.items():
-                    add_into(acc, key, mul(value, coeff), add)
-            bialg._add_action(acc, pair, p, slots[q], mul, add, negate=True)
-            bialg._add_action(acc, pair, q, slots[p], mul, add)
+                    table.mul_into(acc, key, value, coeff)
+            bialg._add_action(acc, pair, p, slots[q], table, negate=True)
+            bialg._add_action(acc, pair, q, slots[p], table)
             if acc:
                 residuals[(p, q)] = acc
     return residuals
@@ -1757,14 +1832,17 @@ def test_cocycle_counterexamples_of_doctored_cocommutators_match_the_full_loop(c
 
 
 def counting_table():
-    """A plain table whose ``mul`` counts its calls in ``products``."""
+    """A plain table whose ``mul`` and ``mul_into`` count their products in ``products``."""
     products = collections.Counter()
 
     def mul(x, y):
         products["mul"] += 1
         return x * y
 
-    return products, ScalarTable(mul, operator.add, Scalar.inverse)
+    def mul_into(acc, key, x, y):
+        add_into(acc, key, mul(x, y))
+
+    return products, ScalarTable(mul, operator.add, Scalar.inverse, mul_into)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -1780,7 +1858,7 @@ def test_sorted_halves_form_at_most_half_the_products_of_the_full_loops(n):
     def full_coboundary():
         index = bialg._by_slot(r_skew._c)
         for x in range(alg.dim):
-            bialg._add_action({}, alg.tensor.pair, x, index, table.mul, table.add)
+            bialg._add_action({}, alg.tensor.pair, x, index, table)
 
     def count(func, *args, **kw):
         products.clear()
@@ -1803,7 +1881,7 @@ def test_sorted_halves_form_at_most_half_the_products_of_the_full_loops(n):
             "coboundary": (count(coboundary, alg, r_skew), count(full_coboundary)),
             "check_cocycle": (
                 count(check_cocycle, alg, delta),
-                count(full_cocycle, alg, delta, table.mul, table.add),
+                count(full_cocycle, alg, delta, table),
             ),
             "change_of_basis": (
                 count(alg.change_of_basis, T),

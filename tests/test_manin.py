@@ -114,6 +114,16 @@ def test_triple_dimension_mismatch(pair3):
         ManinTriple(plus, build_s_minus(3))
 
 
+def test_double_of_an_unchecked_triple_needs_equal_halves(pair3):
+    # the minus block's indices would otherwise run into the plus block's
+    plus, _ = pair3
+    small = build_s_minus(1)
+    for triple in (ManinTriple.unchecked(plus, small), ManinTriple.unchecked(small, plus)):
+        dims = (triple.plus.dim, triple.minus.dim)
+        with pytest.raises(ValueError, match="must share a dimension, got %d and %d" % dims):
+            build_double(triple)
+
+
 def test_double_crossed_brackets(triple3, double3):
     alg = double3.algebra
     # indices: Z1..Z3 = 0..2, z1..z3 = 3..5
