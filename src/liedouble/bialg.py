@@ -271,51 +271,60 @@ def check_cojacobi(delta: Cocommutator, labels=None) -> ViolationReport:
 def _by_slot(terms: dict) -> list[dict[int, list]]:
     """Index the terms ``{key: value}`` of a 2- or 3-tensor by the basis index in each slot.
 
-    ``by_slot[slot][s]`` lists the ``(key, value)`` terms with
-    ``key[slot] == s``; an empty tensor has no slots.
+    ``by_slot[slot][s]`` lists ``(kept, value)`` for the terms with
+    ``key[slot] == s``, where ``kept`` is the key without that slot; an
+    empty tensor has no slots.
     """
     by_slot: list[dict[int, list]] = []
     for key, value in terms.items():
         if not by_slot:
             by_slot = [{} for _ in key]
         for slot, s in enumerate(key):
-            by_slot[slot].setdefault(s, []).append((key, value))
+            by_slot[slot].setdefault(s, []).append((key[:slot] + key[slot + 1 :], value))
     return by_slot
 
 
-def _add_action(acc: dict, pair, x: int, by_slot, table: ScalarTable, negate=False) -> None:
-    """Add the adjoint action of e_x on a tensor into ``acc``, or its negative with ``negate``.
+def _add_action(acc: dict, pair, x: int, by_slot, table: ScalarTable) -> None:
+    """Add the adjoint action of e_x on a tensor into ``acc``.
 
     The action is ad_x on each slot in turn, summed: ad_x (x) 1 + 1 (x) ad_x
     on g (x) g, and the three-slot sum on g (x) g (x) g.  ``by_slot`` is the
     tensor's ``_by_slot`` index, so only the slot values s with [x, s] != 0
-    are visited.  The negative reads [e_s, e_x] = -[e_x, e_s] off the stored
-    orientations, so no coefficient is negated.
+    are visited; each product lands on ``kept`` with its new index put back
+    in the slot.
     """
     mul_into = table.mul_into
     for slot, terms_at in enumerate(by_slot):
         for s, terms in terms_at.items():
-            w = pair(s, x) if negate else pair(x, s)
+            w = pair(x, s)
             if not w:
                 continue
-            for key, value in terms:
+            for kept, value in terms:
+                head, tail = kept[:slot], kept[slot:]
                 for k, coeff in w.items():
-                    mul_into(acc, key[:slot] + (k,) + key[slot + 1 :], value, coeff)
+                    mul_into(acc, head + (k,) + tail, value, coeff)
 
 
-def _sorted_action(acc: dict, bracket, x: int, index, table: ScalarTable, negate=False) -> None:
-    """Add the p < q terms of ad_x, or of -ad_x with ``negate``, of an antisymmetric 2-tensor into ``acc``.
+def _alternating_action(acc: dict, bracket, x: int, index, table: ScalarTable, negate=False):
+    """Add the sorted terms of ad_x, or -ad_x with ``negate``, of an alternating tensor to ``acc``.
 
-    ``bracket((p, q))`` is the coefficient mapping of [e_p, e_q] or None
-    (the algebra's ``tensor._view.get``), and ``index`` is the ``_by_slot``
-    index of the tensor's p < q terms.  The
-    action commutes with swapping the slots, so its result is antisymmetric
-    too, and it is the action on those terms minus its mirror.  So each
-    product lands on its key sorted, through the mirrored coefficient
-    [e_s, e_x] = -[e_x, e_s] when the sort swaps the indices, and a key with
-    a repeated index, which cancels against its mirror, is skipped.
+    The tensor is a 2- or 3-tensor that changes sign under every swap of
+    two slots, and ``index`` is the ``_by_slot`` index of its sorted terms,
+    those whose indices increase.  ``bracket((p, q))`` is the coefficient
+    mapping of [e_p, e_q] or None (the algebra's ``tensor._view.get``).
+    The action commutes with permuting the slots, so its result is
+    alternating too, and its sorted terms are the action on the sorted
+    terms, each product landed on its key sorted with the sign of the sort.
+    So each new index k is inserted into ``kept`` at its sorted position,
+    below, between or above the one or two kept indices, and a k that
+    repeats a kept index is skipped: that key cancels against its swap.
+    When the move from k's slot to its position is an odd permutation, the
+    product reads the stored mirror [e_s, e_x] = -[e_x, e_s], so no value
+    is negated: by sorted position, an even slot reads the bracket, the
+    mirror, the bracket, and an odd slot the opposite.
     """
     mul_into = table.mul_into
+    above = len(index) - 1  # the sorted position above every kept index
     for slot, terms_at in enumerate(index):
         for s, terms in terms_at.items():
             w = bracket((x, s))
@@ -324,15 +333,16 @@ def _sorted_action(acc: dict, bracket, x: int, index, table: ScalarTable, negate
             mirror = bracket((s, x))
             if negate:
                 w, mirror = mirror, w
-            # the coefficients for a new index k below the kept index, and above it
-            below, above = (w, mirror) if slot == 0 else (mirror, w)
-            for key, value in terms:
-                kept = key[1 - slot]
+            by_position = (w, mirror, w) if slot % 2 == 0 else (mirror, w, mirror)
+            for kept, value in terms:
+                first, last = kept[0], kept[-1]
                 for k in w:
-                    if k < kept:
-                        mul_into(acc, (k, kept), value, below[k])
-                    elif kept < k:
-                        mul_into(acc, (kept, k), value, above[k])
+                    if k < first:
+                        mul_into(acc, (k,) + kept, value, by_position[0][k])
+                    elif last < k:
+                        mul_into(acc, kept + (k,), value, by_position[above][k])
+                    elif first < k < last:
+                        mul_into(acc, (first, k, last), value, by_position[1][k])
 
 
 def check_cocycle(alg: LieAlgebra, delta: Cocommutator) -> ViolationReport:
@@ -360,8 +370,8 @@ def check_cocycle(alg: LieAlgebra, delta: Cocommutator) -> ViolationReport:
                 for r, value in coeffs.items():
                     for key, coeff in halves[r].items():
                         mul_into(acc, key, value, coeff)
-            _sorted_action(acc, bracket, p, slots[q], table, negate=True)
-            _sorted_action(acc, bracket, q, slots[p], table)
+            _alternating_action(acc, bracket, p, slots[q], table, negate=True)
+            _alternating_action(acc, bracket, q, slots[p], table)
             if acc:
                 report.violations.append(
                     Violation((p, q), TwoTensor._of_half(acc, neg).format(alg.labels))
@@ -396,7 +406,7 @@ def coboundary(alg: LieAlgebra, r_skew: TwoTensor) -> Cocommutator:
         halves = {}
         for x in range(alg.dim):
             acc: dict[tuple[int, int], Scalar] = {}
-            _sorted_action(acc, bracket, x, index, table)
+            _alternating_action(acc, bracket, x, index, table)
             if acc:
                 halves[x] = acc
         return Cocommutator._of_halves(alg.dim, halves)
@@ -452,12 +462,17 @@ def _schouten(
     if r._antisymmetric_half() is None:
         return _schouten_terms(alg, r, table), None
     half = _schouten_half(alg, r, table, neg)
+    return _alternating(half, neg), half
+
+
+def _alternating(half: dict, neg) -> ThreeTensor:
+    """The alternating 3-tensor whose a < b < c terms are ``half``; ``neg`` negates each value."""
     data = {}
     for (a, b, c), value in half.items():
         opposite = neg(value)
         data[(a, b, c)] = data[(b, c, a)] = data[(c, a, b)] = value
         data[(a, c, b)] = data[(b, a, c)] = data[(c, b, a)] = opposite
-    return ThreeTensor._of_nonzero(data), half
+    return ThreeTensor._of_nonzero(data)
 
 
 def _schouten_half(alg: LieAlgebra, r: TwoTensor, table: ScalarTable, neg) -> dict:
@@ -520,67 +535,33 @@ def _schouten_terms(alg: LieAlgebra, r: TwoTensor, table: ScalarTable) -> ThreeT
     return ThreeTensor(acc)
 
 
-def _sorted_action_vanishes(bracket, x: int, index, table: ScalarTable) -> bool:
-    """True iff ad_x of the alternating tensor that ``index`` describes is 0.
-
-    ``index[slot][s]`` lists ``(p, q, values)`` for the tensor's a < b < c
-    terms with ``s`` in ``slot``: ``p < q`` are the other two indices and
-    ``values[pos]`` is the term's value times the sign of moving ``slot`` to
-    ``pos``.  The action commutes with permuting slots, so its result is
-    alternating too, and it vanishes iff its a < b < c terms do.  Each
-    product of a sorted term lands on its key sorted, with the sign of the
-    sort; a key with a repeated index cancels against its transposition and
-    is skipped.  ``bracket`` looks brackets up as in :func:`_sorted_action`.
-    """
-    mul_into = table.mul_into
-    acc: dict[tuple[int, int, int], Scalar] = {}
-    for slot, terms_at in enumerate(index):
-        for s, terms in terms_at.items():
-            w = bracket((x, s))
-            if not w:
-                continue
-            for p, q, values in terms:
-                for k, coeff in w.items():
-                    if k < p:
-                        mul_into(acc, (k, p, q), values[0], coeff)
-                    elif p < k < q:
-                        mul_into(acc, (p, k, q), values[1], coeff)
-                    elif k > q:
-                        mul_into(acc, (p, q, k), values[2], coeff)
-    return not acc
-
-
 def schouten_check(alg: LieAlgebra, r_skew: TwoTensor) -> QuasitriangularReport:
     """Compute [[r, r]] and test its invariance under every ad_x (x basis).
 
-    For an antisymmetric r, each ad_x acts on the a < b < c terms of
-    [[r, r]] only; an x whose result does not vanish is recomputed over
-    every term, so each violation lists the full tensor ad_x [[r, r]].  Any
-    other r takes the full action for every x.
+    For an antisymmetric r, [[r, r]] is alternating, so each ad_x acts on
+    its a < b < c terms only (:func:`_alternating_action`), and a result
+    that does not vanish is expanded to all six orientations of each key
+    for its violation.  Any other r takes the full action for every x.
     """
     table = scalar_table()
     neg = _negator()
     schouten, half = _schouten(alg, r_skew, table, neg)
-    index: list[dict[int, list]] = [{}, {}, {}]  # as _sorted_action_vanishes reads it
-    for (a, b, c), value in (half or {}).items():
-        opposite = neg(value)
-        index[0].setdefault(a, []).append((b, c, (value, opposite, value)))
-        index[1].setdefault(b, []).append((a, c, (opposite, value, opposite)))
-        index[2].setdefault(c, []).append((a, b, (value, opposite, value)))
-    bracket = alg.tensor._view.get
-    by_slot = None
     violations: list[Violation] = []
-    for x in range(alg.dim):
-        if half is not None and _sorted_action_vanishes(bracket, x, index, table):
-            continue
-        if by_slot is None:
-            by_slot = _by_slot(schouten._c)
-        acc: dict[tuple[int, int, int], Scalar] = {}
-        _add_action(acc, alg.tensor.pair, x, by_slot, table)
-        if acc:
-            violations.append(
-                Violation((x,), ThreeTensor(acc).format(alg.labels))
-            )
+    if half is not None:
+        bracket = alg.tensor._view.get
+        index = _by_slot(half)
+        for x in range(alg.dim):
+            acc: dict[tuple[int, int, int], Scalar] = {}
+            _alternating_action(acc, bracket, x, index, table)
+            if acc:
+                violations.append(Violation((x,), _alternating(acc, neg).format(alg.labels)))
+    else:
+        by_slot = _by_slot(schouten._c)
+        for x in range(alg.dim):
+            acc = {}
+            _add_action(acc, alg.tensor.pair, x, by_slot, table)
+            if acc:
+                violations.append(Violation((x,), ThreeTensor(acc).format(alg.labels)))
     if violations:
         verdict = NOT_INVARIANT
     elif schouten:

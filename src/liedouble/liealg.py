@@ -11,7 +11,6 @@ operation is a pure function, so values can be shared freely.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -65,13 +64,13 @@ def _require_in_range(indices, dim: int, what: str) -> None:
 class ScalarTable(NamedTuple):
     """The field operations a kernel computes through.
 
-    ``mul(x, y)``, ``add(x, y)`` and ``inverse(x)`` return the result, and
+    ``mul(x, y)`` and ``inverse(x)`` return the result, and
     ``mul_into(acc, key, x, y)`` adds x*y to ``acc[key]`` as ``add_into``
-    does: it drops the key when the sum is zero.
+    does: it drops the key when the sum is zero.  Every tabled sum is a
+    ``mul_into``.
     """
 
     mul: Callable
-    add: Callable
     inverse: Callable
     mul_into: Callable
 
@@ -111,20 +110,15 @@ def scalar_table() -> ScalarTable:
         """``x``, a result the table has just made, now seen; ZERO when it is zero."""
         return ZERO if value_id(x) == id(ZERO) else x
 
-    def binary(op, results):
-        def apply(x, y):
-            try:  # both operands seen before: skip the calls
-                key = (seen[id(x)][1], seen[id(y)][1])
-            except KeyError:
-                key = (value_id(x), value_id(y))
-            result = results.get(key)
-            if result is None:
-                result = results[key] = registered(op(x, y))
-            return result
-
-        return apply
-
-    mul = binary(operator.mul, products)
+    def mul(x, y):
+        try:  # both operands seen before: skip the calls
+            pair = (seen[id(x)][1], seen[id(y)][1])
+        except KeyError:
+            pair = (value_id(x), value_id(y))
+        product = products.get(pair)
+        if product is None:
+            product = products[pair] = registered(x * y)
+        return product
 
     def mul_into(acc, key, x, y):
         try:
@@ -159,7 +153,7 @@ def scalar_table() -> ScalarTable:
             inv = inverses[key] = x.inverse()
         return inv
 
-    return ScalarTable(mul, binary(operator.add, sums), inverse, mul_into)
+    return ScalarTable(mul, inverse, mul_into)
 
 
 def _negator() -> Callable:
@@ -497,7 +491,7 @@ class Matrix:
         no pivot makes the matrix singular and the result None.
         """
         n = self.rows
-        mul, _, inverse, mul_into = scalar_table()
+        mul, inverse, mul_into = scalar_table()
         neg = _negator()
         work = [dict(row) for row in self._r]
         if augment:
@@ -708,7 +702,7 @@ class LieAlgebra:
         return Vector(coeffs) if coeffs else Vector()
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
-        mul, _, _, mul_into = scalar_table()
+        mul, _, mul_into = scalar_table()
         acc: dict[int, Scalar] = {}
         for p, xv in x.items():
             self._check_index(p)
@@ -778,29 +772,13 @@ class LieAlgebra:
     def killing_form(self) -> BilinearForm:
         """K(p, q) = trace(ad(e_p) ad(e_q)), over the stored brackets only.
 
-        (ad e_p) has the entry c at (k, l) when [e_p, e_l] = ... + c*e_k, so
-        K(p, q) sums (ad e_p)[k, l] * (ad e_q)[l, k].  The entries of every
-        ad e_p are grouped by position, and each position (k, l) is paired
-        with its transpose (l, k): only nonzero products are formed.
+        (ad e_p) has the entry c at (k, l) when [e_p, e_l] = ... + c*e_k;
+        :func:`_paired_traces` pairs those entries.
         """
-        at: dict[tuple[int, int], list] = {}  # (k, l) -> [(p, (ad e_p)[k, l])]
-        for (p, l), coeffs in self.tensor.oriented():
-            for k, c in coeffs.items():
-                at.setdefault((k, l), []).append((p, c))
-        mul_into = scalar_table().mul_into
-        acc: dict[tuple[int, int], Scalar] = {}
-        for (k, l), left in at.items():
-            right = at.get((l, k))
-            if not right:
-                continue
-            for p, a in left:
-                for q, b in right:
-                    if p <= q:
-                        mul_into(acc, (p, q), a, b)
-        rows: list[dict] = [{} for _ in range(self.dim)]
-        for (p, q), value in acc.items():
-            rows[p][q] = rows[q][p] = value
-        return BilinearForm(Matrix._of_rows(rows, self.dim))
+        return _paired_traces(
+            ((p, k, l, c) for (p, l), coeffs in self.tensor.oriented() for k, c in coeffs.items()),
+            self.dim,
+        )
 
     def change_of_basis(self, T: Matrix, labels=None) -> LieAlgebra:
         """Rewrite brackets in the basis whose vectors are the columns of T.
@@ -855,24 +833,42 @@ def structure_equal(a: LieAlgebra, b: LieAlgebra) -> bool:
 def trace_form(rep) -> BilinearForm:
     """Gram matrix B(p, q) = trace(rep[p] * rep[q]) of a matrix representation.
 
-    trace(A B) = sum of A[k, l] * B[l, k] over the stored entries (k, l) of
-    A, so no product matrix is formed; the sums go through one scalar table.
+    The stored entries of the matrices are paired by :func:`_paired_traces`,
+    so no product matrix is formed.
     """
     rep = list(rep)
     for mat in rep:
         if mat.rows != mat.cols or mat.rows != rep[0].rows:
             raise ValueError("representation matrices must be square and equal-sized")
-    mul, add, _, _ = scalar_table()
-    rows: list[dict] = [{} for _ in rep]
-    for p, left in enumerate(rep):
-        entries = [(k, l, a) for k, row in enumerate(left._r) for l, a in row.items()]
-        for q in range(p, len(rep)):
-            right = rep[q]._r
-            value = ZERO
-            for k, l, a in entries:
-                b = right[l].get(k)
-                if b is not None:
-                    value = add(value, mul(a, b))
-            if value:
-                rows[p][q] = rows[q][p] = value
-    return BilinearForm(Matrix._of_rows(rows, len(rep)))
+    return _paired_traces(
+        ((p, k, l, a) for p, mat in enumerate(rep) for k, row in enumerate(mat._r)
+         for l, a in row.items()),
+        len(rep),
+    )
+
+
+def _paired_traces(entries, dim: int) -> BilinearForm:
+    """The symmetric form B(p, q) = trace(A_p A_q) of ``dim`` square matrices A_p.
+
+    ``entries`` yields ``(p, k, l, A_p[k, l])`` for the stored entries.
+    trace(A_p A_q) sums A_p[k, l] * A_q[l, k], so the entries are grouped by
+    position and each position (k, l) is paired with its transpose (l, k),
+    for p <= q, through one scalar table: only nonzero products are formed.
+    """
+    at: dict[tuple[int, int], list] = {}  # (k, l) -> [(p, A_p[k, l])]
+    for p, k, l, value in entries:
+        at.setdefault((k, l), []).append((p, value))
+    mul_into = scalar_table().mul_into
+    acc: dict[tuple[int, int], Scalar] = {}
+    for (k, l), left in at.items():
+        right = at.get((l, k))
+        if not right:
+            continue
+        for p, a in left:
+            for q, b in right:
+                if p <= q:
+                    mul_into(acc, (p, q), a, b)
+    rows: list[dict] = [{} for _ in range(dim)]
+    for (p, q), value in acc.items():
+        rows[p][q] = rows[q][p] = value
+    return BilinearForm(Matrix._of_rows(rows, dim))

@@ -26,11 +26,12 @@ from .liealg import (
     StructureTensor,
     Violation,
     ViolationReport,
+    _negator,
     add_into,
     joined_labels,
     scalar_table,
 )
-from .scalars import MINUS_ONE, ONE, Scalar, ZERO
+from .scalars import ONE, Scalar
 
 __all__ = [
     "CompatibilityError",
@@ -336,43 +337,46 @@ def check_ad_invariance(double: DoubleAlgebra) -> InvarianceReport:
     <r,c> != 0, and <a,[b,c]> only when [b,c] meets some r with <r,a> != 0.
     Only those triples are evaluated; on every other one both sides are 0,
     so both conventions hold there and the verdicts and counterexample
-    lists equal those of the loop over all dim^3 triples.
+    lists equal those of the loop over all dim^3 triples.  Each candidate's
+    <[a,b],c> - <a,[b,c]> and <[a,b],c> + <a,[b,c]> are summed from the
+    pairing's stored rows, each in a one-key accumulator.
     """
     alg = double.algebra
     pairing = double.pairing
-    dim = alg.dim
+    if pairing.dim != alg.dim:
+        raise ValueError(
+            f"pairing dimension {pairing.dim} does not match the algebra dimension {alg.dim}"
+        )
     bracket = alg.tensor._view.get
-    partners = [pairing.matrix().row(r).indices() for r in range(dim)]
+    rows = pairing.matrix()._r
     candidates = set()
     for (p, q), coeffs in alg.tensor.stored():
         for x, y in ((p, q), (q, p)):
             for r in coeffs:
-                for c in partners[r]:
+                for c in rows[r]:
                     candidates.add((x, y, c))  # <[x,y],c> side
                     candidates.add((c, x, y))  # <c,[x,y]> side
-    mul, add, _, _ = scalar_table()
-
-    def paired(coeffs, index) -> Scalar:
-        if not coeffs:
-            return ZERO
-        total = ZERO
-        for r, v in coeffs.items():
-            m = pairing.entry(r, index)
-            if m:
-                total = add(total, mul(v, m))
-        return total
-
+    mul_into = scalar_table().mul_into
+    neg = _negator()
     plus_bad: list[Violation] = []
     minus_bad: list[Violation] = []
-    for a, b, cidx in sorted(candidates):
-        lhs = paired(bracket((a, b)), cidx)
-        rhs = paired(bracket((b, cidx)), a)
-        difference = add(lhs, mul(rhs, MINUS_ONE))
+    for a, b, c in sorted(candidates):
+        difference: dict[int, Scalar] = {}
+        total: dict[int, Scalar] = {}
+        for r, v in (bracket((a, b)) or {}).items():  # <[a,b],c>
+            m = rows[r].get(c)
+            if m is not None:
+                mul_into(difference, 0, v, m)
+                mul_into(total, 0, v, m)
+        for r, v in (bracket((b, c)) or {}).items():  # <a,[b,c]>: <e_r, e_a> by symmetry
+            m = rows[r].get(a)
+            if m is not None:
+                mul_into(difference, 0, neg(v), m)
+                mul_into(total, 0, v, m)
         if difference:
-            plus_bad.append(Violation((a, b, cidx), str(difference)))
-        total = add(lhs, rhs)
+            plus_bad.append(Violation((a, b, c), str(difference[0])))
         if total:
-            minus_bad.append(Violation((a, b, cidx), str(total)))
+            minus_bad.append(Violation((a, b, c), str(total[0])))
     return InvarianceReport(
         invariant_holds=not plus_bad,
         anti_invariant_holds=not minus_bad,

@@ -39,7 +39,7 @@ from .glnfactory import (
     rmatrix_in_gln_basis,
     verify_double_is_gln,
 )
-from .liealg import Violation, scalar_table
+from .liealg import Violation
 from .manin import (
     ManinTriple,
     build_double,
@@ -162,20 +162,18 @@ def _forms_comparison(n: int) -> list[Violation]:
     trace = gln_tn_trace_form(n)
     rep = fundamental_representation(n)
     trace_of = {p: rep[k].trace() for k, p in enumerate(representation_index(n))}
-    traced = [p for p, value in trace_of.items() if value]
+    traced = {p for p, value in trace_of.items() if value}
     pairs = {(p, q) for p in traced for q in traced}
     for form in (killing, trace):
         pairs.update((p, q) for p in range(form.dim) for q in form.matrix().row(p).indices())
     bad: list[Violation] = []
-    mul, add, _, _ = scalar_table()
-    two_n, minus_two = Scalar(2 * n), Scalar(-2)
+    two_n, two = Scalar(2 * n), Scalar(2)
     for p, q in sorted(pairs):
+        expected = ZERO
         if p in trace_of and q in trace_of:
-            expected = add(
-                mul(two_n, trace.entry(p, q)), mul(mul(minus_two, trace_of[p]), trace_of[q])
-            )
-        else:
-            expected = ZERO
+            expected = two_n * trace.entry(p, q)
+            if p in traced and q in traced:  # otherwise tr(p) * tr(q) = 0
+                expected = expected - two * trace_of[p] * trace_of[q]
         if killing.entry(p, q) != expected:
             bad.append(Violation((p, q), str(killing.entry(p, q) - expected)))
     if trace.entry(i_index(n, 1), i_index(n, 1)) != ONE:

@@ -81,25 +81,54 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "schouten check: middle-slot signs of the sorted index swapped",
+        "schouten check: the middle slot's sign at the last sorted position dropped",
         BIALG,
-        "index[1].setdefault(b, []).append((a, c, (opposite, value, opposite)))",
-        "index[1].setdefault(b, []).append((a, c, (value, opposite, value)))",
+        # only a 3-tensor's middle slot lands a product at sorted position 2
+        "(mirror, w, mirror)",
+        "(mirror, w, w)",
         (
-            # the full action of each x that does not vanish repairs the
-            # report, so only the counts show the broken sorted path
+            KERNELS + "test_schouten_matches_dense_on_gln[3]",
             KERNELS + "test_schouten_acts_on_sorted_terms_only_when_invariant",
-            KERNELS + "test_verify_suite_tests_antisymmetry_once_per_public_r_entry[2]",
         ),
     ),
     Mutant(
-        "sorted action: below and above swapped",
+        "alternating action: even and odd slots swapped",
         BIALG,
-        "below, above = (w, mirror) if slot == 0 else (mirror, w)",
-        "above, below = (w, mirror) if slot == 0 else (mirror, w)",
+        "if slot % 2 == 0 else",
+        "if slot % 2 else",
         (
             "tests/test_bialg.py::test_coboundary_matches_cocommutator",
             KERNELS + "test_cocycle_counterexamples_of_doctored_cocommutators_match_the_full_loop",
+        ),
+    ),
+    Mutant(
+        "alternating action: the odd-slot mirror choice dropped",
+        BIALG,
+        " if slot % 2 == 0 else (mirror, w, mirror)",
+        "",
+        (
+            KERNELS + "test_coboundary_and_cocycle_match_dense_on_gln[2]",
+            KERNELS + "test_schouten_matches_dense_on_gln[3]",
+        ),
+    ),
+    Mutant(
+        "paired traces: a position paired with itself, not its transpose",
+        LIEALG,
+        "right = at.get((l, k))",
+        "right = at.get((k, l))",
+        (
+            KERNELS + "test_killing_form_matches_dense_on_gln_tn[2]",
+            KERNELS + "test_trace_form_matches_dense_on_the_fundamental_representation[2]",
+        ),
+    ),
+    Mutant(
+        "ad invariance: the right side's negation dropped",
+        MANIN,
+        "mul_into(difference, 0, neg(v), m)",
+        "mul_into(difference, 0, v, m)",
+        (
+            KERNELS + "test_ad_invariance_matches_dense_on_gln_doubles[2]",
+            KERNELS + "test_ad_invariance_matches_dense_when_both_conventions_fail",
         ),
     ),
     Mutant(

@@ -23,8 +23,10 @@ from one of its three terms, against the three-term loop.
 
 import collections
 import gc
+import importlib
 import itertools
 import operator
+import pkgutil
 import random
 import sys
 from fractions import Fraction
@@ -76,6 +78,7 @@ from liedouble import (
     check_cojacobi,
     dual_algebra,
 )
+import liedouble
 from liedouble import bialg, liealg, manin, suite
 from liedouble.cli import MAX_N
 from liedouble.liealg import ScalarTable, add_into, scalar_table
@@ -999,22 +1002,25 @@ def test_schouten_acts_on_sorted_terms_only_when_invariant(monkeypatch):
     full_loop = []
     add_action = bialg._add_action
     monkeypatch.setattr(
-        bialg, "_add_action", lambda *args, **kw: full_loop.append(args[2]) or add_action(*args, **kw)
+        bialg, "_add_action", lambda *args: full_loop.append(args[2]) or add_action(*args)
     )
     triple = build_gln_triple(3)
     alg = build_double(triple).algebra
     _, r_skew = build_rmatrix(triple)
     assert schouten_check(alg, r_skew).verdict == QUASITRIANGULAR
-    assert full_loop == []  # every x vanished on the sorted terms
-    report = schouten_check(alg, doctored_skew_r(3, (ONE, Scalar(2)), ()))
-    assert full_loop == [v.indices[0] for v in report.violations]  # recomputed: the failing x only
+    r = doctored_skew_r(3, (ONE, Scalar(2)), ())
+    report = schouten_check(alg, r)
+    assert full_loop == []  # a skew r never takes the full action
+    # each failing x's sorted terms, expanded, are the full action on every term
+    assert report.violations == dense_invariance_violations(alg, schouten_bracket(alg, r))
+    assert report.verdict == NOT_INVARIANT
 
 
 def test_schouten_of_a_non_skew_r_takes_the_full_loop(monkeypatch):
     sorted_path = []
-    vanishes = bialg._sorted_action_vanishes
+    action = bialg._alternating_action
     monkeypatch.setattr(
-        bialg, "_sorted_action_vanishes", lambda *args: sorted_path.append(args[1]) or vanishes(*args)
+        bialg, "_alternating_action", lambda *args: sorted_path.append(args[2]) or action(*args)
     )
     triple = build_gln_triple(3)
     alg = build_double(triple).algebra
@@ -1048,7 +1054,7 @@ def test_alternation_test_rejects_each_broken_orbit():
 
 def test_schouten_check_of_a_mutant_bracket_matches_the_full_loop(monkeypatch):
     # [[r, r]] of gl(3) is invariant; with one sorted term changed, the sorted
-    # action must find every x the mutant breaks, and the full loop list it
+    # action must find every x the mutant breaks and list it as the full loop does
     triple = build_gln_triple(3)
     alg = build_double(triple).algebra
     _, r_skew = build_rmatrix(triple)
@@ -1219,16 +1225,22 @@ def test_product_table_when_temporaries_are_dropped():
 
 
 def test_scalar_table_adds_and_inverts_equal_values_once():
+    # mul_into(acc, key, y, ONE) adds y to acc[key]; each sum is made once
     table = scalar_table()
     x1, x2 = Scalar(1, Fraction(1, 2)), Scalar(1, Fraction(1, 2))
     y1, y2 = Scalar(0, 0, 3, -1), Scalar(0, 0, 3, -1)
-    assert table.add(x1, y1) == x1 + y1
-    assert table.add(x2, y2) is table.add(x1, y1)  # one sum per pair of values
-    assert table.add(y2, x1) == y1 + x1
+    first, second, third = {0: x1}, {0: x2}, {0: y2}
+    table.mul_into(first, 0, y1, ONE)
+    table.mul_into(second, 0, y2, ONE)
+    table.mul_into(third, 0, x1, ONE)
+    assert first[0] == x1 + y1 and third[0] == y1 + x1
+    assert second[0] is first[0]  # one sum per pair of values
     assert table.inverse(x1) == x1.inverse()
     assert table.inverse(x2) is table.inverse(x1)  # one inverse per value
     assert table.mul(x1, y1) == x1 * y1  # products and sums kept apart
-    assert table.add(x2, y1) == x1 + y1
+    assert table.mul(x2, y2) is table.mul(x1, y1)
+    table.mul_into(first, 0, x2, y1)
+    assert first[0] == x1 + y1 + x1 * y1
 
 
 def test_scalar_table_when_ids_are_recycled():
@@ -1237,7 +1249,10 @@ def test_scalar_table_when_ids_are_recycled():
     table = scalar_table()
     for _ in range(2):
         for k in range(1, 150):
-            assert table.add(Scalar(k, 1), Scalar(0, 0, k % 7)) == Scalar(k, 1, k % 7)
+            acc = {0: Scalar(k, 1)}
+            table.mul_into(acc, 0, Scalar(0, 0, k % 7), ONE)
+            assert acc == {0: Scalar(k, 1, k % 7)}
+            assert table.mul(Scalar(k, 1), Scalar(0, 0, 1)) == Scalar(0, 0, k, 1)
             assert table.inverse(Scalar(k, 0, 1)) == Scalar(k, 0, 1).inverse()
             gc.collect(0)
 
@@ -1336,13 +1351,24 @@ def plain_mul_into(acc, key, x, y):
 
 
 # a scalar table that computes every result afresh with plain Scalar arithmetic
-PLAIN = ScalarTable(operator.mul, operator.add, Scalar.inverse, plain_mul_into)
+PLAIN = ScalarTable(operator.mul, Scalar.inverse, plain_mul_into)
+
+
+def tabled_modules():
+    """Every module of the package that binds ``scalar_table`` itself."""
+    modules = [
+        importlib.import_module(f"liedouble.{info.name}")
+        for info in pkgutil.iter_modules(liedouble.__path__)
+    ]
+    tabled = [module for module in modules if "scalar_table" in vars(module)]
+    assert liealg in tabled  # the search found the package, not nothing
+    return tabled
 
 
 def plain_products(func, *args):
     """``func(*args)`` with every scalar table replaced by ``PLAIN``."""
     with pytest.MonkeyPatch.context() as patch:
-        for module in (liealg, manin, bialg, suite):
+        for module in tabled_modules():
             patch.setattr(module, "scalar_table", lambda: PLAIN)
         return func(*args)
 
@@ -1643,9 +1669,13 @@ def full_change_slots(terms, T, T_inv, arguments):
 
 
 def full_cocycle(alg, delta, table):
-    """check_cocycle's loop before sorted halves: every term of every value acted on."""
+    """check_cocycle's loop before sorted halves: every term of every value acted on.
+
+    -ad_p.delta(q) is the action on -delta(q), whose values are negated here.
+    """
     pair = alg.tensor.pair
     slots = [bialg._by_slot(delta.get(p)._c) for p in range(alg.dim)]
+    negated = [bialg._by_slot((-delta.get(p))._c) for p in range(alg.dim)]
     residuals = {}
     for p in range(alg.dim):
         for q in range(p + 1, alg.dim):
@@ -1653,7 +1683,7 @@ def full_cocycle(alg, delta, table):
             for r, value in (pair(p, q) or {}).items():
                 for key, coeff in delta.get(r)._c.items():
                     table.mul_into(acc, key, value, coeff)
-            bialg._add_action(acc, pair, p, slots[q], table, negate=True)
+            bialg._add_action(acc, pair, p, negated[q], table)
             bialg._add_action(acc, pair, q, slots[p], table)
             if acc:
                 residuals[(p, q)] = acc
@@ -1842,7 +1872,7 @@ def counting_table():
     def mul_into(acc, key, x, y):
         add_into(acc, key, mul(x, y))
 
-    return products, ScalarTable(mul, operator.add, Scalar.inverse, mul_into)
+    return products, ScalarTable(mul, Scalar.inverse, mul_into)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

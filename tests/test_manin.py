@@ -220,6 +220,18 @@ def test_ad_invariance_same_convention_across_sizes():
         assert check_ad_invariance(double).conventions() == ("invariant",)
 
 
+@pytest.mark.parametrize("pairing_dim", [3, 8])
+def test_ad_invariance_rejects_a_pairing_of_another_dimension(pairing_dim):
+    # the gl(2) double has dimension 6; a smaller pairing would index past its
+    # rows, a larger one would pair basis vectors the algebra does not have
+    double = build_double(build_gln_triple(2))
+    pairing = BilinearForm(Matrix.identity(pairing_dim))
+    mismatched = DoubleAlgebra(double.algebra, pairing, double.origin)
+    message = f"pairing dimension {pairing_dim} does not match the algebra dimension 6"
+    with pytest.raises(ValueError, match=message):
+        check_ad_invariance(mismatched)
+
+
 def _random_injection(rng, algebra):
     entries = {key: dict(vec) for key, vec in algebra.tensor.stored()}
     dim = algebra.dim
