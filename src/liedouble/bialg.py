@@ -17,7 +17,6 @@ part alone (the report states this assumption).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 from .liealg import (
@@ -29,7 +28,6 @@ from .liealg import (
     ViolationReport,
     _change_slots,
     _coerce_scalar,
-    _negator,
     _require_in_range,
     ScalarTable,
     scalar_table,
@@ -104,7 +102,7 @@ class TwoTensor(SparseTensor):
         return half if 2 * len(half) == len(terms) else None
 
     @classmethod
-    def _of_half(cls, half: dict, neg=operator.neg) -> TwoTensor:
+    def _of_half(cls, half: dict, neg) -> TwoTensor:
         """The antisymmetric tensor whose p < q terms are ``half``; ``neg`` negates each for (q, p)."""
         data = dict(half)
         for (p, q), value in half.items():
@@ -136,7 +134,9 @@ class TwoTensor(SparseTensor):
         half = self._antisymmetric_half()
         if half is None:
             return TwoTensor(_change_slots(self._c, None, T_inv, arguments=0, pair=None))
-        return TwoTensor._of_half(_change_slots(half, None, T_inv, arguments=0, pair=0), _negator())
+        return TwoTensor._of_half(
+            _change_slots(half, None, T_inv, arguments=0, pair=0), scalar_table().neg
+        )
 
 
 class ThreeTensor(SparseTensor):
@@ -197,10 +197,10 @@ class Cocommutator:
         return self._halves.get(index, {})
 
     def get(self, index: int) -> TwoTensor:
-        return TwoTensor._of_half(self._half(index))
+        return TwoTensor._of_half(self._half(index), scalar_table().neg)
 
     def items(self):
-        neg = _negator()
+        neg = scalar_table().neg
         return [(p, TwoTensor._of_half(half, neg)) for p, half in sorted(self._halves.items())]
 
     def __eq__(self, other) -> bool:
@@ -217,7 +217,7 @@ def cocommutator_from_triple(triple: ManinTriple) -> Cocommutator:
     delta(z^p) = f^p_{q,r} z^q (x) z^r, in double indices (Z-block first)."""
     _require_equal_halves(triple)  # the index blocks below assume equal halves
     m = triple.plus.dim
-    neg = _negator()
+    neg = scalar_table().neg
     halves: dict[int, dict] = {}
     # each stored pair q < r gives each output p one term of its sorted half
     for (q, r), vec in triple.minus.tensor.stored():
@@ -305,15 +305,24 @@ def _add_action(acc: dict, pair, x: int, by_slot, table: ScalarTable) -> None:
                     mul_into(acc, head + (k,) + tail, value, coeff)
 
 
-def _alternating_action(acc: dict, bracket, x: int, index, table: ScalarTable, negate=False):
+def _bracket_rows(alg: LieAlgebra) -> dict[int, dict[int, tuple]]:
+    """The nonzero brackets by first index: ``rows[x][s]`` is ([e_x, e_s], [e_s, e_x])."""
+    view = alg.tensor._view
+    rows: dict[int, dict[int, tuple]] = {}
+    for (x, s), w in view.items():
+        rows.setdefault(x, {})[s] = (w, view[(s, x)])
+    return rows
+
+
+def _alternating_action(acc: dict, row: dict, index, table: ScalarTable, negate=False):
     """Add the sorted terms of ad_x, or -ad_x with ``negate``, of an alternating tensor to ``acc``.
 
     The tensor is a 2- or 3-tensor that changes sign under every swap of
     two slots, and ``index`` is the ``_by_slot`` index of its sorted terms,
-    those whose indices increase.  ``bracket((p, q))`` is the coefficient
-    mapping of [e_p, e_q] or None (the algebra's ``tensor._view.get``).
-    The action commutes with permuting the slots, so its result is
-    alternating too, and its sorted terms are the action on the sorted
+    those whose indices increase.  ``row`` is x's row of
+    :func:`_bracket_rows`, so only the slot values s with [x, s] != 0 are
+    visited.  The action commutes with permuting the slots, so its result
+    is alternating too, and its sorted terms are the action on the sorted
     terms, each product landed on its key sorted with the sign of the sort.
     So each new index k is inserted into ``kept`` at its sorted position,
     below, between or above the one or two kept indices, and a k that
@@ -326,15 +335,12 @@ def _alternating_action(acc: dict, bracket, x: int, index, table: ScalarTable, n
     mul_into = table.mul_into
     above = len(index) - 1  # the sorted position above every kept index
     for slot, terms_at in enumerate(index):
-        for s, terms in terms_at.items():
-            w = bracket((x, s))
-            if not w:
-                continue
-            mirror = bracket((s, x))
+        for s in row.keys() & terms_at.keys():
+            w, mirror = row[s]
             if negate:
                 w, mirror = mirror, w
             by_position = (w, mirror, w) if slot % 2 == 0 else (mirror, w, mirror)
-            for kept, value in terms:
+            for kept, value in terms_at[s]:
                 first, last = kept[0], kept[-1]
                 for k in w:
                     if k < first:
@@ -357,9 +363,9 @@ def check_cocycle(alg: LieAlgebra, delta: Cocommutator) -> ViolationReport:
         raise ValueError("cocommutator dimension does not match the algebra")
     report = ViolationReport("cocycle")
     bracket = alg.tensor._view.get
+    rows = _bracket_rows(alg)
     table = scalar_table()
-    mul_into = table.mul_into
-    neg = _negator()
+    mul_into, neg = table.mul_into, table.neg
     halves = [delta._half(p) for p in range(alg.dim)]
     slots = [_by_slot(half) for half in halves]
     for p in range(alg.dim):
@@ -370,8 +376,8 @@ def check_cocycle(alg: LieAlgebra, delta: Cocommutator) -> ViolationReport:
                 for r, value in coeffs.items():
                     for key, coeff in halves[r].items():
                         mul_into(acc, key, value, coeff)
-            _alternating_action(acc, bracket, p, slots[q], table, negate=True)
-            _alternating_action(acc, bracket, q, slots[p], table)
+            _alternating_action(acc, rows.get(p, {}), slots[q], table, negate=True)
+            _alternating_action(acc, rows.get(q, {}), slots[p], table)
             if acc:
                 report.violations.append(
                     Violation((p, q), TwoTensor._of_half(acc, neg).format(alg.labels))
@@ -401,12 +407,12 @@ def coboundary(alg: LieAlgebra, r_skew: TwoTensor) -> Cocommutator:
     table = scalar_table()
     half = r_skew._antisymmetric_half()
     if half is not None:
-        bracket = alg.tensor._view.get
+        rows = _bracket_rows(alg)
         index = _by_slot(half)
         halves = {}
         for x in range(alg.dim):
             acc: dict[tuple[int, int], Scalar] = {}
-            _alternating_action(acc, bracket, x, index, table)
+            _alternating_action(acc, rows.get(x, {}), index, table)
             if acc:
                 halves[x] = acc
         return Cocommutator._of_halves(alg.dim, halves)
@@ -451,18 +457,16 @@ def schouten_bracket(alg: LieAlgebra, r: TwoTensor) -> ThreeTensor:
     a < b < c terms (:func:`_schouten_half`) to all six orientations of each
     key.  Any other r takes the three terms over every pair of terms.
     """
-    return _schouten(alg, r, scalar_table(), _negator())[0]
+    return _schouten(alg, r, scalar_table())[0]
 
 
-def _schouten(
-    alg: LieAlgebra, r: TwoTensor, table: ScalarTable, neg
-) -> tuple[ThreeTensor, dict | None]:
+def _schouten(alg: LieAlgebra, r: TwoTensor, table: ScalarTable) -> tuple[ThreeTensor, dict | None]:
     """[[r, r]], and its a < b < c terms when r is antisymmetric (None otherwise)."""
     r._require_indices(alg.dim, "two-tensor")
     if r._antisymmetric_half() is None:
         return _schouten_terms(alg, r, table), None
-    half = _schouten_half(alg, r, table, neg)
-    return _alternating(half, neg), half
+    half = _schouten_half(alg, r, table)
+    return _alternating(half, table.neg), half
 
 
 def _alternating(half: dict, neg) -> ThreeTensor:
@@ -475,7 +479,7 @@ def _alternating(half: dict, neg) -> ThreeTensor:
     return ThreeTensor._of_nonzero(data)
 
 
-def _schouten_half(alg: LieAlgebra, r: TwoTensor, table: ScalarTable, neg) -> dict:
+def _schouten_half(alg: LieAlgebra, r: TwoTensor, table: ScalarTable) -> dict:
     """The a < b < c terms of [[r, r]] for an antisymmetric r.
 
     [r_13, r_23] is a cyclic permutation of S = [r_12, r_13] and [r_12, r_23]
@@ -487,7 +491,7 @@ def _schouten_half(alg: LieAlgebra, r: TwoTensor, table: ScalarTable, neg) -> di
     pair with b1 < b2, against three per pair of terms.
     """
     bracket = alg.tensor._view.get
-    mul, mul_into = table.mul, table.mul_into
+    mul, mul_into, neg = table.mul, table.mul_into, table.neg
     by_second: dict[int, list] = {}  # b -> the terms (a, value) of r with second index b
     for (a, b), value in r._c.items():
         by_second.setdefault(b, []).append((a, value))
@@ -544,17 +548,16 @@ def schouten_check(alg: LieAlgebra, r_skew: TwoTensor) -> QuasitriangularReport:
     for its violation.  Any other r takes the full action for every x.
     """
     table = scalar_table()
-    neg = _negator()
-    schouten, half = _schouten(alg, r_skew, table, neg)
+    schouten, half = _schouten(alg, r_skew, table)
     violations: list[Violation] = []
     if half is not None:
-        bracket = alg.tensor._view.get
+        rows = _bracket_rows(alg)
         index = _by_slot(half)
         for x in range(alg.dim):
             acc: dict[tuple[int, int, int], Scalar] = {}
-            _alternating_action(acc, bracket, x, index, table)
+            _alternating_action(acc, rows.get(x, {}), index, table)
             if acc:
-                violations.append(Violation((x,), _alternating(acc, neg).format(alg.labels)))
+                violations.append(Violation((x,), _alternating(acc, table.neg).format(alg.labels)))
     else:
         by_slot = _by_slot(schouten._c)
         for x in range(alg.dim):

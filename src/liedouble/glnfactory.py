@@ -48,6 +48,7 @@ from .liealg import (
     Violation,
     ViolationReport,
     add_into,
+    scalar_table,
     trace_form,
 )
 from .manin import ManinTriple, build_double
@@ -192,6 +193,7 @@ def _commutator_table(index: dict, scale) -> StructureTensor:
     the bracket of E_ij and E_kl.
     """
     units = list(index)
+    neg = scalar_table().neg
     brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
     for a, (i, j) in enumerate(units):
         for k, l in units[a + 1 :]:
@@ -202,7 +204,7 @@ def _commutator_table(index: dict, scale) -> StructureTensor:
             if j == k:
                 terms[index[(i, l)]] = s
             if l == i:
-                terms[index[(k, j)]] = -s
+                terms[index[(k, j)]] = neg(s)
             brackets[(index[(i, j)], index[(k, l)])] = terms
     return StructureTensor(brackets)
 
@@ -423,6 +425,7 @@ def check_chain_embedding(m: int) -> ViolationReport:
     emb = _embedding_map(m)
     small_bracket, big_bracket = small.tensor._view.get, big.tensor._view.get
     report = ViolationReport("chain_embedding")
+    neg = scalar_table().neg
     for p in range(small.dim):
         for q in range(p + 1, small.dim):
             pushed = {emb[r]: v for r, v in (small_bracket((p, q)) or {}).items()}
@@ -434,7 +437,7 @@ def check_chain_embedding(m: int) -> ViolationReport:
                 )
     for p in range(small.dim):
         pushed = TwoTensor._of_half(
-            {(emb[a], emb[b]): v for (a, b), v in small_delta._half(p).items()}
+            {(emb[a], emb[b]): v for (a, b), v in small_delta._half(p).items()}, neg
         )
         target = big_delta.get(emb[p])
         if pushed != target:

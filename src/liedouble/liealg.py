@@ -11,6 +11,8 @@ operation is a pure function, so values can be shared freely.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -22,6 +24,7 @@ __all__ = [
     "add_into",
     "ScalarTable",
     "scalar_table",
+    "value_pool",
     "format_terms",
     "StructureTensor",
     "Matrix",
@@ -64,7 +67,7 @@ def _require_in_range(indices, dim: int, what: str) -> None:
 class ScalarTable(NamedTuple):
     """The field operations a kernel computes through.
 
-    ``mul(x, y)`` and ``inverse(x)`` return the result, and
+    ``mul(x, y)``, ``inverse(x)`` and ``neg(x)`` return the result, and
     ``mul_into(acc, key, x, y)`` adds x*y to ``acc[key]`` as ``add_into``
     does: it drops the key when the sum is zero.  Every tabled sum is a
     ``mul_into``.
@@ -73,42 +76,74 @@ class ScalarTable(NamedTuple):
     mul: Callable
     inverse: Callable
     mul_into: Callable
+    neg: Callable
+
+
+# The table of the open value pool, or None outside every pool.
+_POOL: ContextVar[ScalarTable | None] = ContextVar("liedouble_value_pool", default=None)
 
 
 def scalar_table() -> ScalarTable:
-    """Return a :class:`ScalarTable` that computes each value (pair) once.
+    """The open value pool's table (:func:`value_pool`), or else a new one for this call.
 
     A kernel over the gl(n) double combines a handful of distinct values
     (0, +-1, +-sqrt2/2, +-i/2, ...) thousands of times, and a Scalar product,
-    sum or inverse costs as much as several dict lookups.  The table reads
-    each operand object's integer ratios (``Scalar._ratios``) once, maps them
-    to one canonical object per value and keys every result on the ids of
-    those canonical objects, so no Scalar or Fraction comparison runs.  Each
-    product and sum is registered as it is made, so it is found at once when
-    it comes back as an operand, and it is zero-tested then and only then: a
-    zero result is stored as ZERO, which ``mul_into`` tests by identity.  So
-    ``mul_into`` makes each distinct product and each distinct sum of two
-    values once and tests no value per term.  The table keeps every operand
-    it has seen alive for as long as it lives, so no id is reused while it
-    is a key.  Make one table per kernel call and let it go with the call.
+    sum, inverse or negation costs as much as several dict lookups.  The
+    table reads each operand object's integer ratios (``Scalar._ratios``)
+    once, maps them to one canonical object per value and keys every result
+    on the ids of those canonical objects, so no Scalar or Fraction
+    comparison runs.  Each result it makes is returned as the canonical
+    object of its value, so it is found at once when it comes back as an
+    operand, and it is zero-tested then and only then: a zero result is
+    ZERO, which ``mul_into`` tests by identity.  So the table makes each
+    distinct product, sum of two values, inverse and negation once and
+    tests no value per term.  It keeps every operand it has seen alive for
+    as long as it lives, so no id is reused while it is a key.
     """
-    # integer ratios -> the first object of that value, ZERO for zero
+    pool = _POOL.get()
+    return _new_table() if pool is None else pool
+
+
+@contextmanager
+def value_pool():
+    """Make every kernel inside the block compute through one scalar table.
+
+    The table, and with it every value it has made, goes when the block
+    ends, also when it raises.
+    """
+    token = _POOL.set(_new_table())
+    try:
+        yield
+    finally:
+        _POOL.reset(token)
+
+
+def _new_table() -> ScalarTable:
+    # integer ratios -> the canonical object of that value, ZERO for zero
     canonical: dict[tuple[int, ...], Scalar] = {ZERO._ratios(): ZERO}
     # id(operand) -> (operand, id of its value's canonical object)
     seen: dict[int, tuple[Scalar, int]] = {id(ZERO): (ZERO, id(ZERO))}
     products: dict[tuple[int, int], Scalar] = {}
     sums: dict[tuple[int, int], Scalar] = {}
     inverses: dict[int, Scalar] = {}
+    negatives: dict[int, Scalar] = {}
+
+    def canon(x) -> Scalar:
+        """The canonical object of ``x``'s value: ``x`` itself when the value is new."""
+        return canonical.setdefault(x._ratios(), x)
 
     def value_id(x) -> int:
         entry = seen.get(id(x))
         if entry is None:
-            entry = seen[id(x)] = (x, id(canonical.setdefault(x._ratios(), x)))
+            entry = seen[id(x)] = (x, id(canon(x)))
         return entry[1]
 
-    def registered(x) -> Scalar:
-        """``x``, a result the table has just made, now seen; ZERO when it is zero."""
-        return ZERO if value_id(x) == id(ZERO) else x
+    def made(x) -> Scalar:
+        """The canonical object of ``x``'s value, ``x`` a result the table has just made."""
+        value = canon(x)
+        if value is x:
+            seen[id(x)] = (x, id(x))
+        return value
 
     def mul(x, y):
         try:  # both operands seen before: skip the calls
@@ -117,7 +152,7 @@ def scalar_table() -> ScalarTable:
             pair = (value_id(x), value_id(y))
         product = products.get(pair)
         if product is None:
-            product = products[pair] = registered(x * y)
+            product = products[pair] = made(x * y)
         return product
 
     def mul_into(acc, key, x, y):
@@ -127,7 +162,7 @@ def scalar_table() -> ScalarTable:
             pair = (value_id(x), value_id(y))
         product = products.get(pair)
         if product is None:
-            product = products[pair] = registered(x * y)
+            product = products[pair] = made(x * y)
         if product is ZERO:
             return
         s = acc.get(key)
@@ -135,12 +170,12 @@ def scalar_table() -> ScalarTable:
             acc[key] = product
             return
         try:
-            pair = (seen[id(s)][1], seen[id(product)][1])
+            pair = (seen[id(s)][1], id(product))
         except KeyError:
-            pair = (value_id(s), seen[id(product)][1])
+            pair = (value_id(s), id(product))
         total = sums.get(pair)
         if total is None:
-            total = sums[pair] = registered(s + product)
+            total = sums[pair] = made(s + product)
         if total is ZERO:
             del acc[key]
         else:
@@ -150,29 +185,20 @@ def scalar_table() -> ScalarTable:
         key = value_id(x)
         inv = inverses.get(key)
         if inv is None:
-            inv = inverses[key] = x.inverse()
+            inv = inverses[key] = made(x.inverse())
         return inv
 
-    return ScalarTable(mul, inverse, mul_into)
-
-
-def _negator() -> Callable:
-    """Return ``neg(x)``, which computes -x once per distinct value object.
-
-    Kernel results come out of a scalar table, so equal values are mostly
-    one object, and mirroring an antisymmetric result negates each once.
-    The function keeps every operand alive while it lives, so no id is
-    reused while it is a key.
-    """
-    seen: dict[int, tuple[Scalar, Scalar]] = {}
-
     def neg(x):
-        entry = seen.get(id(x))
-        if entry is None:
-            entry = seen[id(x)] = (x, -x)
-        return entry[1]
+        try:
+            key = seen[id(x)][1]
+        except KeyError:
+            key = value_id(x)
+        negative = negatives.get(key)
+        if negative is None:
+            negative = negatives[key] = made(-x)
+        return negative
 
-    return neg
+    return ScalarTable(mul, inverse, mul_into, neg)
 
 
 def format_terms(pairs) -> str:
@@ -301,7 +327,7 @@ class StructureTensor:
 
     def __init__(self, entries):
         stored = {}
-        neg = _negator()
+        neg = scalar_table().neg
         for (p, q), vec in entries.items():
             if p == q:
                 raise ValueError(f"diagonal bracket ({p},{p}) is identically zero")
@@ -325,7 +351,7 @@ class StructureTensor:
         output index: what the constructor would store.
         """
         out = cls.__new__(cls)
-        out._set_stored(brackets, _negator())
+        out._set_stored(brackets, scalar_table().neg)
         return out
 
     def _set_stored(self, stored: dict, neg) -> None:
@@ -491,8 +517,7 @@ class Matrix:
         no pivot makes the matrix singular and the result None.
         """
         n = self.rows
-        mul, inverse, mul_into = scalar_table()
-        neg = _negator()
+        mul, inverse, mul_into, neg = scalar_table()
         work = [dict(row) for row in self._r]
         if augment:
             for i, row in enumerate(work):
@@ -586,8 +611,8 @@ def _change_slots(
         for index, weights in zip(key, slot_weights):
             if not 0 <= index < len(weights):
                 raise IndexError(f"index {index} out of range for {len(weights)} basis vectors")
-    mul_into = scalar_table().mul_into
-    neg = _negator()
+    table = scalar_table()
+    mul_into, neg = table.mul_into, table.neg
     fold = None if pair is None else pair + 1
     for slot, weights in enumerate(slot_weights):
         acc: dict[tuple, Scalar] = {}
@@ -702,7 +727,8 @@ class LieAlgebra:
         return Vector(coeffs) if coeffs else Vector()
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
-        mul, _, mul_into = scalar_table()
+        table = scalar_table()
+        mul, mul_into = table.mul, table.mul_into
         acc: dict[int, Scalar] = {}
         for p, xv in x.items():
             self._check_index(p)

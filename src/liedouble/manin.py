@@ -26,7 +26,6 @@ from .liealg import (
     StructureTensor,
     Violation,
     ViolationReport,
-    _negator,
     add_into,
     joined_labels,
     scalar_table,
@@ -261,6 +260,7 @@ def build_double(triple: ManinTriple) -> DoubleAlgebra:
     m = triple.plus.dim
     f = triple.plus.tensor
     c = triple.minus.tensor
+    neg = scalar_table().neg
     brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
     for (p, q), vec in f.stored():
         brackets[(p, q)] = dict(vec)
@@ -269,7 +269,7 @@ def build_double(triple: ManinTriple) -> DoubleAlgebra:
     # [Z_q, z^p] = -[z^p, Z_q] = -f^p_{q,r} z^r + c^{p,r}_q Z_r.  Every f
     # and c entry fills its own slot, so no two of them are summed.
     for q, r, p, v in _tensor_triples(f):
-        brackets.setdefault((q, m + p), {})[m + r] = -v
+        brackets.setdefault((q, m + p), {})[m + r] = neg(v)
     for p, r, q, v in _tensor_triples(c):
         brackets.setdefault((q, m + p), {})[r] = v
     labels = joined_labels(triple.plus.labels, triple.minus.labels)
@@ -356,8 +356,8 @@ def check_ad_invariance(double: DoubleAlgebra) -> InvarianceReport:
                 for c in rows[r]:
                     candidates.add((x, y, c))  # <[x,y],c> side
                     candidates.add((c, x, y))  # <c,[x,y]> side
-    mul_into = scalar_table().mul_into
-    neg = _negator()
+    table = scalar_table()
+    mul_into, neg = table.mul_into, table.neg
     plus_bad: list[Violation] = []
     minus_bad: list[Violation] = []
     for a, b, c in sorted(candidates):

@@ -39,7 +39,7 @@ from .glnfactory import (
     rmatrix_in_gln_basis,
     verify_double_is_gln,
 )
-from .liealg import Violation
+from .liealg import Violation, value_pool
 from .manin import (
     ManinTriple,
     build_double,
@@ -181,8 +181,14 @@ def _forms_comparison(n: int) -> list[Violation]:
     return bad
 
 
+@value_pool()
 def verify_suite(n: int) -> list[CheckResult]:
-    """Every library check for the size-n factory construction, sorted by name."""
+    """Every library check for the size-n factory construction, sorted by name.
+
+    Every kernel of the call, the chain check's size-n and size-(n+1)
+    builds included, computes through one value pool
+    (:func:`liealg.value_pool`), which goes when the call returns or raises.
+    """
     plus = build_s_plus(n)
     minus = build_s_minus(n)
     triple = ManinTriple.unchecked(plus, minus)

@@ -46,12 +46,13 @@ MANIN = "src/liedouble/manin.py"
 KERNELS = "tests/test_kernels.py::"
 STORAGE = "tests/test_cocommutator_storage.py::"
 COMPAT = "tests/test_manin.py::"
+POOL = "tests/test_value_pool.py::"
 
 MUTANTS = (
     Mutant(
         "cocommutator get: mirror sign dropped",
         BIALG,
-        "return TwoTensor._of_half(self._half(index))",
+        "return TwoTensor._of_half(self._half(index), scalar_table().neg)",
         "return TwoTensor._of_half(self._half(index), lambda value: value)",
         (
             STORAGE + "test_sorted_halves_read_like_full_storage",
@@ -168,19 +169,41 @@ MUTANTS = (
         "scalar table: the sum cache keyed on the product only",
         LIEALG,
         """        try:
-            pair = (seen[id(s)][1], seen[id(product)][1])
+            pair = (seen[id(s)][1], id(product))
         except KeyError:
-            pair = (value_id(s), seen[id(product)][1])""",
-        """        pair = seen[id(product)][1]""",
+            pair = (value_id(s), id(product))""",
+        """        pair = id(product)""",
         (
             KERNELS + "test_mul_into_matches_add_into_of_the_product",
             KERNELS + "test_tabled_kernels_match_plain_products_on_random_algebras",
         ),
     ),
     Mutant(
+        "value pool: the canonical key drops the c and d components",
+        LIEALG,
+        "return canonical.setdefault(x._ratios(), x)",
+        "return canonical.setdefault(x._ratios()[:4], x)",
+        (
+            KERNELS + "test_mul_into_matches_add_into_of_the_product",
+            POOL + "test_a_value_pool_makes_one_object_per_value",
+            "tests/test_report_digests.py::test_verify_report_matches_the_recorded_digest[2]",
+        ),
+    ),
+    Mutant(
+        "value pool: the pooled neg returns its operand",
+        LIEALG,
+        "negative = negatives[key] = made(-x)",
+        "negative = negatives[key] = x",
+        (
+            KERNELS + "test_structure_tensor_negates_each_coefficient_object_once",
+            POOL + "test_a_value_pool_makes_one_object_per_value",
+            "tests/test_report_digests.py::test_verify_report_matches_the_recorded_digest[2]",
+        ),
+    ),
+    Mutant(
         "trusted bracket table: the stored coefficients reused for the mirror",
         LIEALG,
-        "out._set_stored(brackets, _negator())",
+        "out._set_stored(brackets, scalar_table().neg)",
         "out._set_stored(brackets, lambda value: value)",
         (
             KERNELS + "test_trusted_brackets_are_what_the_constructor_stores_on_gln[2]",

@@ -1058,7 +1058,7 @@ def test_schouten_check_of_a_mutant_bracket_matches_the_full_loop(monkeypatch):
     triple = build_gln_triple(3)
     alg = build_double(triple).algebra
     _, r_skew = build_rmatrix(triple)
-    half = bialg._schouten_half(alg, r_skew, PLAIN, operator.neg)
+    half = bialg._schouten_half(alg, r_skew, PLAIN)
     assert alternating_from_half(half) == schouten_bracket(alg, r_skew)
     key = min(half)
     unused = min(k for k in itertools.combinations(range(alg.dim), 3) if k not in half)
@@ -1351,7 +1351,7 @@ def plain_mul_into(acc, key, x, y):
 
 
 # a scalar table that computes every result afresh with plain Scalar arithmetic
-PLAIN = ScalarTable(operator.mul, Scalar.inverse, plain_mul_into)
+PLAIN = ScalarTable(operator.mul, Scalar.inverse, plain_mul_into, operator.neg)
 
 
 def tabled_modules():
@@ -1861,6 +1861,39 @@ def test_cocycle_counterexamples_of_doctored_cocommutators_match_the_full_loop(c
     assert report == dense_cocycle(alg, delta) == plain_products(check_cocycle, alg, delta)
 
 
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_cocycle_looks_up_only_the_brackets_its_action_uses(monkeypatch, n):
+    # the action on a stored half visits a slot value s only when [x, s] != 0:
+    # every lookup of [e_x, e_s] finds a bracket, and every such s is visited
+    lookups = {"all": 0, "empty": 0}
+
+    class CountedRow(dict):
+        def __getitem__(self, s):
+            w, mirror = dict.__getitem__(self, s)
+            lookups["all"] += 1
+            lookups["empty"] += not w
+            return w, mirror
+
+    rows = bialg._bracket_rows
+    monkeypatch.setattr(
+        bialg, "_bracket_rows", lambda alg: {x: CountedRow(row) for x, row in rows(alg).items()}
+    )
+    triple = build_gln_triple(n)
+    alg = build_double(triple).algebra
+    delta = cocommutator_from_triple(triple)
+    assert check_cocycle(alg, delta).ok
+    bracket = alg.tensor._view.get
+    used = every = 0  # slot values with a bracket, and all slot values, over the actions
+    for p in range(alg.dim):
+        for q in range(p + 1, alg.dim):
+            for x, y in ((p, q), (q, p)):
+                for terms_at in bialg._by_slot(delta._half(y)):
+                    every += len(terms_at)
+                    used += sum(1 for s in terms_at if bracket((x, s)))
+    assert lookups == {"all": used, "empty": 0}
+    assert 0 < used < every
+
+
 def counting_table():
     """A plain table whose ``mul`` and ``mul_into`` count their products in ``products``."""
     products = collections.Counter()
@@ -1872,7 +1905,7 @@ def counting_table():
     def mul_into(acc, key, x, y):
         add_into(acc, key, mul(x, y))
 
-    return products, ScalarTable(mul, Scalar.inverse, mul_into)
+    return products, ScalarTable(mul, Scalar.inverse, mul_into, operator.neg)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -1953,15 +1986,13 @@ def test_verify_suite_tests_antisymmetry_once_per_public_r_entry(monkeypatch, n)
 
 @pytest.fixture()
 def negations():
-    """Count Scalar.__neg__ calls per operand object; the operands are kept
-    alive, so no id is reused."""
+    """Count Scalar.__neg__ calls per operand value; the operands are kept
+    alive as the counter's keys."""
     calls = collections.Counter()
-    operands = []
     original = Scalar.__neg__
 
     def counted(self):
-        calls[id(self)] += 1
-        operands.append(self)
+        calls[self] += 1
         return original(self)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -1979,16 +2010,16 @@ def test_structure_tensor_negates_each_coefficient_object_once(negations):
 
 
 def test_kernels_negate_each_value_object_once(negations):
+    # in a value pool each value is one object, and the pool negates each
+    # value once: a kernel call repeated in the same pool negates nothing
     triple = build_gln_triple(3)
     alg, delta, r_skew, T, *_ = gln_case(3)
     T_inv = T.inverse()
-    negations.clear()
-    assert eliminated_copy(T).inverse() == T_inv
-    assert negations and max(negations.values()) == 1  # Gauss-Jordan's pivot rows
     doctored = dict(delta.items())
     doctored.pop(min(doctored))
     doctored = Cocommutator(delta.dim, doctored)
     calls = [
+        lambda: eliminated_copy(T)._eliminated(augment=True),  # Gauss-Jordan's pivot rows
         lambda: cocommutator_from_triple(triple),
         lambda: express_in_basis(delta, T),
         lambda: alg.change_of_basis(T),
@@ -1998,12 +2029,17 @@ def test_kernels_negate_each_value_object_once(negations):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Matrix, "inverse", lambda self: T_inv)
         negations.clear()
-        coboundary(alg, r_skew)
+        with liealg.value_pool():
+            coboundary(alg, r_skew)
         assert not negations  # its values stay sorted halves, and nothing is mirrored
         for call in calls:
-            negations.clear()
-            result = call()
-            assert negations and max(negations.values()) == 1
+            with liealg.value_pool():
+                negations.clear()
+                call()
+                assert negations and max(negations.values()) == 1
+                negations.clear()
+                result = call()
+                assert not negations
     assert not result.ok  # the cocycle counterexamples were mirrored too
 
 

@@ -10,7 +10,9 @@ change, the cocommutator transport and the two-tensor transport.  Kernel
 changes must leave every report and output byte-identical apart from
 ``millis``; this pins that.
 
-Tier-1 checks k <= 6.  Run as a script to check every recorded size:
+Tier-1 checks k <= 6.  Run as a script to check every recorded size, the
+verify reports for k = 1..12 and then for k = 12..1 in the same interpreter,
+so that a value pool that outlived one call would show in a later report:
 
     PYTHONPATH=src python tests/test_report_digests.py
 """
@@ -95,9 +97,13 @@ def main() -> int:
     recorded = _recorded()
     emitted = _recorded(EMIT_DIGESTS_PATH)
     bad = []
+    for order, sizes in (("ascending", SIZES), ("descending", reversed(SIZES))):
+        for n in sizes:
+            if report_digest(n) != recorded[str(n)]:
+                bad.append(
+                    f"verify --n {n} --json ({order}): digest differs from {DIGESTS_PATH.name}"
+                )
     for n in SIZES:
-        if report_digest(n) != recorded[str(n)]:
-            bad.append(f"verify --n {n} --json: digest differs from {DIGESTS_PATH.name}")
         got = emit_digests(n)
         for output, digest in emitted[str(n)].items():
             if got[output] != digest:
