@@ -134,7 +134,7 @@ def parse_algebra_file(source: str | bytes) -> AlgebraFile:
         # the column of line[k] is indent + k + 1
         indent = len(raw) - len(raw.lstrip())
         if name is None:
-            match = re.match(r"algebra\s+(\S+)\s+dim\s+(\d+)\Z", line)
+            match = re.match(r"algebra\s+(\S+)\s+dim\s+(\S+)\Z", line)
             if not match:
                 raise AlgebraFileError(
                     "expected 'algebra <name> dim <k>' as the first declaration",
@@ -142,6 +142,10 @@ def parse_algebra_file(source: str | bytes) -> AlgebraFile:
                     indent + 1,
                 )
             name = match.group(1)
+            bad = re.search(r"[^0-9]", match.group(2))
+            if bad:
+                column = indent + match.start(2) + bad.start() + 1
+                raise AlgebraFileError(f"dim {match.group(2)!r} is not ASCII digits", line_no, column)
             digits = match.group(2).lstrip("0") or "0"
             if len(digits) > len(str(MAX_DIM)) or int(digits) > MAX_DIM:
                 raise AlgebraFileError(

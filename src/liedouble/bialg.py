@@ -284,59 +284,54 @@ def _by_slot(terms: dict) -> list[dict[int, list]]:
     return by_slot
 
 
-def _add_action(acc: dict, pair, x: int, by_slot, table: ScalarTable) -> None:
+def _add_action(acc: dict, rows: dict, x: int, by_slot, table: ScalarTable) -> None:
     """Add the adjoint action of e_x on a tensor into ``acc``.
 
     The action is ad_x on each slot in turn, summed: ad_x (x) 1 + 1 (x) ad_x
-    on g (x) g, and the three-slot sum on g (x) g (x) g.  ``by_slot`` is the
-    tensor's ``_by_slot`` index, so only the slot values s with [x, s] != 0
-    are visited; each product lands on ``kept`` with its new index put back
-    in the slot.
+    on g (x) g, and the three-slot sum on g (x) g (x) g.  ``rows`` are the
+    algebra's bracket rows and ``by_slot`` is the tensor's ``_by_slot``
+    index, so only the slot values s in x's row, [x, s] != 0, are visited;
+    each product lands on ``kept`` with its new index put back in the slot.
     """
+    row = rows.get(x)
+    if row is None:
+        return
     mul_into = table.mul_into
     for slot, terms_at in enumerate(by_slot):
-        for s, terms in terms_at.items():
-            w = pair(x, s)
-            if not w:
-                continue
-            for kept, value in terms:
+        for s in row.keys() & terms_at.keys():
+            w = row[s]
+            for kept, value in terms_at[s]:
                 head, tail = kept[:slot], kept[slot:]
                 for k, coeff in w.items():
                     mul_into(acc, head + (k,) + tail, value, coeff)
 
 
-def _bracket_rows(alg: LieAlgebra) -> dict[int, dict[int, tuple]]:
-    """The nonzero brackets by first index: ``rows[x][s]`` is ([e_x, e_s], [e_s, e_x])."""
-    view = alg.tensor._view
-    rows: dict[int, dict[int, tuple]] = {}
-    for (x, s), w in view.items():
-        rows.setdefault(x, {})[s] = (w, view[(s, x)])
-    return rows
-
-
-def _alternating_action(acc: dict, row: dict, index, table: ScalarTable, negate=False):
+def _alternating_action(acc: dict, rows: dict, x: int, index, table: ScalarTable, negate=False):
     """Add the sorted terms of ad_x, or -ad_x with ``negate``, of an alternating tensor to ``acc``.
 
     The tensor is a 2- or 3-tensor that changes sign under every swap of
     two slots, and ``index`` is the ``_by_slot`` index of its sorted terms,
-    those whose indices increase.  ``row`` is x's row of
-    :func:`_bracket_rows`, so only the slot values s with [x, s] != 0 are
-    visited.  The action commutes with permuting the slots, so its result
-    is alternating too, and its sorted terms are the action on the sorted
-    terms, each product landed on its key sorted with the sign of the sort.
-    So each new index k is inserted into ``kept`` at its sorted position,
-    below, between or above the one or two kept indices, and a k that
-    repeats a kept index is skipped: that key cancels against its swap.
-    When the move from k's slot to its position is an odd permutation, the
-    product reads the stored mirror [e_s, e_x] = -[e_x, e_s], so no value
-    is negated: by sorted position, an even slot reads the bracket, the
-    mirror, the bracket, and an odd slot the opposite.
+    those whose indices increase.  ``rows`` are the algebra's bracket rows,
+    so only the slot values s in x's row, [x, s] != 0, are visited.  The
+    action commutes with permuting the slots, so its result is alternating
+    too, and its sorted terms are the action on the sorted terms, each
+    product landed on its key sorted with the sign of the sort.  So each new
+    index k is inserted into ``kept`` at its sorted position, below, between
+    or above the one or two kept indices, and a k that repeats a kept index
+    is skipped: that key cancels against its swap.  When the move from k's
+    slot to its position is an odd permutation, the product reads the
+    mirror [e_s, e_x] = -[e_x, e_s] from s's row, so no value is negated: by
+    sorted position, an even slot reads the bracket, the mirror, the
+    bracket, and an odd slot the opposite.
     """
+    row = rows.get(x)
+    if row is None:
+        return
     mul_into = table.mul_into
     above = len(index) - 1  # the sorted position above every kept index
     for slot, terms_at in enumerate(index):
         for s in row.keys() & terms_at.keys():
-            w, mirror = row[s]
+            w, mirror = row[s], rows[s][x]
             if negate:
                 w, mirror = mirror, w
             by_position = (w, mirror, w) if slot % 2 == 0 else (mirror, w, mirror)
@@ -351,6 +346,25 @@ def _alternating_action(acc: dict, row: dict, index, table: ScalarTable, negate=
                         mul_into(acc, (first, k, last), value, by_position[1][k])
 
 
+def _nonzero_actions(alg: LieAlgebra, terms: dict, alternating: bool, table: ScalarTable) -> dict:
+    """``{x: ad_x of a tensor}`` over the basis elements x whose action is nonzero.
+
+    With ``alternating``, ``terms`` are an alternating tensor's sorted terms,
+    acted on by :func:`_alternating_action`; otherwise they are every term,
+    acted on by :func:`_add_action`.
+    """
+    act = _alternating_action if alternating else _add_action
+    rows = alg.tensor._rows
+    index = _by_slot(terms)
+    actions = {}
+    for x in rows:
+        acc: dict[tuple, Scalar] = {}
+        act(acc, rows, x, index, table)
+        if acc:
+            actions[x] = acc
+    return actions
+
+
 def check_cocycle(alg: LieAlgebra, delta: Cocommutator) -> ViolationReport:
     """1-cocycle condition: delta([x,y]) = ad_x.delta(y) - ad_y.delta(x).
 
@@ -362,22 +376,22 @@ def check_cocycle(alg: LieAlgebra, delta: Cocommutator) -> ViolationReport:
     if delta.dim != alg.dim:
         raise ValueError("cocommutator dimension does not match the algebra")
     report = ViolationReport("cocycle")
-    bracket = alg.tensor._view.get
-    rows = _bracket_rows(alg)
+    rows = alg.tensor._rows
     table = scalar_table()
     mul_into, neg = table.mul_into, table.neg
     halves = [delta._half(p) for p in range(alg.dim)]
     slots = [_by_slot(half) for half in halves]
     for p in range(alg.dim):
+        row = rows.get(p, {})
         for q in range(p + 1, alg.dim):
             acc: dict[tuple[int, int], Scalar] = {}
-            coeffs = bracket((p, q))
+            coeffs = row.get(q)
             if coeffs:
                 for r, value in coeffs.items():
                     for key, coeff in halves[r].items():
                         mul_into(acc, key, value, coeff)
-            _alternating_action(acc, rows.get(p, {}), slots[q], table, negate=True)
-            _alternating_action(acc, rows.get(q, {}), slots[p], table)
+            _alternating_action(acc, rows, p, slots[q], table, negate=True)
+            _alternating_action(acc, rows, q, slots[p], table)
             if acc:
                 report.violations.append(
                     Violation((p, q), TwoTensor._of_half(acc, neg).format(alg.labels))
@@ -407,23 +421,8 @@ def coboundary(alg: LieAlgebra, r_skew: TwoTensor) -> Cocommutator:
     table = scalar_table()
     half = r_skew._antisymmetric_half()
     if half is not None:
-        rows = _bracket_rows(alg)
-        index = _by_slot(half)
-        halves = {}
-        for x in range(alg.dim):
-            acc: dict[tuple[int, int], Scalar] = {}
-            _alternating_action(acc, rows.get(x, {}), index, table)
-            if acc:
-                halves[x] = acc
-        return Cocommutator._of_halves(alg.dim, halves)
-    by_slot = _by_slot(r_skew._c)
-    entries = {}
-    for x in range(alg.dim):
-        acc: dict[tuple[int, int], Scalar] = {}
-        _add_action(acc, alg.tensor.pair, x, by_slot, table)
-        if acc:
-            entries[x] = acc
-    return Cocommutator(alg.dim, entries)
+        return Cocommutator._of_halves(alg.dim, _nonzero_actions(alg, half, True, table))
+    return Cocommutator(alg.dim, _nonzero_actions(alg, r_skew._c, False, table))
 
 
 TRIANGULAR = "triangular"
@@ -487,25 +486,25 @@ def _schouten_half(alg: LieAlgebra, r: TwoTensor, table: ScalarTable) -> dict:
     So [[r, r]] is alternating, and its sorted key a < b < c is the sum of
     the products [e_a1, e_a2] (x) e_b1 (x) e_b2 of the term pairs with
     b1 < b2, each landed on its key sorted with the sign of the sort; a key
-    that repeats an index is skipped.  That is one bracket lookup per term
-    pair with b1 < b2, against three per pair of terms.
+    that repeats an index is skipped.  Only the a2 in a1's bracket row are
+    visited, so each bracket read is nonzero, one per term pair that has
+    one, against three lookups per pair of terms.
     """
-    bracket = alg.tensor._view.get
+    rows = alg.tensor._rows
     mul, mul_into, neg = table.mul, table.mul_into, table.neg
-    by_second: dict[int, list] = {}  # b -> the terms (a, value) of r with second index b
+    by_first: dict[int, list] = {}  # a -> the terms (b, value) of r with first index a
     for (a, b), value in r._c.items():
-        by_second.setdefault(b, []).append((a, value))
-    groups = sorted(by_second.items())
+        by_first.setdefault(a, []).append((b, value))
     acc: dict[tuple[int, int, int], Scalar] = {}
-    for position, (b1, firsts) in enumerate(groups):
-        for b2, seconds in groups[position + 1 :]:
-            for a1, v1 in firsts:
-                for a2, v2 in seconds:
-                    w = bracket((a1, a2))
-                    if not w:
-                        continue
+    for (a1, b1), v1 in r._c.items():
+        row = rows.get(a1)
+        if row is None:
+            continue
+        for a2 in row.keys() & by_first.keys():
+            for b2, v2 in by_first[a2]:
+                if b1 < b2:
                     coeff = mul(v1, v2)
-                    for k, cv in w.items():
+                    for k, cv in row[a2].items():
                         if k < b1:
                             mul_into(acc, (k, b1, b2), coeff, cv)
                         elif b1 < k < b2:
@@ -518,21 +517,21 @@ def _schouten_half(alg: LieAlgebra, r: TwoTensor, table: ScalarTable) -> dict:
 def _schouten_terms(alg: LieAlgebra, r: TwoTensor, table: ScalarTable) -> ThreeTensor:
     """[[r, r]] from its three terms over every ordered pair of terms of r."""
     terms = r.items()
-    bracket = alg.tensor._view.get
+    pair = alg.tensor.pair
     mul, mul_into = table.mul, table.mul_into
     acc: dict[tuple[int, int, int], Scalar] = {}
     for (a1, b1), v1 in terms:
         for (a2, b2), v2 in terms:
             coeff = mul(v1, v2)
-            w = bracket((a1, a2))
+            w = pair(a1, a2)
             if w:
                 for k, cv in w.items():
                     mul_into(acc, (k, b1, b2), coeff, cv)
-            w = bracket((b1, a2))
+            w = pair(b1, a2)
             if w:
                 for k, cv in w.items():
                     mul_into(acc, (a1, k, b2), coeff, cv)
-            w = bracket((b1, b2))
+            w = pair(b1, b2)
             if w:
                 for k, cv in w.items():
                     mul_into(acc, (a1, a2, k), coeff, cv)
@@ -549,22 +548,17 @@ def schouten_check(alg: LieAlgebra, r_skew: TwoTensor) -> QuasitriangularReport:
     """
     table = scalar_table()
     schouten, half = _schouten(alg, r_skew, table)
-    violations: list[Violation] = []
     if half is not None:
-        rows = _bracket_rows(alg)
-        index = _by_slot(half)
-        for x in range(alg.dim):
-            acc: dict[tuple[int, int, int], Scalar] = {}
-            _alternating_action(acc, rows.get(x, {}), index, table)
-            if acc:
-                violations.append(Violation((x,), _alternating(acc, table.neg).format(alg.labels)))
+        actions = _nonzero_actions(alg, half, True, table)
+        violations = [
+            Violation((x,), _alternating(acc, table.neg).format(alg.labels))
+            for x, acc in actions.items()
+        ]
     else:
-        by_slot = _by_slot(schouten._c)
-        for x in range(alg.dim):
-            acc = {}
-            _add_action(acc, alg.tensor.pair, x, by_slot, table)
-            if acc:
-                violations.append(Violation((x,), ThreeTensor(acc).format(alg.labels)))
+        actions = _nonzero_actions(alg, schouten._c, False, table)
+        violations = [
+            Violation((x,), ThreeTensor(acc).format(alg.labels)) for x, acc in actions.items()
+        ]
     if violations:
         verdict = NOT_INVARIANT
     elif schouten:

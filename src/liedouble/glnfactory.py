@@ -143,6 +143,8 @@ def gln_dim(n: int) -> int:
     return n * n + n
 
 
+# The gl(n)+t_n basis in index ranges: an index below n is an H, one below
+# 2n an I, and every other one an F.
 def h_index(n: int, i: int) -> int:
     _require_size(n)
     if not 1 <= i <= n:
@@ -322,14 +324,14 @@ def delta_in_gln_basis(n: int, triple: ManinTriple | None = None) -> Cocommutato
 def _term_blocks(n: int, tensor: TwoTensor):
     """Each term of a two-tensor on gl(n)+t_n as ((p, q), value, blocks of p and q).
 
-    The block of an index, H, I or F, is the first letter of its label.
+    The block of an index, H, I or F, is read from its range (see ``h_index``).
     """
-    labels = gln_labels(n)
+    dim = gln_dim(n)
     for (p, q), value in tensor.items():
         for index in (p, q):
-            if not 0 <= index < len(labels):
+            if not 0 <= index < dim:
                 raise ValueError(f"index {index} outside the gl({n})+t_{n} basis")
-        yield (p, q), value, labels[p][0] + labels[q][0]
+        yield (p, q), value, "".join("H" if k < n else "I" if k < 2 * n else "F" for k in (p, q))
 
 
 def split_twist(n: int, r_skew: TwoTensor) -> tuple[TwoTensor, TwoTensor]:
@@ -423,18 +425,20 @@ def check_chain_embedding(m: int) -> ViolationReport:
     small_delta = delta_in_gln_basis(m, small_triple)
     big_delta = delta_in_gln_basis(m + 1, big_triple)
     emb = _embedding_map(m)
-    small_bracket, big_bracket = small.tensor._view.get, big.tensor._view.get
     report = ViolationReport("chain_embedding")
     neg = scalar_table().neg
-    for p in range(small.dim):
-        for q in range(p + 1, small.dim):
-            pushed = {emb[r]: v for r, v in (small_bracket((p, q)) or {}).items()}
-            target = dict(big_bracket((emb[p], emb[q])) or {})
-            if pushed != target:
-                residual = Vector(target) - Vector(pushed)
-                report.violations.append(
-                    Violation((p, q), f"bracket mismatch: {residual.format(big.labels)}")
-                )
+    # the nonzero brackets of each side, keyed by the size-m pair p < q
+    pushed = {key: {emb[r]: v for r, v in coeffs.items()} for key, coeffs in small.tensor.stored()}
+    back = {big_index: p for p, big_index in emb.items()}
+    target = {(back[p], back[q]): coeffs for (p, q), coeffs in big.tensor.oriented()
+              if p in back and q in back and back[p] < back[q]}
+    for key in sorted(pushed.keys() | target.keys()):
+        built, want = pushed.get(key, {}), target.get(key, {})
+        if built != want:
+            residual = Vector(want) - Vector(built)
+            report.violations.append(
+                Violation(key, f"bracket mismatch: {residual.format(big.labels)}")
+            )
     for p in range(small.dim):
         pushed = TwoTensor._of_half(
             {(emb[a], emb[b]): v for (a, b), v in small_delta._half(p).items()}, neg

@@ -1,7 +1,8 @@
 """Structure-constant Lie algebras over Q(i, sqrt2).
 
-An algebra is a labelled basis plus a sparse antisymmetric structure tensor:
-only pairs (p, q) with p < q are stored, the reversed bracket is implied.
+An algebra is a labelled basis plus a sparse antisymmetric structure tensor,
+held as rows: row x maps each s with [e_x, e_s] != 0 to the coefficients of
+that bracket, so each nonzero bracket is held once in each orientation.
 Basis indexing is 0-based internally; display labels carry whatever 1-based
 names the caller prefers.
 
@@ -321,9 +322,14 @@ class Vector(SparseTensor):
 
 
 class StructureTensor:
-    """Antisymmetric bracket table: stored pairs (p, q) with p < q only."""
+    """Antisymmetric bracket table, held as its rows.
 
-    __slots__ = ("_stored", "_view")
+    ``_rows[x][s]`` holds the nonzero coefficients of [e_x, e_s], in both
+    orientations of every nonzero bracket, each mirror negated once; rows
+    are sorted by x and each row by s.  Kernels read them, never mutate them.
+    """
+
+    __slots__ = ("_rows",)
 
     def __init__(self, entries):
         stored = {}
@@ -340,7 +346,7 @@ class StructureTensor:
             if key in stored:
                 raise ValueError(f"duplicate bracket declaration for pair {key}")
             stored[key] = {r: neg(v) for r, v in coeffs.items()} if flip else coeffs
-        self._set_stored(dict(sorted(stored.items())), neg)
+        self._set_rows(dict(sorted(stored.items())), neg)
 
     @classmethod
     def _of_sorted(cls, brackets: dict) -> StructureTensor:
@@ -351,55 +357,57 @@ class StructureTensor:
         output index: what the constructor would store.
         """
         out = cls.__new__(cls)
-        out._set_stored(brackets, scalar_table().neg)
+        out._set_rows(brackets, scalar_table().neg)
         return out
 
-    def _set_stored(self, stored: dict, neg) -> None:
-        """Store the sorted pairs and their view in both orientations, negating with ``neg``."""
-        self._stored = stored
-        view = {}
+    def _set_rows(self, stored: dict, neg) -> None:
+        """Fill the rows from the sorted pairs p < q, negating each mirror with ``neg``.
+
+        The pairs come sorted, so each row receives its s in sorted order:
+        first the mirrors of the pairs (s, x), then the pairs (x, s).
+        """
+        rows: dict[int, dict] = {}
         for (p, q), coeffs in stored.items():
-            view[(p, q)] = coeffs
-            view[(q, p)] = {r: neg(v) for r, v in coeffs.items()}
-        self._view = view
+            rows.setdefault(p, {})[q] = coeffs
+            rows.setdefault(q, {})[p] = {r: neg(v) for r, v in coeffs.items()}
+        self._rows = dict(sorted(rows.items()))
 
     def pair(self, p: int, q: int):
         """Coefficients of [e_p, e_q], or None when the bracket vanishes.
 
         The returned mapping is shared internal state; do not mutate it.
-        A kernel that looks brackets up in its innermost loop binds
-        ``_view.get`` once and passes it the key ``(p, q)``, without this
-        method's frame.
+        A kernel binds ``_rows`` once and reads the row of p: it visits the
+        q with a nonzero bracket only, so it makes no empty lookup.
         """
-        return self._view.get((p, q))
+        row = self._rows.get(p)
+        return None if row is None else row.get(q)
 
-    def stored(self):
-        return self._stored.items()
+    def stored(self) -> list:
+        """Every nonzero bracket once, as ((p, q), coeffs) with p < q, in sorted order."""
+        return [((p, q), coeffs) for p, row in self._rows.items()
+                for q, coeffs in row.items() if p < q]
 
-    def oriented(self):
-        """Every nonzero bracket in both orientations: ((p, q), coeffs) and ((q, p), -coeffs).
+    def oriented(self) -> list:
+        """Every nonzero bracket in both orientations, ((p, q), coeffs), in sorted order.
 
         The coefficient mappings are shared internal state; do not mutate them.
         """
-        return self._view.items()
+        return [((p, q), coeffs) for p, row in self._rows.items() for q, coeffs in row.items()]
 
     def indices(self) -> set[int]:
-        """Every basis index of a stored pair or output."""
-        found = set()
-        for (p, q), coeffs in self._stored.items():
-            found.update((p, q), coeffs)
-        return found
+        """Every basis index of a nonzero bracket or output."""
+        return set(self._rows).union(*(c for row in self._rows.values() for c in row.values()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StructureTensor):
             return NotImplemented
-        return self._stored == other._stored
+        return self._rows == other._rows
 
     def __hash__(self):
-        return hash(tuple((k, tuple(v.items())) for k, v in self._stored.items()))
+        return hash(tuple((k, tuple(v.items())) for k, v in self.stored()))
 
     def __repr__(self):
-        return f"StructureTensor({self._stored!r})"
+        return f"StructureTensor({dict(self.stored())!r})"
 
 
 class SingularMatrixError(ValueError):
@@ -742,57 +750,55 @@ class LieAlgebra:
                     mul_into(acc, r, factor, coeff)
         return Vector(acc)
 
-    def _jacobi_candidates(self) -> list[tuple[int, int, int]]:
-        """The triples p < q < r whose Jacobi residual can be nonzero, sorted.
+    def _jacobi_terms(self) -> dict[tuple[int, int, int], list]:
+        """The terms of each Jacobi residual that can be nonzero, by triple p < q < r.
 
-        The term [[e_a, e_b], e_c] is nonzero only if some k in the support
-        of [e_a, e_b] has [e_k, e_c] != 0.  A triple's residual is the sum of
-        its three cyclic terms, so it can be nonzero only if one of them
-        arises this way from a stored bracket (a, b) and such a c.
+        A triple's residual is the sum of its three cyclic terms
+        [[e_a, e_b], e_c], and a term is nonzero only if [e_a, e_b] != 0 and
+        some k in its support has [e_k, e_c] != 0, that is c in row k.  So
+        each stored pair (a, b) lists, with every such c, its term (x, y, c)
+        under the triple sorted: (a, b, c), or (b, a, c) when c lies between
+        a and b, as [[e_b, e_a], e_c] is the cyclic term there.
         """
-        partners: dict[int, set] = {}
-        for (k, c), _ in self.tensor.oriented():
-            partners.setdefault(k, set()).add(c)
-        candidates = set()
+        rows = self.tensor._rows
+        terms: dict[tuple[int, int, int], list] = {}
         for (a, b), coeffs in self.tensor.stored():
             outer = set()
             for k in coeffs:
-                outer.update(partners.get(k, ()))
+                outer.update(rows.get(k, ()))
             outer.discard(a)
             outer.discard(b)
             for c in outer:
-                candidates.add(tuple(sorted((a, b, c))))
-        return sorted(candidates)
+                if c < a:
+                    terms.setdefault((c, a, b), []).append((a, b, c))
+                elif c < b:
+                    terms.setdefault((a, c, b), []).append((b, a, c))
+                else:
+                    terms.setdefault((a, b, c), []).append((a, b, c))
+        return terms
 
     def check_jacobi(self) -> ViolationReport:
         """Exhaustively test [[e_p,e_q],e_r] + cyclic = 0 over all p<q<r.
 
-        Only the candidate triples are evaluated; every other triple has a
-        zero residual, so the counterexamples equal those of the loop over
-        all triples, in the same order.
+        Only the terms that can be nonzero are evaluated, and in each only
+        the k in the support of the inner bracket with [e_k, e_c] != 0: every
+        other triple has a zero residual, so the counterexamples equal those
+        of the loop over all triples, in the same order.
         """
         report = ViolationReport("jacobi")
-        bracket = self.tensor._view.get
+        rows = self.tensor._rows
         mul_into = scalar_table().mul_into
-
-        def accumulate(acc, inner, outer_index):
-            if not inner:
-                return
-            for k, coeff in inner.items():
-                w = bracket((k, outer_index))
-                if not w:
-                    continue
-                for m, c2 in w.items():
-                    mul_into(acc, m, coeff, c2)
-
-        for p, q, r in self._jacobi_candidates():
+        terms = self._jacobi_terms()
+        for triple in sorted(terms):
             acc: dict[int, Scalar] = {}
-            accumulate(acc, bracket((p, q)), r)
-            accumulate(acc, bracket((q, r)), p)
-            accumulate(acc, bracket((r, p)), q)
+            for x, y, c in terms[triple]:
+                inner, row_c = rows[x][y], rows[c]
+                for k in inner.keys() & row_c.keys():
+                    coeff = inner[k]
+                    for m, c2 in rows[k][c].items():
+                        mul_into(acc, m, coeff, c2)
             if acc:
-                residual = Vector(acc)
-                report.violations.append(Violation((p, q, r), residual.format(self.labels)))
+                report.violations.append(Violation(triple, Vector(acc).format(self.labels)))
         return report
 
     def killing_form(self) -> BilinearForm:
@@ -829,8 +835,9 @@ class LieAlgebra:
 
 
 def abelian(dim: int, labels=None) -> LieAlgebra:
-    if labels is None:
-        labels = tuple(f"T{k + 1}" for k in range(dim))
+    labels = tuple(f"T{k + 1}" for k in range(dim)) if labels is None else tuple(labels)
+    if len(labels) != dim:
+        raise ValueError(f"{len(labels)} labels for an abelian algebra of dimension {dim}")
     return LieAlgebra(labels, StructureTensor({}))
 
 

@@ -333,13 +333,13 @@ class InvarianceReport:
 def check_ad_invariance(double: DoubleAlgebra) -> InvarianceReport:
     """Test both sign conventions of pairing invariance over all basis triples.
 
-    <[a,b],c> can be nonzero only when some r in the support of [a,b] has
-    <r,c> != 0, and <a,[b,c]> only when [b,c] meets some r with <r,a> != 0.
-    Only those triples are evaluated; on every other one both sides are 0,
-    so both conventions hold there and the verdicts and counterexample
-    lists equal those of the loop over all dim^3 triples.  Each candidate's
-    <[a,b],c> - <a,[b,c]> and <[a,b],c> + <a,[b,c]> are summed from the
-    pairing's stored rows, each in a one-key accumulator.
+    <[a,b],c> is summed over the nonzero brackets [e_a, e_b] and the r in
+    their support with <r,c> != 0, and <c,[a,b]> over the same terms onto
+    the triple (c, a, b); every other triple has both sides 0, so both
+    conventions hold there.  So each triple's <[a,b],c> - <a,[b,c]> and
+    <[a,b],c> + <a,[b,c]> are summed in one accumulator per convention, and
+    the triples left nonzero, in sorted order, are the counterexamples of
+    the loop over all dim^3 triples.
     """
     alg = double.algebra
     pairing = double.pairing
@@ -347,36 +347,21 @@ def check_ad_invariance(double: DoubleAlgebra) -> InvarianceReport:
         raise ValueError(
             f"pairing dimension {pairing.dim} does not match the algebra dimension {alg.dim}"
         )
-    bracket = alg.tensor._view.get
-    rows = pairing.matrix()._r
-    candidates = set()
-    for (p, q), coeffs in alg.tensor.stored():
-        for x, y in ((p, q), (q, p)):
-            for r in coeffs:
-                for c in rows[r]:
-                    candidates.add((x, y, c))  # <[x,y],c> side
-                    candidates.add((c, x, y))  # <c,[x,y]> side
+    pairing_rows = pairing.matrix()._r
     table = scalar_table()
     mul_into, neg = table.mul_into, table.neg
-    plus_bad: list[Violation] = []
-    minus_bad: list[Violation] = []
-    for a, b, c in sorted(candidates):
-        difference: dict[int, Scalar] = {}
-        total: dict[int, Scalar] = {}
-        for r, v in (bracket((a, b)) or {}).items():  # <[a,b],c>
-            m = rows[r].get(c)
-            if m is not None:
-                mul_into(difference, 0, v, m)
-                mul_into(total, 0, v, m)
-        for r, v in (bracket((b, c)) or {}).items():  # <a,[b,c]>: <e_r, e_a> by symmetry
-            m = rows[r].get(a)
-            if m is not None:
-                mul_into(difference, 0, neg(v), m)
-                mul_into(total, 0, v, m)
-        if difference:
-            plus_bad.append(Violation((a, b, c), str(difference[0])))
-        if total:
-            minus_bad.append(Violation((a, b, c), str(total[0])))
+    difference: dict[tuple[int, int, int], Scalar] = {}
+    total: dict[tuple[int, int, int], Scalar] = {}
+    for (a, b), coeffs in alg.tensor.oriented():
+        for r, v in coeffs.items():
+            negated = neg(v)
+            for c, m in pairing_rows[r].items():
+                mul_into(difference, (a, b, c), v, m)  # <[a,b],c>
+                mul_into(total, (a, b, c), v, m)
+                mul_into(difference, (c, a, b), negated, m)  # <c,[a,b]>: <e_r, e_c> by symmetry
+                mul_into(total, (c, a, b), v, m)
+    plus_bad = [Violation(key, str(difference[key])) for key in sorted(difference)]
+    minus_bad = [Violation(key, str(total[key])) for key in sorted(total)]
     return InvarianceReport(
         invariant_holds=not plus_bad,
         anti_invariant_holds=not minus_bad,

@@ -321,8 +321,9 @@ def _quoted(text: str) -> str:
 # basis label; the algebra file parser validates labels with the same rule.
 _WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _KEYWORDS = ("sqrt2", "i")
+# An integer is ASCII digits: \d would also take every other Unicode decimal digit.
 _TOKEN_RE = re.compile(
-    rf"(?P<num>\d+)|(?P<word>{_WORD_RE.pattern})|(?P<op>[()+\-*/])|(?P<bad>\S)"
+    rf"(?P<num>[0-9]+)|(?P<word>{_WORD_RE.pattern})|(?P<op>[()+\-*/])|(?P<bad>\S)"
 )
 
 

@@ -63,12 +63,12 @@ MUTANTS = (
     Mutant(
         "schouten half: b1 < b2 inverted",
         BIALG,
-        "for b2, seconds in groups[position + 1 :]:",
-        "for b2, seconds in groups[:position]:",
+        "                if b1 < b2:",
+        "                if b2 < b1:",
         (
             KERNELS + "test_schouten_bracket_of_a_skew_r_matches_the_three_term_loop",
-            KERNELS + "test_schouten_bracket_of_the_gln_r_matrix_matches_the_three_term_loop[2]",
             KERNELS + "test_schouten_matches_dense_on_gln[3]",
+            KERNELS + "test_kernels_read_only_the_nonzero_brackets_they_need[2]",
         ),
     ),
     Mutant(
@@ -125,8 +125,8 @@ MUTANTS = (
     Mutant(
         "ad invariance: the right side's negation dropped",
         MANIN,
-        "mul_into(difference, 0, neg(v), m)",
-        "mul_into(difference, 0, v, m)",
+        "mul_into(difference, (c, a, b), negated, m)",
+        "mul_into(difference, (c, a, b), v, m)",
         (
             KERNELS + "test_ad_invariance_matches_dense_on_gln_doubles[2]",
             KERNELS + "test_ad_invariance_matches_dense_when_both_conventions_fail",
@@ -203,11 +203,33 @@ MUTANTS = (
     Mutant(
         "trusted bracket table: the stored coefficients reused for the mirror",
         LIEALG,
-        "out._set_stored(brackets, scalar_table().neg)",
-        "out._set_stored(brackets, lambda value: value)",
+        "out._set_rows(brackets, scalar_table().neg)",
+        "out._set_rows(brackets, lambda value: value)",
         (
             KERNELS + "test_trusted_brackets_are_what_the_constructor_stores_on_gln[2]",
             KERNELS + "test_trusted_brackets_are_what_the_constructor_stores_on_random_algebras",
+        ),
+    ),
+    Mutant(
+        "row mirror stored un-negated",
+        LIEALG,
+        "rows.setdefault(q, {})[p] = {r: neg(v) for r, v in coeffs.items()}",
+        "rows.setdefault(q, {})[p] = coeffs",
+        (
+            "tests/test_sparse.py::test_rows_hold_each_declared_pair_once_per_orientation",
+            "tests/test_sparse.py::test_oriented_yields_each_stored_pair_both_ways",
+            "tests/test_report_digests.py::test_verify_report_matches_the_recorded_digest[2]",
+        ),
+    ),
+    Mutant(
+        "Jacobi accumulate skips a k with [e_k, e_c] != 0",
+        LIEALG,
+        "for k in inner.keys() & row_c.keys():",
+        "for k in sorted(inner.keys() & row_c.keys())[1:]:",
+        (
+            KERNELS + "test_jacobi_matches_dense_on_gln",
+            KERNELS + "test_jacobi_matches_dense_on_random_sparse_algebras",
+            KERNELS + "test_kernels_read_only_the_nonzero_brackets_they_need",
         ),
     ),
     Mutant(

@@ -1,3 +1,4 @@
+import io
 import re
 
 import pytest
@@ -14,6 +15,7 @@ from liedouble import (
     from_algebra,
     parse_algebra_file,
 )
+from liedouble.cli import run_command
 
 K = HALF_SQRT2
 
@@ -260,6 +262,38 @@ def test_error_columns_point_at_the_offending_token(line, column, message):
 def test_line_errors_point_past_the_indentation(text, where, message):
     with pytest.raises(AlgebraFileError, match=f"^{where}: {re.escape(message)}"):
         parse_algebra_file(text)
+
+
+@pytest.mark.parametrize(
+    "text, where, message",
+    [
+        ("algebra a dim \u0663\n", "line 1, column 15", "dim '\u0663' is not ASCII digits"),
+        ("algebra a dim 1\u0663\n", "line 1, column 16", "dim '1\u0663' is not ASCII digits"),
+        ("algebra a dim 3\nbasis A B C\n[A,B] = \u0663*C\n", "line 3, column 9",
+         "unexpected character '\u0663'"),
+        ("algebra a dim 3\nbasis A B C\n[A,B] = 1/\uff14*C\n", "line 3, column 11",
+         "unexpected character '\uff14'"),
+    ],
+)
+def test_only_ascii_digits_are_numbers(text, where, message):
+    # an Arabic-Indic or fullwidth digit is an error at its column, not a number
+    with pytest.raises(AlgebraFileError, match=f"^{where}: {re.escape(message)}$"):
+        parse_algebra_file(text)
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("algebra a dim \u0663\nbasis A B C\n[A,B] = 3*C\n", "line 1, column 15"),
+        ("algebra a dim 3\nbasis A B C\n[A,B] = \u0663*C\n", "line 3, column 9"),
+    ],
+)
+def test_check_jacobi_exits_2_at_a_non_ascii_digit(tmp_path, text, where):
+    path = tmp_path / "digits.alg"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    assert run_command(["check-jacobi", str(path)], stdout=out, stderr=err) == 2
+    assert f"{where}: " in err.getvalue()
 
 
 def test_basis_label_errors_point_at_the_label():

@@ -421,6 +421,20 @@ def test_dimensions():
         assert double.algebra.dim == gln_dim(n) == n * n + n
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 10])
+def test_term_blocks_from_index_ranges_match_the_label_letters(n):
+    # below n an H, below 2n an I, the rest an F: the letters gln_labels writes
+    labels = gln_labels(n)
+    dim = len(labels)
+    tensor = TwoTensor({(p, q): ONE for p in range(dim) for q in range(dim)})
+    blocks = {key: kind for key, _, kind in glnfactory._term_blocks(n, tensor)}
+    assert blocks == {(p, q): labels[p][0] + labels[q][0] for p in range(dim) for q in range(dim)}
+    for bad in (-1, dim):
+        for func in (split_twist, glnfactory.identify_central):
+            with pytest.raises(ValueError, match=rf"^index {bad} outside the gl\({n}\)\+t_{n} basis$"):
+                func(n, TwoTensor({(0, bad): ONE}))
+
+
 def test_chain_embedding():
     for m in (1, 2, 3):
         report = check_chain_embedding(m)
@@ -462,6 +476,28 @@ def test_chain_embedding_reports_a_doctored_size_m_plus_1_construction(monkeypat
             "cocommutator mismatch: H1(x)F12 - H2(x)F12 + i*I1(x)F12 - i*I2(x)F12"
             " - F12(x)H1 + F12(x)H2 - i*F12(x)I1 + i*F12(x)I2",
         ),
+    ]
+
+
+def test_chain_embedding_reports_a_bracket_held_on_one_side_only(monkeypatch):
+    # at size 3, drop [H1, F12] and add [H1, H2] = F12: the size-2 bracket
+    # that has no image and the image that has no size-2 bracket both show
+    double_in_gln_basis = glnfactory.double_in_gln_basis
+
+    def doctored_double(n, triple=None):
+        algebra = double_in_gln_basis(n, triple)
+        if n != 3:
+            return algebra
+        entries = {key: dict(coeffs) for key, coeffs in algebra.tensor.stored()}
+        del entries[(h_index(3, 1), f_index(3, 1, 2))]
+        entries[(h_index(3, 1), h_index(3, 2))] = {f_index(3, 1, 2): ONE}
+        return LieAlgebra(algebra.labels, StructureTensor(entries))
+
+    monkeypatch.setattr(glnfactory, "double_in_gln_basis", doctored_double)
+    report = check_chain_embedding(2)
+    assert [(v.indices, v.residual) for v in report.violations] == [
+        ((0, 1), "bracket mismatch: F12"),
+        ((0, 4), "bracket mismatch: -F12"),
     ]
 
 

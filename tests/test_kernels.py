@@ -1136,14 +1136,41 @@ def test_schouten_bracket_of_a_non_skew_r_takes_the_three_term_loop(monkeypatch)
         assert full_loop[-1] is r
 
 
-class CountingView(dict):
-    """A bracket view that counts its ``get`` calls."""
+def count_bracket_lookups(tensor) -> collections.Counter:
+    """Count each read of a bracket from ``tensor``'s rows from now on.
 
-    lookups = 0
+    The counter's keys are (how, found): ``how`` is ``"[]"`` or ``"get"``,
+    and ``found`` tells whether the row held the bracket.
+    """
+    lookups = collections.Counter()
 
-    def get(self, key, default=None):
-        self.lookups += 1
-        return super().get(key, default)
+    class CountedRow(dict):
+        def __getitem__(self, s):
+            lookups["[]", s in self.keys()] += 1
+            return dict.__getitem__(self, s)
+
+        def get(self, s, default=None):
+            lookups["get", s in self.keys()] += 1
+            return dict.get(self, s, default)
+
+    tensor._rows = {x: CountedRow(row) for x, row in tensor._rows.items()}
+    return lookups
+
+
+def found(count: int) -> dict:
+    """The lookup counter of ``count`` reads by ``[]`` that each found a bracket."""
+    return {("[]", True): count} if count else {}
+
+
+def three_term_pairs(alg, r) -> int:
+    """The nonzero brackets the three terms of [[r, r]] read over every ordered pair of terms."""
+    pair = alg.tensor.pair
+    terms = list(r._c)
+    return sum(
+        bool(pair(a1, a2)) + bool(pair(b1, a2)) + bool(pair(b1, b2))
+        for a1, b1 in terms
+        for a2, b2 in terms
+    )
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -1151,15 +1178,81 @@ def test_schouten_bracket_makes_at_most_a_sixth_of_the_loops_lookups(n):
     triple = build_gln_triple(n)
     alg = build_double(triple).algebra
     _, r_skew = build_rmatrix(triple)
-    view = alg.tensor._view = CountingView(alg.tensor._view)
     expected = three_term_schouten(alg, r_skew)
-    view.lookups = 0
+    full_pairs = three_term_pairs(alg, r_skew)
+    lookups = count_bracket_lookups(alg.tensor)
     assert schouten_bracket(alg, r_skew) == expected
-    sorted_lookups, view.lookups = view.lookups, 0
+    sorted_lookups = lookups.pop(("[]", True))
+    assert not lookups
     assert bialg._schouten_terms(alg, r_skew, scalar_table()) == expected
-    full_lookups = view.lookups
-    assert full_lookups == 3 * len(r_skew.items()) ** 2
-    assert 0 < 6 * sorted_lookups <= full_lookups, (sorted_lookups, full_lookups)
+    # the three-term loop probes every pair of terms three times and finds
+    # each nonzero bracket; the sorted half reads a sixth of those at most
+    assert lookups[("get", True)] == full_pairs
+    assert 0 < 6 * sorted_lookups <= full_pairs, (sorted_lookups, full_pairs)
+
+
+def jacobi_pairs(alg) -> int:
+    """The nonzero brackets that the Jacobi residuals of all triples p < q < r read.
+
+    A cyclic term [[e_x, e_y], e_c] of a sorted triple needs [e_x, e_y] and
+    the [e_k, e_c] != 0 over the k in its support, when there is such a k.
+    """
+    pair = alg.tensor.pair
+    needed = 0
+    for (x, y), inner in alg.tensor.oriented():
+        for c in range(alg.dim):
+            if x < y < c or y < c < x or c < x < y:  # (x, y, c) a cyclic turn of its sorted triple
+                outer = sum(1 for k in inner if pair(k, c))
+                needed += outer and 1 + outer
+    return needed
+
+
+def schouten_half_pairs(alg, r) -> int:
+    """The term pairs of r with b1 < b2 whose [e_a1, e_a2] != 0."""
+    pair = alg.tensor.pair
+    return sum(
+        1 for (a1, b1) in r._c for (a2, b2) in r._c if b1 < b2 and pair(a1, a2)
+    )
+
+
+def full_action_pairs(alg, terms) -> int:
+    """The brackets [e_x, e_s] != 0 that the full action of every x reads, s a slot value of ``terms``."""
+    pair = alg.tensor.pair
+    slot_values = [{key[slot] for key in terms} for slot in range(len(next(iter(terms))))]
+    return sum(1 for x in range(alg.dim) for values in slot_values for s in values if pair(x, s))
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_kernels_read_only_the_nonzero_brackets_they_need(n):
+    # on the gl(n) double, every bracket lookup of check_jacobi, of the
+    # sorted Schouten half and of the full adjoint action finds a bracket,
+    # one per nonzero pair the kernel needs, and none is looked up empty
+    triple = build_gln_triple(n)
+    alg = build_double(triple).algebra
+    r, r_skew = build_rmatrix(triple)
+    assert not r.is_antisymmetric()
+    needed = {
+        "check_jacobi": jacobi_pairs(alg),
+        "_schouten_half": schouten_half_pairs(alg, r_skew),
+        "_add_action": full_action_pairs(alg, r._c),
+    }
+    lookups = count_bracket_lookups(alg.tensor)
+    table = scalar_table()
+    kernels = {
+        "check_jacobi": lambda: alg.check_jacobi().ok,
+        "_schouten_half": lambda: bialg._schouten_half(alg, r_skew, table),
+        "_add_action": lambda: bialg._nonzero_actions(alg, r._c, False, table),
+    }
+    results = {}
+    for name, kernel in kernels.items():
+        lookups.clear()
+        result = kernel()
+        assert lookups == found(needed[name]), name
+        assert needed[name] > 0
+        results[name] = result
+    assert results["check_jacobi"]
+    assert results["_schouten_half"] and all(a < b < c for a, b, c in results["_schouten_half"])
+    assert results["_add_action"]
 
 
 # --- adjoint action on two-tensors ------------------------------------------------
@@ -1673,7 +1766,7 @@ def full_cocycle(alg, delta, table):
 
     -ad_p.delta(q) is the action on -delta(q), whose values are negated here.
     """
-    pair = alg.tensor.pair
+    pair, rows = alg.tensor.pair, alg.tensor._rows
     slots = [bialg._by_slot(delta.get(p)._c) for p in range(alg.dim)]
     negated = [bialg._by_slot((-delta.get(p))._c) for p in range(alg.dim)]
     residuals = {}
@@ -1683,8 +1776,8 @@ def full_cocycle(alg, delta, table):
             for r, value in (pair(p, q) or {}).items():
                 for key, coeff in delta.get(r)._c.items():
                     table.mul_into(acc, key, value, coeff)
-            bialg._add_action(acc, pair, p, negated[q], table)
-            bialg._add_action(acc, pair, q, slots[p], table)
+            bialg._add_action(acc, rows, p, negated[q], table)
+            bialg._add_action(acc, rows, q, slots[p], table)
             if acc:
                 residuals[(p, q)] = acc
     return residuals
@@ -1862,35 +1955,26 @@ def test_cocycle_counterexamples_of_doctored_cocommutators_match_the_full_loop(c
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])
-def test_cocycle_looks_up_only_the_brackets_its_action_uses(monkeypatch, n):
+def test_cocycle_looks_up_only_the_brackets_its_action_uses(n):
     # the action on a stored half visits a slot value s only when [x, s] != 0:
-    # every lookup of [e_x, e_s] finds a bracket, and every such s is visited
-    lookups = {"all": 0, "empty": 0}
-
-    class CountedRow(dict):
-        def __getitem__(self, s):
-            w, mirror = dict.__getitem__(self, s)
-            lookups["all"] += 1
-            lookups["empty"] += not w
-            return w, mirror
-
-    rows = bialg._bracket_rows
-    monkeypatch.setattr(
-        bialg, "_bracket_rows", lambda alg: {x: CountedRow(row) for x, row in rows(alg).items()}
-    )
+    # it reads [e_x, e_s] and its mirror [e_s, e_x], each found, for every
+    # such s; the residual's own [e_p, e_q] is one probe per pair p < q
     triple = build_gln_triple(n)
     alg = build_double(triple).algebra
     delta = cocommutator_from_triple(triple)
-    assert check_cocycle(alg, delta).ok
-    bracket = alg.tensor._view.get
+    pair = alg.tensor.pair
     used = every = 0  # slot values with a bracket, and all slot values, over the actions
     for p in range(alg.dim):
         for q in range(p + 1, alg.dim):
             for x, y in ((p, q), (q, p)):
                 for terms_at in bialg._by_slot(delta._half(y)):
                     every += len(terms_at)
-                    used += sum(1 for s in terms_at if bracket((x, s)))
-    assert lookups == {"all": used, "empty": 0}
+                    used += sum(1 for s in terms_at if pair(x, s))
+    stored = len(alg.tensor.stored())
+    lookups = count_bracket_lookups(alg.tensor)
+    assert check_cocycle(alg, delta).ok
+    assert lookups[("[]", True)] == 2 * used and lookups[("[]", False)] == 0
+    assert lookups[("get", True)] == stored
     assert 0 < used < every
 
 
@@ -1921,7 +2005,7 @@ def test_sorted_halves_form_at_most_half_the_products_of_the_full_loops(n):
     def full_coboundary():
         index = bialg._by_slot(r_skew._c)
         for x in range(alg.dim):
-            bialg._add_action({}, alg.tensor.pair, x, index, table)
+            bialg._add_action({}, alg.tensor._rows, x, index, table)
 
     def count(func, *args, **kw):
         products.clear()

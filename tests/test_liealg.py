@@ -283,6 +283,14 @@ def test_direct_sum_label_collision():
     assert total.labels == ("T1", "T2", "r_T2", "r_T3")
 
 
+def test_abelian_labels_must_match_the_dimension():
+    assert abelian(2, labels=("a", "b")).labels == ("a", "b")
+    with pytest.raises(ValueError, match="^2 labels for an abelian algebra of dimension 3$"):
+        abelian(3, labels=("a", "b"))
+    with pytest.raises(ValueError, match="^1 labels for an abelian algebra of dimension 0$"):
+        abelian(0, labels=["a"])
+
+
 def test_direct_sum_preserves_jacobi():
     for left in (build_s_plus(2), build_s_plus(3)):
         for right in (build_s_plus(2), abelian(3)):

@@ -104,6 +104,14 @@ def test_parse_errors_carry_position():
         scalar_parse("")
 
 
+@pytest.mark.parametrize("text, position", [("\u0663/\u0664", 0), ("3/\u0664", 2), ("\uff11", 0)])
+def test_only_ascii_digits_are_numbers(text, position):
+    with pytest.raises(ScalarParseError) as err:
+        scalar_parse(text)
+    assert err.value.position == position
+    assert "unexpected character" in str(err.value)
+
+
 def test_hash_and_int_coercion():
     assert Scalar(2) == 2
     assert 2 * HALF_SQRT2 == SQRT2

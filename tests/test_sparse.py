@@ -112,3 +112,37 @@ def test_oriented_yields_each_stored_pair_both_ways(entries):
     assert dict(oriented) == expected
     assert len(oriented) == len(expected)
     assert all(tensor.pair(*key) == coeffs for key, coeffs in oriented)
+
+
+@settings(deadline=None)
+@given(
+    st.dictionaries(
+        st.frozensets(indices, min_size=2, max_size=2),
+        st.tuples(st.booleans(), st.dictionaries(indices, scalars, max_size=3)),
+        max_size=6,
+    )
+)
+def test_rows_hold_each_declared_pair_once_per_orientation(declared):
+    # each unordered pair is declared once, in either orientation, possibly zero
+    entries = {}
+    for pair, (flip, coeffs) in declared.items():
+        p, q = sorted(pair)
+        entries[(q, p) if flip else (p, q)] = coeffs
+    tensor = StructureTensor(entries)
+    expected = {}
+    for (p, q), coeffs in entries.items():
+        nonzero = {r: v for r, v in coeffs.items() if v}
+        if nonzero:
+            expected.setdefault(p, {})[q] = nonzero
+            expected.setdefault(q, {})[p] = {r: -v for r, v in nonzero.items()}
+    assert tensor._rows == expected
+    assert list(tensor._rows) == sorted(expected)
+    for x, row in tensor._rows.items():
+        assert list(row) == sorted(row)
+        for s, coeffs in row.items():
+            assert list(coeffs) == sorted(coeffs)
+            assert tensor._rows[s][x] == {r: -v for r, v in coeffs.items()}
+    stored = [key for key, _ in tensor.stored()]
+    assert stored == sorted(stored) == sorted(
+        (p, q) for p, row in expected.items() for q in row if p < q
+    )
