@@ -48,9 +48,11 @@ from .bialg import (
     TRIANGULAR,
     Cocommutator,
     QuasitriangularReport,
+    SelfDuality,
     ThreeTensor,
     TwoTensor,
     build_rmatrix,
+    certify_self_duality,
     check_cocycle,
     check_cojacobi,
     coboundary,
@@ -81,6 +83,7 @@ from .glnfactory import (
     rmatrix_in_gln_basis,
     root_index,
     cartan_index,
+    self_duality,
     solvable_dim,
     solvable_labels,
     split_twist,

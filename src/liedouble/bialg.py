@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .liealg import (
+    BilinearForm,
     LieAlgebra,
     Matrix,
     SparseTensor,
@@ -44,6 +45,8 @@ __all__ = [
     "dual_algebra",
     "check_cojacobi",
     "check_cocycle",
+    "SelfDuality",
+    "certify_self_duality",
     "build_rmatrix",
     "coboundary",
     "schouten_bracket",
@@ -346,8 +349,10 @@ def _alternating_action(acc: dict, rows: dict, x: int, index, table: ScalarTable
                         mul_into(acc, (first, k, last), value, by_position[1][k])
 
 
-def _nonzero_actions(alg: LieAlgebra, terms: dict, alternating: bool, table: ScalarTable) -> dict:
-    """``{x: ad_x of a tensor}`` over the basis elements x whose action is nonzero.
+def _nonzero_actions(
+    alg: LieAlgebra, terms: dict, alternating: bool, table: ScalarTable, below: int | None = None
+) -> dict:
+    """``{x: ad_x of a tensor}`` over the basis elements x (x < ``below``) whose action is nonzero.
 
     With ``alternating``, ``terms`` are an alternating tensor's sorted terms,
     acted on by :func:`_alternating_action`; otherwise they are every term,
@@ -358,6 +363,8 @@ def _nonzero_actions(alg: LieAlgebra, terms: dict, alternating: bool, table: Sca
     index = _by_slot(terms)
     actions = {}
     for x in rows:
+        if below is not None and x >= below:
+            break  # the rows come sorted by x
         acc: dict[tuple, Scalar] = {}
         act(acc, rows, x, index, table)
         if acc:
@@ -365,37 +372,71 @@ def _nonzero_actions(alg: LieAlgebra, terms: dict, alternating: bool, table: Sca
     return actions
 
 
-def check_cocycle(alg: LieAlgebra, delta: Cocommutator) -> ViolationReport:
+def _pair_partners(p: int, dim: int, theta) -> range | list[int]:
+    """The q > p whose pair (p, q) is checked: every one, or with ``theta`` one pair per orbit.
+
+    theta swaps [0, half) and [half, dim), so a pair p < q is its orbit's
+    representative when q < half, or when p < half <= q and p <= theta(q);
+    the pair (p, theta(p)) is its own orbit.
+    """
+    if theta is None:
+        return range(p + 1, dim)
+    half, image = theta.half, theta.image
+    if p >= half:
+        return []
+    return [*range(p + 1, half), *(q for q in range(half, dim) if p <= image[q])]
+
+
+def _cocycle_violations(alg: LieAlgebra, delta: Cocommutator, theta) -> list[Violation]:
+    """The cocycle counterexamples of the pairs :func:`_pair_partners` names, in sorted order."""
+    rows = alg.tensor._rows
+    table = scalar_table()
+    mul_into, neg = table.mul_into, table.neg
+    halves = [delta._half(p) for p in range(alg.dim)]
+    slots = [_by_slot(half) for half in halves]
+    violations = []
+    for p in range(alg.dim):
+        # [e_p, e_q] from row p's q > p, walked in step with the ascending q
+        above = [(q, coeffs) for q, coeffs in rows.get(p, {}).items() if p < q]
+        above.append((alg.dim, None))
+        i = 0
+        for q in _pair_partners(p, alg.dim, theta):
+            while above[i][0] < q:
+                i += 1
+            acc: dict[tuple[int, int], Scalar] = {}
+            if above[i][0] == q:
+                for r, value in above[i][1].items():
+                    for key, coeff in halves[r].items():
+                        mul_into(acc, key, value, coeff)
+            _alternating_action(acc, rows, p, slots[q], table, negate=True)
+            _alternating_action(acc, rows, q, slots[p], table)
+            if acc:
+                violations.append(
+                    Violation((p, q), TwoTensor._of_half(acc, neg).format(alg.labels))
+                )
+    return violations
+
+
+def check_cocycle(alg: LieAlgebra, delta: Cocommutator, theta=None) -> ViolationReport:
     """1-cocycle condition: delta([x,y]) = ad_x.delta(y) - ad_y.delta(x).
 
     Each residual delta([p,q]) - ad_p.delta(q) + ad_q.delta(p) is
     antisymmetric, like every value of delta, so only its p < q terms are
     summed, in one accumulator, from the stored halves of the values; a
     residual that does not vanish is mirrored for its counterexample.
+
+    ``theta``, a :class:`SelfDuality` certified on ``alg`` and ``delta``,
+    makes it sum one pair per theta-orbit first: the residual at
+    (theta p, theta q) is -(theta (x) theta) of the one at (p, q).  When one
+    of them does not vanish, and without ``theta``, every pair is summed.
     """
     if delta.dim != alg.dim:
         raise ValueError("cocommutator dimension does not match the algebra")
     report = ViolationReport("cocycle")
-    rows = alg.tensor._rows
-    table = scalar_table()
-    mul_into, neg = table.mul_into, table.neg
-    halves = [delta._half(p) for p in range(alg.dim)]
-    slots = [_by_slot(half) for half in halves]
-    for p in range(alg.dim):
-        row = rows.get(p, {})
-        for q in range(p + 1, alg.dim):
-            acc: dict[tuple[int, int], Scalar] = {}
-            coeffs = row.get(q)
-            if coeffs:
-                for r, value in coeffs.items():
-                    for key, coeff in halves[r].items():
-                        mul_into(acc, key, value, coeff)
-            _alternating_action(acc, rows, p, slots[q], table, negate=True)
-            _alternating_action(acc, rows, q, slots[p], table)
-            if acc:
-                report.violations.append(
-                    Violation((p, q), TwoTensor._of_half(acc, neg).format(alg.labels))
-                )
+    certified = theta is not None and theta.algebra is alg and theta.delta is delta
+    report.violations = _cocycle_violations(alg, delta, theta if certified else None)
+    if certified and report.violations:
+        report.violations = _cocycle_violations(alg, delta, None)
     return report
 
 
@@ -538,24 +579,34 @@ def _schouten_terms(alg: LieAlgebra, r: TwoTensor, table: ScalarTable) -> ThreeT
     return ThreeTensor(acc)
 
 
-def schouten_check(alg: LieAlgebra, r_skew: TwoTensor) -> QuasitriangularReport:
+def schouten_check(alg: LieAlgebra, r_skew: TwoTensor, theta=None) -> QuasitriangularReport:
     """Compute [[r, r]] and test its invariance under every ad_x (x basis).
 
     For an antisymmetric r, [[r, r]] is alternating, so each ad_x acts on
     its a < b < c terms only (:func:`_alternating_action`), and a result
     that does not vanish is expanded to all six orientations of each key
     for its violation.  Any other r takes the full action for every x.
+
+    ``theta``, a :class:`SelfDuality` certified on ``alg`` and ``r_skew``,
+    makes it act with the x below theta's half first: (theta)^3 [[r, r]] =
+    [[-r, -r]] = [[r, r]], so ad_(theta x) [[r, r]] is (theta)^3 of
+    ad_x [[r, r]].  When one of them does not vanish, and without ``theta``,
+    every x acts.
     """
     table = scalar_table()
     schouten, half = _schouten(alg, r_skew, table)
-    if half is not None:
-        actions = _nonzero_actions(alg, half, True, table)
+    alternating = half is not None
+    terms = half if alternating else schouten._c
+    certified = theta is not None and theta.algebra is alg and theta.r is r_skew
+    actions = _nonzero_actions(alg, terms, alternating, table, theta.half if certified else None)
+    if certified and actions:
+        actions = _nonzero_actions(alg, terms, alternating, table)
+    if alternating:
         violations = [
             Violation((x,), _alternating(acc, table.neg).format(alg.labels))
             for x, acc in actions.items()
         ]
     else:
-        actions = _nonzero_actions(alg, schouten._c, False, table)
         violations = [
             Violation((x,), ThreeTensor(acc).format(alg.labels)) for x, acc in actions.items()
         ]
@@ -566,6 +617,92 @@ def schouten_check(alg: LieAlgebra, r_skew: TwoTensor) -> QuasitriangularReport:
     else:
         verdict = TRIANGULAR
     return QuasitriangularReport(verdict, schouten, violations)
+
+
+@dataclass(frozen=True, eq=False)
+class SelfDuality:
+    """A signed involution theta of an algebra's basis, certified on the objects it names.
+
+    :func:`certify_self_duality` makes it.  theta swaps the index ranges
+    [0, half) and [half, 2 half), so it fixes no basis element; it is a
+    bracket automorphism of ``algebra`` and an isometry of ``pairing``,
+    with delta theta = -(theta (x) theta) delta and (theta (x) theta) r =
+    -r.  So the Jacobi residual, the cocycle residual
+    and ad_x [[r, r]] each vanish on a whole theta-orbit when they vanish
+    on one member, and ``LieAlgebra.check_jacobi``, :func:`check_cocycle`
+    and :func:`schouten_check`, given it for these objects, check one
+    representative per orbit: the triple p < q < r with q < half, the pair
+    of :func:`_pair_partners` and the x < half.  ``manin.check_ad_invariance``
+    sums the triples (a, b, c) with a < half and maps each residual to its
+    image.  This is the symmetry reduction of exhaustive state-space
+    checking (Emerson and Sistla, FMSD 9, 1996).
+    """
+
+    algebra: LieAlgebra
+    pairing: BilinearForm
+    delta: Cocommutator
+    r: TwoTensor
+    image: tuple[int, ...]  # theta(e_p) = sign[p] e_image[p]
+    sign: tuple[int, ...]
+
+    @property
+    def half(self) -> int:
+        return len(self.image) // 2
+
+
+def certify_self_duality(
+    alg: LieAlgebra, pairing: BilinearForm, delta: Cocommutator, r_skew: TwoTensor, theta
+) -> SelfDuality | None:
+    """``theta``, (image, sign) per basis index, certified on these objects; None when it fails.
+
+    One pass over the stored data, each sign applied through the scalar
+    table's ``neg``, checks that theta^2 = 1 and theta swaps [0, half) and
+    [half, dim), that every stored bracket maps onto the bracket of the
+    images, that <theta e_p, theta e_q> = <e_p, e_q> for every stored
+    entry of the pairing, that delta(theta e_a) = -(theta (x) theta)
+    delta(e_a) for every a, and that (theta (x) theta) r_skew = -r_skew.
+    theta permutes the nonzero brackets, entries and terms, so a zero one
+    maps onto a zero one too.
+    """
+    dim = alg.dim
+    r_skew._require_indices(dim, "two-tensor")
+    if len(theta) != dim or pairing.dim != dim or delta.dim != dim or dim % 2:
+        return None
+    half = dim // 2
+    image = tuple(q for q, _ in theta)
+    sign = tuple(s for _, s in theta)
+    flip = [s == -1 for s in sign]  # theta(e_p) = -e_image[p]
+    for p, (q, s) in enumerate(theta):
+        if s not in (1, -1) or not 0 <= q < dim or (p < half) == (q < half):
+            return None
+        if image[q] != p or flip[q] != flip[p]:
+            return None
+    neg = scalar_table().neg
+    rows = alg.tensor._rows
+    for (a, b), coeffs in alg.tensor.stored():
+        f = flip[a] ^ flip[b]
+        want = {image[k]: neg(v) if f ^ flip[k] else v for k, v in coeffs.items()}
+        if rows.get(image[a], {}).get(image[b]) != want:
+            return None
+    gram = pairing.matrix()._r
+    for p, row in enumerate(gram):
+        for q, w in row.items():
+            if gram[image[p]].get(image[q]) != (neg(w) if flip[p] ^ flip[q] else w):
+                return None
+    for a in range(dim):
+        want = {}
+        for (q, r), v in delta._half(a).items():
+            x, y, f = image[q], image[r], not flip[a] ^ flip[q] ^ flip[r]
+            if y < x:
+                x, y, f = y, x, not f
+            want[(x, y)] = neg(v) if f else v
+        if delta._half(image[a]) != want:
+            return None
+    terms = r_skew._c
+    for (p, q), v in terms.items():
+        if terms.get((image[p], image[q])) != (v if flip[p] ^ flip[q] else neg(v)):
+            return None
+    return SelfDuality(alg, pairing, delta, r_skew, image, sign)
 
 
 # The gl(n)+t_n split and quotient live in glnfactory with the H/I/F layout; the benchmark

@@ -42,9 +42,21 @@ from .suite import CARTAN_COEFFICIENT_NOTE, CheckResult, run_check, verify_suite
 REPORT_SCHEMA = "liedouble.report/1"
 EMIT_SCHEMA = "liedouble.emit/1"
 
-# Largest accepted --n: the largest size whose verify stays within a 10 s
-# budget on a shared 2-core x86-64 VM (README "Performance" has the times).
+# Largest accepted --n, the sizes CI verifies and pins by digest.  Run time
+# no longer sets it: verify_suite(24) takes about 7 s on a shared 2-core
+# x86-64 VM (README "Performance" has the times).
 MAX_N = 12
+
+
+def _size(text: str) -> int:
+    """An ``--n`` value: ASCII decimal digits only.
+
+    ``int`` also takes other scripts' decimal digits, underscores between
+    digits and surrounding whitespace; here each is a usage error (exit 2).
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid size {text!r}: expected ASCII digits")
+    return int(text)
 
 
 def _two_tensor_entries(tensor: TwoTensor, labels) -> list[dict]:
@@ -297,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     double.set_defaults(handler=_cmd_double)
 
     gln = sub.add_parser("gln", help="factory output for the gl(n)+t_n construction")
-    gln.add_argument("--n", type=int, required=True)
+    gln.add_argument("--n", type=_size, required=True)
     gln.add_argument(
         "--emit",
         required=True,
@@ -307,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     gln.set_defaults(handler=_cmd_gln)
 
     verify = sub.add_parser("verify", help="full verification suite for one size")
-    verify.add_argument("--n", type=int, required=True)
+    verify.add_argument("--n", type=_size, required=True)
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(handler=_cmd_verify)
     return parser

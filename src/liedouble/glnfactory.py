@@ -29,6 +29,8 @@ Flattened index orders are fixed and documented:
 This module is the one home of that layout: ``h_index``, ``i_index``,
 ``f_index`` and ``gln_labels`` state it, and the r-matrix's standard/twist
 split and the quotient identifying the central I_i read it through them.
+``self_duality`` states the involution of the double that swaps its two
+Borel halves, in the double's X, Y, x, y order.
 
 The change of basis identifying the double with gl(n) + t_n is
 
@@ -66,6 +68,7 @@ __all__ = [
     "i_index",
     "f_index",
     "gln_labels",
+    "self_duality",
     "build_s_plus",
     "build_s_minus",
     "build_gln_triple",
@@ -174,6 +177,21 @@ def gln_labels(n: int) -> tuple[str, ...]:
         _pair_label(n, "F", i, j) for i in range(1, n + 1) for j in range(1, n + 1) if j != i
     ]
     return tuple(labels)
+
+
+def self_duality(n: int) -> tuple[tuple[int, int], ...]:
+    """The involution theta of the size-n double, as (image, sign) per basis index p.
+
+    theta(e_p) = sign e_image.  It swaps the two Borel halves, X_i <-> -x^i
+    and Y_ij <-> s y^ij with s = (-1)^(j-i-1): [Y_ij, Y_jl] = Y_il goes to
+    [y^ij, y^jl] = -y^il, so s_il = -s_ij s_jl.  This is the paper's
+    self-duality of the double; :func:`bialg.certify_self_duality` checks it
+    on the objects at hand.
+    """
+    m = solvable_dim(n)
+    signs = [-1] * n
+    signs += [(-1) ** (j - i - 1) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return tuple((m + p, s) for p, s in enumerate(signs)) + tuple(enumerate(signs))
 
 
 def _matrix_units(n: int) -> list[tuple[int, int]]:

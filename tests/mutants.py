@@ -47,6 +47,7 @@ KERNELS = "tests/test_kernels.py::"
 STORAGE = "tests/test_cocommutator_storage.py::"
 COMPAT = "tests/test_manin.py::"
 POOL = "tests/test_value_pool.py::"
+THETA = "tests/test_self_duality.py::"
 
 MUTANTS = (
     Mutant(
@@ -224,12 +225,102 @@ MUTANTS = (
     Mutant(
         "Jacobi accumulate skips a k with [e_k, e_c] != 0",
         LIEALG,
-        "for k in inner.keys() & row_c.keys():",
-        "for k in sorted(inner.keys() & row_c.keys())[1:]:",
+        "for k in ks:",
+        "for k in ks[1:]:",
         (
             KERNELS + "test_jacobi_matches_dense_on_gln",
             KERNELS + "test_jacobi_matches_dense_on_random_sparse_algebras",
             KERNELS + "test_kernels_read_only_the_nonzero_brackets_they_need",
+        ),
+    ),
+    Mutant(
+        "self-duality: the root sign s dropped",
+        "src/liedouble/glnfactory.py",
+        "(-1) ** (j - i - 1)",
+        "1",
+        (
+            THETA + "test_the_certificate_passes_on_every_factory_double[3]",
+            THETA + "test_verify_suite_takes_the_reduced_checks[3]",
+        ),
+    ),
+    Mutant(
+        "self-duality certificate: the first stored pair skipped",
+        BIALG,
+        "for (a, b), coeffs in alg.tensor.stored():",
+        "for (a, b), coeffs in alg.tensor.stored()[1:]:",
+        (
+            THETA + "test_the_certificate_rejects_a_break_on_a_pair_theta_maps_onto_itself",
+            THETA + "test_the_certificate_accepts_exactly_the_theta_symmetric_algebras",
+        ),
+    ),
+    Mutant(
+        "Jacobi representatives: the triples with middle index half - 1 dropped",
+        LIEALG,
+        "c < below]",
+        "c < below - 1]",
+        (
+            THETA + "test_jacobi_representatives_are_one_triple_per_orbit",
+        ),
+    ),
+    Mutant(
+        "cocycle representatives: the pairs (p, theta p) dropped",
+        BIALG,
+        "p <= image[q]",
+        "p < image[q]",
+        (
+            THETA + "test_cocycle_representatives_are_one_pair_per_orbit",
+        ),
+    ),
+    Mutant(
+        "reduced Jacobi: the fallback to the full loop removed",
+        LIEALG,
+        """        if certified and report.violations:
+            report.violations = self._jacobi_violations(self.dim)
+""",
+        "",
+        (
+            THETA + "test_a_theta_symmetric_jacobi_break_is_reported_in_full",
+            THETA + "test_the_certificate_accepts_exactly_the_theta_symmetric_algebras",
+        ),
+    ),
+    Mutant(
+        "reduced cocycle: the fallback to the full loop removed",
+        BIALG,
+        """    if certified and report.violations:
+        report.violations = _cocycle_violations(alg, delta, None)
+""",
+        "",
+        (
+            THETA + "test_a_theta_symmetric_cocycle_break_is_reported_in_full",
+        ),
+    ),
+    Mutant(
+        "reduced Schouten check: the fallback to every x removed",
+        BIALG,
+        """    if certified and actions:
+        actions = _nonzero_actions(alg, terms, alternating, table)
+""",
+        "",
+        (
+            THETA + "test_a_theta_symmetric_schouten_break_is_reported_in_full",
+        ),
+    ),
+    Mutant(
+        "reduced ad invariance: the image residual's sign s_a s_b s_c dropped",
+        MANIN,
+        "= neg(value) if flipped else value",
+        "= value",
+        (
+            THETA + "test_reduced_checks_match_the_full_loops_on_gln[3]",
+        ),
+    ),
+    Mutant(
+        "self-duality certificate: the pairing's signs dropped",
+        BIALG,
+        "(neg(w) if flip[p] ^ flip[q] else w)",
+        "w",
+        (
+            THETA + "test_the_certificate_rejects_each_kind_of_break",
         ),
     ),
     Mutant(

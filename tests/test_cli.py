@@ -334,6 +334,20 @@ def test_exit_code_2_on_usage_error():
     assert code == 2
 
 
+@pytest.mark.parametrize("size", ["\u0662", "1_2", " 3"])
+@pytest.mark.parametrize("command", [["verify"], ["gln", "--emit", "report"]])
+def test_n_takes_ascii_digits_only(monkeypatch, capsys, command, size):
+    # int() reads an Arabic-Indic two, an underscore between digits and a
+    # leading space; each is an argparse usage error that builds nothing
+    def fail(*args, **kwargs):
+        raise AssertionError("nothing may be built for a malformed --n")
+
+    monkeypatch.setattr(suite, "build_s_plus", fail)
+    code, out, _ = run([*command, "--n", size])
+    assert (code, out) == (2, "")
+    assert "argument --n: invalid size" in capsys.readouterr().err
+
+
 def test_jacobi_failure_exits_1(tmp_path):
     bad = tmp_path / "nonlie.alg"
     bad.write_text(

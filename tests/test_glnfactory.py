@@ -210,6 +210,7 @@ SIZE_N_ARGUMENTS = {
     "rmatrix_in_gln_basis": (TwoTensor(),),
     "verify_double_is_gln": (),
     "check_chain_embedding": (),
+    "self_duality": (),
 }
 
 

@@ -1958,7 +1958,7 @@ def test_cocycle_counterexamples_of_doctored_cocommutators_match_the_full_loop(c
 def test_cocycle_looks_up_only_the_brackets_its_action_uses(n):
     # the action on a stored half visits a slot value s only when [x, s] != 0:
     # it reads [e_x, e_s] and its mirror [e_s, e_x], each found, for every
-    # such s; the residual's own [e_p, e_q] is one probe per pair p < q
+    # such s; the residual's own [e_p, e_q] is walked from row p, not probed
     triple = build_gln_triple(n)
     alg = build_double(triple).algebra
     delta = cocommutator_from_triple(triple)
@@ -1970,11 +1970,9 @@ def test_cocycle_looks_up_only_the_brackets_its_action_uses(n):
                 for terms_at in bialg._by_slot(delta._half(y)):
                     every += len(terms_at)
                     used += sum(1 for s in terms_at if pair(x, s))
-    stored = len(alg.tensor.stored())
     lookups = count_bracket_lookups(alg.tensor)
     assert check_cocycle(alg, delta).ok
-    assert lookups[("[]", True)] == 2 * used and lookups[("[]", False)] == 0
-    assert lookups[("get", True)] == stored
+    assert lookups == found(2 * used)
     assert 0 < used < every
 
 
