@@ -264,10 +264,20 @@ def dual_algebra(delta: Cocommutator, labels=None) -> LieAlgebra:
     return LieAlgebra(labels, StructureTensor(brackets))
 
 
-def check_cojacobi(delta: Cocommutator, labels=None) -> ViolationReport:
-    """Jacobi identity for the dual bracket read off from delta."""
-    report = dual_algebra(delta, labels).check_jacobi()
-    report.check = "cojacobi"
+def check_cojacobi(delta: Cocommutator, labels=None, theta=None) -> ViolationReport:
+    """Jacobi identity for the dual bracket read off from delta.
+
+    ``theta``, a :class:`SelfDuality` certified on ``delta``, makes it
+    evaluate the triples with middle index below theta's half first: delta
+    theta = -(theta (x) theta) delta makes -theta an automorphism of the
+    dual bracket, and it swaps the halves as theta does.  When one of them
+    does not vanish, and without ``theta``, every triple is evaluated.
+    """
+    dual = dual_algebra(delta, labels)
+    certified = theta is not None and theta.delta is delta
+    report = ViolationReport("cojacobi", dual._jacobi_violations(theta.half if certified else dual.dim))
+    if certified and report.violations:
+        report.violations = dual._jacobi_violations(dual.dim)
     return report
 
 
@@ -627,14 +637,15 @@ class SelfDuality:
     [0, half) and [half, 2 half), so it fixes no basis element; it is a
     bracket automorphism of ``algebra`` and an isometry of ``pairing``,
     with delta theta = -(theta (x) theta) delta and (theta (x) theta) r =
-    -r.  So the Jacobi residual, the cocycle residual
-    and ad_x [[r, r]] each vanish on a whole theta-orbit when they vanish
-    on one member, and ``LieAlgebra.check_jacobi``, :func:`check_cocycle`
-    and :func:`schouten_check`, given it for these objects, check one
-    representative per orbit: the triple p < q < r with q < half, the pair
-    of :func:`_pair_partners` and the x < half.  ``manin.check_ad_invariance``
-    sums the triples (a, b, c) with a < half and maps each residual to its
-    image.  This is the symmetry reduction of exhaustive state-space
+    -r.  So the Jacobi residuals of the algebra and of delta's dual bracket,
+    the cocycle residual and ad_x [[r, r]] each vanish on a whole
+    theta-orbit when they vanish on one member, and
+    ``LieAlgebra.check_jacobi``, :func:`check_cojacobi`,
+    :func:`check_cocycle` and :func:`schouten_check`, given it for these
+    objects, check one representative per orbit: the triple p < q < r with
+    q < half, the pair of :func:`_pair_partners` and the x < half.
+    ``manin.check_ad_invariance`` sums the triples (a, b, c) with a < half
+    and maps each residual to its image.  This is the symmetry reduction of exhaustive state-space
     checking (Emerson and Sistla, FMSD 9, 1996).
     """
 

@@ -91,15 +91,15 @@ def scalar_table() -> ScalarTable:
     (0, +-1, +-sqrt2/2, +-i/2, ...) thousands of times, and a Scalar product,
     sum, inverse or negation costs as much as several dict lookups.  The
     table reads each operand object's integer ratios (``Scalar._ratios``)
-    once, maps them to one canonical object per value and keys every result
-    on the ids of those canonical objects, so no Scalar or Fraction
-    comparison runs.  Each result it makes is returned as the canonical
-    object of its value, so it is found at once when it comes back as an
-    operand, and it is zero-tested then and only then: a zero result is
-    ZERO, which ``mul_into`` tests by identity.  So the table makes each
-    distinct product, sum of two values, inverse and negation once and
-    tests no value per term.  It keeps every operand it has seen alive for
-    as long as it lives, so no id is reused while it is a key.
+    once and gives each value a small-int code with one canonical object
+    (hash-consing), and tables every result by the codes of its operands,
+    so no Scalar or Fraction comparison runs.  Each result it makes is
+    returned as the canonical object of its value, so its code is found at
+    once when it comes back as an operand, and it is zero-tested then and
+    only then: zero has code 0.  So the table makes each distinct product,
+    sum of two values, inverse and negation once and tests no value per
+    term.  It keeps every operand it has seen alive for as long as it
+    lives, so no id is reused while it is a key.
     """
     pool = _POOL.get()
     return _new_table() if pool is None else pool
@@ -120,84 +120,84 @@ def value_pool():
 
 
 def _new_table() -> ScalarTable:
-    # integer ratios -> the canonical object of that value, ZERO for zero
-    canonical: dict[tuple[int, ...], Scalar] = {ZERO._ratios(): ZERO}
-    # id(operand) -> (operand, id of its value's canonical object)
-    seen: dict[int, tuple[Scalar, int]] = {id(ZERO): (ZERO, id(ZERO))}
-    products: dict[tuple[int, int], Scalar] = {}
-    sums: dict[tuple[int, int], Scalar] = {}
-    inverses: dict[int, Scalar] = {}
-    negatives: dict[int, Scalar] = {}
+    # each value has a small-int code, 0 for zero, and values[code] is its canonical object
+    values: list[Scalar] = [ZERO]
+    codes: dict[tuple[int, ...], int] = {ZERO._ratios(): 0}  # integer ratios -> code
+    seen: dict[int, int] = {id(ZERO): 0}  # id(operand) -> its value's code
+    kept: list[Scalar] = []  # every operand in seen, so no id is reused while it is a key
+    # per code x: {code y: code of x*y} and {code y: code of x+y}
+    products: list[dict[int, int]] = [{}]
+    sums: list[dict[int, int]] = [{}]
+    inverses: dict[int, int] = {}
+    negatives: dict[int, int] = {}
 
-    def canon(x) -> Scalar:
-        """The canonical object of ``x``'s value: ``x`` itself when the value is new."""
-        return canonical.setdefault(x._ratios(), x)
-
-    def value_id(x) -> int:
-        entry = seen.get(id(x))
-        if entry is None:
-            entry = seen[id(x)] = (x, id(canon(x)))
-        return entry[1]
-
-    def made(x) -> Scalar:
-        """The canonical object of ``x``'s value, ``x`` a result the table has just made."""
-        value = canon(x)
-        if value is x:
-            seen[id(x)] = (x, id(x))
-        return value
+    def code(x) -> int:
+        """The code of ``x``'s value; ``x`` becomes its canonical object when the value is new."""
+        c = seen.get(id(x))
+        if c is None:
+            ratios = x._ratios()
+            c = codes.get(ratios)
+            if c is None:
+                c = codes[ratios] = len(values)
+                values.append(x)
+                products.append({})
+                sums.append({})
+            seen[id(x)] = c
+            kept.append(x)
+        return c
 
     def mul(x, y):
         try:  # both operands seen before: skip the calls
-            pair = (seen[id(x)][1], seen[id(y)][1])
+            row, cy = products[seen[id(x)]], seen[id(y)]
         except KeyError:
-            pair = (value_id(x), value_id(y))
-        product = products.get(pair)
+            row, cy = products[code(x)], code(y)
+        product = row.get(cy)
         if product is None:
-            product = products[pair] = made(x * y)
-        return product
+            product = row[cy] = code(x * y)
+        return values[product]
 
     def mul_into(acc, key, x, y):
         try:
-            pair = (seen[id(x)][1], seen[id(y)][1])
+            row, cy = products[seen[id(x)]], seen[id(y)]
         except KeyError:
-            pair = (value_id(x), value_id(y))
-        product = products.get(pair)
+            row, cy = products[code(x)], code(y)
+        product = row.get(cy)
         if product is None:
-            product = products[pair] = made(x * y)
-        if product is ZERO:
+            product = row[cy] = code(x * y)
+        if not product:
             return
         s = acc.get(key)
         if s is None:
-            acc[key] = product
+            acc[key] = values[product]
             return
         try:
-            pair = (seen[id(s)][1], id(product))
+            row = sums[seen[id(s)]]
         except KeyError:
-            pair = (value_id(s), id(product))
-        total = sums.get(pair)
+            row = sums[code(s)]
+        total = row.get(product)
         if total is None:
-            total = sums[pair] = made(s + product)
-        if total is ZERO:
-            del acc[key]
+            total = row[product] = code(s + values[product])
+        if total:
+            acc[key] = values[total]
         else:
-            acc[key] = total
+            del acc[key]
 
     def inverse(x):
-        key = value_id(x)
-        inv = inverses.get(key)
+        c = code(x)
+        inv = inverses.get(c)
         if inv is None:
-            inv = inverses[key] = made(x.inverse())
-        return inv
+            inv = inverses[c] = code(x.inverse())
+        return values[inv]
 
     def neg(x):
         try:
-            key = seen[id(x)][1]
+            c = seen[id(x)]
         except KeyError:
-            key = value_id(x)
-        negative = negatives.get(key)
+            c = code(x)
+        negative = negatives.get(c)
         if negative is None:
-            negative = negatives[key] = made(-x)
-        return negative
+            negative = negatives[c] = code(-x)
+        return values[negative]
 
     return ScalarTable(mul, inverse, mul_into, neg)
 

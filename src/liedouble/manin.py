@@ -138,17 +138,23 @@ _NO_PART = Fraction(0)
 def _monomial_residuals(c_units, f_units) -> dict:
     """The nonzero residuals from (u, n, d) values: one integer product per term.
 
-    Numerators are summed as integers per (key, unit, product denominator),
-    so no product needs a gcd, and coprime denominators of many digits never
-    meet in one integer over the whole tensor.  The groups of one (key, unit)
-    are then brought over the lcm of their own denominators; a nonzero sum
-    becomes one Fraction, and a key becomes a Scalar once its units are summed.
+    Both tensors are antisymmetric, so the residuals at (q, p, s, t) and
+    (p, q, t, s) are minus the one at (p, q, s, t), and one with p = q or
+    s = t is 0: only the products on keys p < q, s < t are summed, and each
+    nonzero sum is written onto the other three keys of its orbit with its
+    sign.  Numerators are summed as integers per (key, unit, product
+    denominator), so no product needs a gcd, and coprime denominators of
+    many digits never meet in one integer over the whole tensor.  The
+    groups of one (key, unit) are then brought over the lcm of their own
+    denominators; a nonzero sum becomes one Fraction and its negation
+    another, and a key becomes a Scalar once its units are summed.
     """
     sums: dict = {}
     for key, (u, xn, xd), (v, yn, yd) in _compatibility_products(c_units, f_units, _negate_monomial):
-        s, w = _UNIT_PRODUCTS[u][v]
-        slot = (key, w, xd * yd)
-        sums[slot] = sums.get(slot, 0) + (xn * yn if s == 1 else s * xn * yn)
+        if key[0] < key[1] and key[2] < key[3]:
+            s, w = _UNIT_PRODUCTS[u][v]
+            slot = (key, w, xd * yd)
+            sums[slot] = sums.get(slot, 0) + (xn * yn if s == 1 else s * xn * yn)
     groups: dict = {}
     for (key, w, den), total in sums.items():
         if total:
@@ -158,8 +164,13 @@ def _monomial_residuals(c_units, f_units) -> dict:
         den = lcm(*(d for _, d in terms))
         total = sum(t * (den // d) for t, d in terms)
         if total:
-            components.setdefault(key, [_NO_PART] * 4)[w] = Fraction(total, den)
-    return {key: Scalar(*parts) for key, parts in components.items()}
+            parts, negated = components.setdefault(key, ([_NO_PART] * 4, [_NO_PART] * 4))
+            parts[w], negated[w] = Fraction(total, den), Fraction(-total, den)
+    residual = {}
+    for (p, q, s, t), (parts, negated) in components.items():
+        residual[(p, q, s, t)] = residual[(q, p, t, s)] = Scalar(*parts)
+        residual[(q, p, s, t)] = residual[(p, q, t, s)] = Scalar(*negated)
+    return residual
 
 
 def _scalar_residuals(c_triples, f_triples) -> dict:
@@ -184,8 +195,10 @@ def check_compatibility(f: StructureTensor, c: StructureTensor) -> ViolationRepo
 
     When every coefficient of both tensors is a rational multiple of one
     unit (the gl(n) halves are), each product is one integer product of
-    numerators times a fixed unit product; otherwise the products are
-    Scalar ones.
+    numerators times a fixed unit product, and one residual per
+    antisymmetric orbit is summed.  Otherwise the products are Scalar
+    ones, summed for every key: the orbit filter waits there until the
+    benchmark keeps no op output (ROADMAP item 1).
     """
     c_triples = _tensor_triples(c)
     f_triples = _tensor_triples(f)
@@ -312,14 +325,36 @@ class InvarianceReport:
     """Which of the two pairing-invariance sign conventions hold globally.
 
     ``invariant`` is <[a,b],c> = <a,[b,c]>, ``anti_invariant`` is
-    <[a,b],c> = -<a,[b,c]>; counterexample triples are listed per failing
-    convention, sorted lexicographically.
+    <[a,b],c> = -<a,[b,c]>.  Each convention keeps its nonzero residuals
+    ``{(a, b, c): value}``, and its counterexample list, sorted
+    lexicographically, is made from them when it is first read.
     """
 
-    invariant_holds: bool
-    anti_invariant_holds: bool
-    invariant_counterexamples: list[Violation] = field(default_factory=list)
-    anti_invariant_counterexamples: list[Violation] = field(default_factory=list)
+    invariant_residuals: dict
+    anti_invariant_residuals: dict
+    _lists: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def invariant_holds(self) -> bool:
+        return not self.invariant_residuals
+
+    @property
+    def anti_invariant_holds(self) -> bool:
+        return not self.anti_invariant_residuals
+
+    @property
+    def invariant_counterexamples(self) -> list[Violation]:
+        return self._counterexamples("invariant")
+
+    @property
+    def anti_invariant_counterexamples(self) -> list[Violation]:
+        return self._counterexamples("anti_invariant")
+
+    def _counterexamples(self, convention: str) -> list[Violation]:
+        if convention not in self._lists:
+            residuals = getattr(self, convention + "_residuals")
+            self._lists[convention] = [Violation(key, str(residuals[key])) for key in sorted(residuals)]
+        return self._lists[convention]
 
     def conventions(self) -> tuple[str, ...]:
         names = []
@@ -377,11 +412,4 @@ def check_ad_invariance(double: DoubleAlgebra, theta=None) -> InvarianceReport:
             for (a, b, c), value in list(residuals.items()):
                 flipped = sign[a] * sign[b] * sign[c] < 0
                 residuals[(image[a], image[b], image[c])] = neg(value) if flipped else value
-    plus_bad = [Violation(key, str(difference[key])) for key in sorted(difference)]
-    minus_bad = [Violation(key, str(total[key])) for key in sorted(total)]
-    return InvarianceReport(
-        invariant_holds=not plus_bad,
-        anti_invariant_holds=not minus_bad,
-        invariant_counterexamples=plus_bad,
-        anti_invariant_counterexamples=minus_bad,
-    )
+    return InvarianceReport(difference, total)

@@ -204,8 +204,8 @@ def verify_suite(n: int) -> list[CheckResult]:
     rebase_ms = int((time.perf_counter() - start) * 1000)
     _, r_skew = build_rmatrix(triple)
     # the double's self-duality, or None when its certificate fails; with it
-    # jacobi_double, cocycle, schouten and ad_invariance_convention check one
-    # member of each theta-orbit
+    # jacobi_double, cojacobi, cocycle, schouten and ad_invariance_convention
+    # check one member of each theta-orbit
     theta = certify_self_duality(algebra, double.pairing, delta, r_skew, self_duality(n))
     reports = {}  # the two reports whose verdicts go into a check's detail
     # Each r-matrix check moves r_skew to H/I/F itself: perfbench pins the
@@ -230,7 +230,7 @@ def verify_suite(n: int) -> list[CheckResult]:
         run_check("jacobi_double", lambda: algebra.check_jacobi(theta).violations),
         run_check("isotropic_pairing", lambda: check_isotropic_pairing(double).violations),
         run_check("ad_invariance_convention", ad_invariance),
-        run_check("cojacobi", lambda: check_cojacobi(delta, algebra.labels).violations),
+        run_check("cojacobi", lambda: check_cojacobi(delta, algebra.labels, theta).violations),
         run_check("cocycle", lambda: check_cocycle(algebra, delta, theta).violations),
         run_check(
             "coboundary_identity",

@@ -155,11 +155,11 @@ MUTANTS = (
     Mutant(
         "scalar table: a zero sum kept in the accumulator",
         LIEALG,
-        """        if total is ZERO:
-            del acc[key]
+        """        if total:
+            acc[key] = values[total]
         else:
-            acc[key] = total""",
-        """        acc[key] = total""",
+            del acc[key]""",
+        """        acc[key] = values[total]""",
         (
             KERNELS + "test_mul_into_matches_add_into_of_the_product",
             KERNELS + "test_add_into_drops_a_zero_sum_from_the_table",
@@ -170,10 +170,20 @@ MUTANTS = (
         "scalar table: the sum cache keyed on the product only",
         LIEALG,
         """        try:
-            pair = (seen[id(s)][1], id(product))
+            row = sums[seen[id(s)]]
         except KeyError:
-            pair = (value_id(s), id(product))""",
-        """        pair = id(product)""",
+            row = sums[code(s)]""",
+        """        row = sums[0]""",
+        (
+            KERNELS + "test_mul_into_matches_add_into_of_the_product",
+            KERNELS + "test_tabled_kernels_match_plain_products_on_random_algebras",
+        ),
+    ),
+    Mutant(
+        "code table: every new code's sum row is code 0's",
+        LIEALG,
+        "sums.append({})",
+        "sums.append(sums[0])",
         (
             KERNELS + "test_mul_into_matches_add_into_of_the_product",
             KERNELS + "test_tabled_kernels_match_plain_products_on_random_algebras",
@@ -182,8 +192,8 @@ MUTANTS = (
     Mutant(
         "value pool: the canonical key drops the c and d components",
         LIEALG,
-        "return canonical.setdefault(x._ratios(), x)",
-        "return canonical.setdefault(x._ratios()[:4], x)",
+        "ratios = x._ratios()",
+        "ratios = x._ratios()[:4]",
         (
             KERNELS + "test_mul_into_matches_add_into_of_the_product",
             POOL + "test_a_value_pool_makes_one_object_per_value",
@@ -193,8 +203,8 @@ MUTANTS = (
     Mutant(
         "value pool: the pooled neg returns its operand",
         LIEALG,
-        "negative = negatives[key] = made(-x)",
-        "negative = negatives[key] = x",
+        "negative = negatives[c] = code(-x)",
+        "negative = negatives[c] = c",
         (
             KERNELS + "test_structure_tensor_negates_each_coefficient_object_once",
             POOL + "test_a_value_pool_makes_one_object_per_value",
@@ -295,6 +305,17 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "reduced cojacobi: the fallback to the full loop removed",
+        BIALG,
+        """    if certified and report.violations:
+        report.violations = dual._jacobi_violations(dual.dim)
+""",
+        "",
+        (
+            THETA + "test_a_theta_symmetric_cojacobi_break_is_reported_in_full",
+        ),
+    ),
+    Mutant(
         "reduced Schouten check: the fallback to every x removed",
         BIALG,
         """    if certified and actions:
@@ -351,6 +372,25 @@ MUTANTS = (
         (
             COMPAT + "test_integer_unit_path_matches_scalar_path_and_brute_force",
             COMPAT + "test_scaled_gln_halves_cancel_only_across_denominator_groups",
+        ),
+    ),
+    Mutant(
+        "integer compatibility: the orbit filter without its s < t test",
+        MANIN,
+        "if key[0] < key[1] and key[2] < key[3]:",
+        "if key[0] < key[1]:",
+        (
+            COMPAT + "test_the_integer_path_multiplies_only_the_products_of_sorted_keys",
+        ),
+    ),
+    Mutant(
+        "integer compatibility: a mirrored key written with the unnegated value",
+        MANIN,
+        "residual[(q, p, s, t)] = residual[(p, q, t, s)] = Scalar(*negated)",
+        "residual[(q, p, s, t)] = residual[(p, q, t, s)] = Scalar(*parts)",
+        (
+            COMPAT + "test_monomial_path_matches_scalar_path_and_brute_force",
+            COMPAT + "test_orbit_residuals_match_brute_force_on_perturbed_monomial_pairs",
         ),
     ),
     Mutant(

@@ -208,6 +208,24 @@ def test_ad_invariance_single_convention(double3):
     assert len(first.indices) == 3
 
 
+def test_ad_invariance_formats_a_counterexample_list_on_its_first_read(monkeypatch):
+    formatted = []
+    original = Scalar.__str__
+
+    def counted(self):
+        formatted.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Scalar, "__str__", counted)
+    report = check_ad_invariance(build_double(build_gln_triple(3)))
+    assert report.conventions() == ("invariant",) and formatted == []
+    bad = report.anti_invariant_counterexamples
+    assert len(formatted) == len(bad) == len(report.anti_invariant_residuals) > 0
+    assert report.anti_invariant_counterexamples is bad and len(formatted) == len(bad)
+    assert [v.indices for v in bad] == sorted(report.anti_invariant_residuals)
+    assert report.invariant_counterexamples == [] and report.invariant_residuals == {}
+
+
 def test_ad_invariance_abelian_double_holds_both_ways():
     double = build_double(build_gln_triple(1))
     report = check_ad_invariance(double)
@@ -731,3 +749,96 @@ def test_thousand_digit_coprime_denominators_stay_fast():
     c_triples = manin._tensor_triples(minus.tensor)
     residual = manin._scalar_residuals(c_triples, manin._tensor_triples(plus.tensor))
     assert _reported(report) == [(k, str(residual[k])) for k in sorted(residual)]
+
+
+# One residual per antisymmetric orbit: the integer path sums the keys
+# p < q, s < t only and writes each nonzero sum onto its orbit.
+
+MONOMIAL_NUMERATORS = (-5, -3, -2, -1, 1, 2, 3, 7)
+MONOMIAL_DENOMINATORS = (1, 2, 3, 4, 9)
+
+
+@st.composite
+def small_monomials(draw):
+    x = Fraction(draw(st.sampled_from(MONOMIAL_NUMERATORS)), draw(st.sampled_from(MONOMIAL_DENOMINATORS)))
+    return x * UNITS[draw(st.integers(0, 3))]
+
+
+@st.composite
+def perturbed_monomial_pairs(draw):
+    """Random monomial pairs, or relabeled gl(n) halves, with up to three entries
+    of either side scaled, dropped or added."""
+    if draw(st.booleans()):
+        dim = draw(st.integers(2, 5))
+        pairs = list(itertools.combinations(range(dim), 2))
+        halves = []
+        for _ in range(2):
+            chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+            halves.append(LieAlgebra.from_brackets(
+                tuple(f"e{k}" for k in range(dim)),
+                {pair: draw(st.dictionaries(st.integers(0, dim - 1), small_monomials(),
+                                            min_size=1, max_size=2)) for pair in chosen},
+            ))
+    else:
+        n = draw(st.sampled_from((2, 3)))
+        perm = draw(st.permutations(range(n * (n + 1) // 2)))
+        halves = [_relabeled(half, perm) for half in (build_s_plus(n), build_s_minus(n))]
+    for _ in range(draw(st.integers(0, 3))):
+        side = draw(st.integers(0, 1))
+        dim = halves[side].dim
+        brackets = {key: dict(vec) for key, vec in halves[side].tensor.stored()}
+        p, q = sorted(draw(st.permutations(range(dim)))[:2])
+        vec = brackets.setdefault((p, q), {})
+        r = draw(st.integers(0, dim - 1))
+        change = draw(st.sampled_from(("scale", "drop", "add")))
+        if change == "drop":
+            vec.pop(r, None)
+        elif change == "scale" and r in vec:
+            vec[r] = vec[r] * draw(small_monomials())
+        else:
+            vec[r] = draw(small_monomials())
+        brackets = {key: vec for key, vec in brackets.items() if vec}
+        halves[side] = LieAlgebra.from_brackets(halves[side].labels, brackets)
+    return tuple(halves)
+
+
+@settings(deadline=None, max_examples=60)
+@given(perturbed_monomial_pairs())
+def test_orbit_residuals_match_brute_force_on_perturbed_monomial_pairs(pair):
+    plus, minus = pair
+    assert _is_monomial(plus) and _is_monomial(minus)
+    report = check_compatibility(plus.tensor, minus.tensor)
+    brute = brute_force_compatibility(plus.tensor, minus.tensor, plus.dim)
+    assert _reported(report) == [(key, str(brute[key])) for key in sorted(brute)]
+    assert _reported(report) == _scalar_path(plus.tensor, minus.tensor)
+
+
+class _CountedRows(tuple):
+    """``_UNIT_PRODUCTS`` that counts its row reads: one per integer product."""
+
+    reads = 0
+
+    def __getitem__(self, u):
+        _CountedRows.reads += 1
+        return tuple.__getitem__(self, u)
+
+
+@pytest.mark.parametrize("n, moved", [(4, False), (4, True), (6, False)])
+def test_the_integer_path_multiplies_only_the_products_of_sorted_keys(monkeypatch, n, moved):
+    plus, minus = build_s_plus(n), build_s_minus(n)
+    if moved:
+        brackets = {key: dict(vec) for key, vec in minus.tensor.stored()}
+        (key, vec), *_ = brackets.items()
+        vec[next(iter(vec))] = vec[next(iter(vec))] * 3
+        minus = LieAlgebra.from_brackets(minus.labels, brackets)
+    c_units = manin._monomial_triples(manin._tensor_triples(minus.tensor))
+    f_units = manin._monomial_triples(manin._tensor_triples(plus.tensor))
+    keys = [key for key, _, _ in manin._compatibility_products(c_units, f_units, manin._negate_monomial)]
+    sorted_keys = sum(1 for p, q, s, t in keys if p < q and s < t)
+    monkeypatch.setattr(manin, "_UNIT_PRODUCTS", _CountedRows(manin._UNIT_PRODUCTS))
+    _CountedRows.reads = 0
+    residual = manin._monomial_residuals(c_units, f_units)
+    assert _CountedRows.reads == sorted_keys < len(keys) / 3
+    assert bool(residual) == moved
+    if n == 6:
+        assert (sorted_keys, len(keys)) == (660, 2760)

@@ -3,11 +3,12 @@
 ``glnfactory.self_duality(n)`` gives theta as a signed permutation of the
 double's X, Y, x, y basis, and ``bialg.certify_self_duality`` certifies it
 on an algebra, its pairing, a cocommutator and a skew r-matrix.  With a
-certificate, ``check_jacobi``, ``check_cocycle`` and ``schouten_check``
-evaluate one member of each theta-orbit and fall back to the full loop when
-one of them fails, and ``check_ad_invariance`` copies each residual onto its
-image.  Each reduced check must return exactly what its full loop returns,
-and the certificate must accept exactly the theta-symmetric inputs.
+certificate, ``check_jacobi``, ``check_cojacobi``, ``check_cocycle`` and
+``schouten_check`` evaluate one member of each theta-orbit and fall back to
+the full loop when one of them fails, and ``check_ad_invariance`` copies
+each residual onto its image.  Each reduced check must return exactly what
+its full loop returns, and the certificate must accept exactly the
+theta-symmetric inputs.
 """
 
 from fractions import Fraction
@@ -32,6 +33,7 @@ from liedouble import (
     certify_self_duality,
     check_ad_invariance,
     check_cocycle,
+    check_cojacobi,
     cocommutator_from_triple,
     root_index,
     schouten_check,
@@ -255,6 +257,8 @@ def test_reduced_checks_match_the_full_loops_on_gln(monkeypatch, n):
     actions = record_calls(monkeypatch, bialg, "_nonzero_actions",
                            lambda *args, **kwargs: args[4] if len(args) > 4 else None)
     assert alg.check_jacobi(theta) == alg.check_jacobi()
+    cojacobi = check_cojacobi(delta, alg.labels, theta)
+    assert cojacobi == check_cojacobi(delta, alg.labels) and cojacobi.check == "cojacobi"
     assert check_cocycle(alg, delta, theta) == check_cocycle(alg, delta)
     assert schouten_check(alg, r_skew, theta) == schouten_check(alg, r_skew)
     double = DoubleAlgebra(alg, theta.pairing, None)
@@ -266,10 +270,11 @@ def test_reduced_checks_match_the_full_loops_on_gln(monkeypatch, n):
     if n > 1:
         assert not ad.anti_invariant_holds
         assert any(v.residual.startswith("-") for v in ad.anti_invariant_counterexamples)
-    assert alg.check_jacobi(theta).ok and check_cocycle(alg, delta, theta).ok
-    # each reduced check evaluates its representatives only, then stops
+    assert alg.check_jacobi(theta).ok and check_cocycle(alg, delta, theta).ok and cojacobi.ok
+    # each reduced check evaluates its representatives only, then stops;
+    # the Jacobi loops are the algebra's and then the dual bracket's
     half = theta.half
-    assert jacobi == [half, alg.dim, half]
+    assert jacobi == [half, alg.dim, half, alg.dim, half]
     assert cocycle == [theta, None, theta]
     assert actions == [half, None]
 
@@ -315,6 +320,23 @@ def test_a_theta_symmetric_cocycle_break_is_reported_in_full():
     assert any(q >= theta.half for _, q in (v.indices for v in report.violations))
 
 
+def test_a_theta_symmetric_cojacobi_break_is_reported_in_full():
+    n = 3
+    alg, delta, r_skew, theta = certified(n)
+    Y = root_index(n, 1, 2)
+    values = dict(delta.items())
+    for index in (Y, theta.image[Y]):
+        values[index] = values[index].scale(2)
+    doctored = Cocommutator(delta.dim, values)
+    recertified = certify(alg, doctored, r_skew, self_duality(n))
+    assert recertified is not None
+    report = check_cojacobi(doctored, alg.labels, recertified)
+    assert report == check_cojacobi(doctored, alg.labels) and not report.ok
+    # the counterexamples of both members of an orbit are listed
+    assert any(v.indices[1] >= theta.half for v in report.violations)
+    assert any(v.indices[1] < theta.half for v in report.violations)
+
+
 def test_a_theta_symmetric_schouten_break_is_reported_in_full():
     n = 3
     alg, delta, r_skew, theta = certified(n)
@@ -358,8 +380,9 @@ def test_a_certificate_for_other_objects_is_not_used(monkeypatch):
     doctored = Cocommutator(delta.dim, values)
     report = check_cocycle(alg, doctored, theta)
     assert report == check_cocycle(alg, doctored) and not report.ok
+    assert check_cojacobi(doctored, alg.labels, theta) == check_cojacobi(doctored, alg.labels)
     assert schouten_check(alg, -r_skew, theta) == schouten_check(alg, -r_skew)
-    assert jacobi == [alg.dim]
+    assert jacobi == [alg.dim] * 3
     other = changed(theta.pairing, {(0, 1): ONE, (1, 0): ONE})  # no <x1, x2> to match
     double = DoubleAlgebra(alg, other, None)
     assert check_ad_invariance(double, theta) == check_ad_invariance(double)
@@ -373,8 +396,8 @@ def test_verify_suite_takes_the_reduced_checks(monkeypatch, n):
                            lambda alg, delta, theta: theta is not None)
     assert all(check.passed for check in suite.verify_suite(n))
     m = solvable_dim(n)
-    # the halves, the double (reduced) and the dual algebra of cojacobi
-    assert sorted(jacobi) == sorted([(m, m), (m, m), (2 * m, m), (2 * m, 2 * m)])
+    # the halves, then the double and the dual algebra of cojacobi, both reduced
+    assert sorted(jacobi) == sorted([(m, m), (m, m), (2 * m, m), (2 * m, m)])
     assert cocycle == [True]
 
 
