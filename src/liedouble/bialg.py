@@ -666,14 +666,15 @@ def certify_self_duality(
 ) -> SelfDuality | None:
     """``theta``, (image, sign) per basis index, certified on these objects; None when it fails.
 
-    One pass over the stored data, each sign applied through the scalar
-    table's ``neg``, checks that theta^2 = 1 and theta swaps [0, half) and
-    [half, dim), that every stored bracket maps onto the bracket of the
-    images, that <theta e_p, theta e_q> = <e_p, e_q> for every stored
-    entry of the pairing, that delta(theta e_a) = -(theta (x) theta)
-    delta(e_a) for every a, and that (theta (x) theta) r_skew = -r_skew.
-    theta permutes the nonzero brackets, entries and terms, so a zero one
-    maps onto a zero one too.
+    It checks that theta^2 = 1 and theta swaps [0, half) and [half, dim),
+    then, each sign applied through the scalar table's ``neg``, one member
+    of each theta-orbit, since with theta^2 = 1 an item's condition is its
+    image's: each stored bracket [e_a, e_b] with a <= theta b maps onto the
+    bracket of the images, each pairing row p < half onto row theta p,
+    delta(theta e_a) = -(theta (x) theta) delta(e_a) for a < half, and each
+    r_skew term (p, q) with p < half onto minus the term at its image.  The
+    brackets and r terms are counted against the orbits checked, so a
+    stored item whose image is missing fails too.
     """
     dim = alg.dim
     r_skew._require_indices(dim, "two-tensor")
@@ -690,17 +691,24 @@ def certify_self_duality(
             return None
     neg = scalar_table().neg
     rows = alg.tensor._rows
-    for (a, b), coeffs in alg.tensor.stored():
+    stored = alg.tensor.stored()
+    count = 0
+    for (a, b), coeffs in stored:
+        if a > image[b]:
+            continue  # the orbit of (a, b) is checked from its image
+        count += 1 if a == image[b] else 2
         f = flip[a] ^ flip[b]
         want = {image[k]: neg(v) if f ^ flip[k] else v for k, v in coeffs.items()}
         if rows.get(image[a], {}).get(image[b]) != want:
             return None
+    if count != len(stored):
+        return None
     gram = pairing.matrix()._r
-    for p, row in enumerate(gram):
-        for q, w in row.items():
-            if gram[image[p]].get(image[q]) != (neg(w) if flip[p] ^ flip[q] else w):
-                return None
-    for a in range(dim):
+    for p in range(half):
+        want = {image[q]: neg(w) if flip[p] ^ flip[q] else w for q, w in gram[p].items()}
+        if gram[image[p]] != want:
+            return None
+    for a in range(half):
         want = {}
         for (q, r), v in delta._half(a).items():
             x, y, f = image[q], image[r], not flip[a] ^ flip[q] ^ flip[r]
@@ -710,9 +718,14 @@ def certify_self_duality(
         if delta._half(image[a]) != want:
             return None
     terms = r_skew._c
+    count = 0
     for (p, q), v in terms.items():
-        if terms.get((image[p], image[q])) != (v if flip[p] ^ flip[q] else neg(v)):
-            return None
+        if p < half:
+            count += 2
+            if terms.get((image[p], image[q])) != (v if flip[p] ^ flip[q] else neg(v)):
+                return None
+    if count != len(terms):
+        return None
     return SelfDuality(alg, pairing, delta, r_skew, image, sign)
 
 

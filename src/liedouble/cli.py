@@ -23,6 +23,8 @@ import argparse
 import json
 import os
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
 
 from . import __version__
 from .algfile import AlgebraFileError, from_algebra, parse_algebra_file
@@ -325,12 +327,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``run_command`` reads every argv with: built once per process."""
+    return build_parser()
+
+
 def run_command(argv, stdout=None, stderr=None) -> int:
+    """Run one command line; all it prints, argparse's too, goes to ``stdout`` and ``stderr``."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help/--version
         return int(exc.code or 0)

@@ -208,9 +208,10 @@ def _unit_index(n: int, i: int, j: int) -> int:
 def _commutator_table(index: dict, scale) -> StructureTensor:
     """Brackets of the matrix units keyed in ``index``, from [E_ij, E_kl] = d_jk E_il - d_li E_kj.
 
-    ``index`` maps each unit (i, j), in basis order, to its basis index and
-    must hold every unit the rule produces; ``scale(i, j, k, l)`` multiplies
-    the bracket of E_ij and E_kl.
+    ``index`` maps each unit (i, j), in basis order, to increasing basis
+    indices and must hold every unit the rule produces; ``scale(i, j, k,
+    l)`` multiplies the bracket of E_ij and E_kl.  The pairs come in sorted
+    order, so the table goes in trusted once each two-term bracket is sorted.
     """
     units = list(index)
     neg = scalar_table().neg
@@ -220,13 +221,17 @@ def _commutator_table(index: dict, scale) -> StructureTensor:
             if j != k and l != i:
                 continue
             s = scale(i, j, k, l)
+            if not s:
+                continue  # a zero kappa: the constructor would drop the bracket
             terms = {}
             if j == k:
                 terms[index[(i, l)]] = s
             if l == i:
                 terms[index[(k, j)]] = neg(s)
-            brackets[(index[(i, j)], index[(k, l)])] = terms
-    return StructureTensor(brackets)
+            brackets[(index[(i, j)], index[(k, l)])] = (
+                dict(sorted(terms.items())) if len(terms) == 2 else terms
+            )
+    return StructureTensor._of_sorted(brackets)
 
 
 def _borel_half(n: int, kappa: Scalar, lower: bool) -> LieAlgebra:
@@ -457,12 +462,11 @@ def check_chain_embedding(m: int) -> ViolationReport:
             report.violations.append(
                 Violation(key, f"bracket mismatch: {residual.format(big.labels)}")
             )
+    # emb keeps the order of indices, so each pushed sorted half is the sorted
+    # half it must equal; the residual text is made only on a mismatch
     for p in range(small.dim):
-        pushed = TwoTensor._of_half(
-            {(emb[a], emb[b]): v for (a, b), v in small_delta._half(p).items()}, neg
-        )
-        target = big_delta.get(emb[p])
-        if pushed != target:
-            residual = (target - pushed).format(big.labels)
+        pushed = {(emb[a], emb[b]): v for (a, b), v in small_delta._half(p).items()}
+        if pushed != big_delta._half(emb[p]):
+            residual = (big_delta.get(emb[p]) - TwoTensor._of_half(pushed, neg)).format(big.labels)
             report.violations.append(Violation((p,), f"cocommutator mismatch: {residual}"))
     return report

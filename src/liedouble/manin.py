@@ -71,12 +71,15 @@ _UNIT_PRODUCTS = (
 )
 
 
-def _compatibility_products(c_triples, f_triples, negate):
+def _compatibility_products(c_triples, f_triples, negate, orbits=None):
     """Every product of the crossed-Jacobi sum as (key, c value, f value).
 
     Terms 2-5 subtract, so their c value is ``negate``d once per c triple
     rather than once per product.  Each key is the (p, q, s, t) residual
-    the product adds to.
+    the product adds to.  ``orbits`` keeps the products of one key per
+    orbit only: "sorted" those with p < q and s < t, "mirrored" those with
+    also (p, q) <= (s, t).  The tests are inline comparisons, made before
+    each yield.
     """
     f_by_output: dict[int, list] = {}
     f_by_first: dict[int, list] = {}
@@ -86,23 +89,31 @@ def _compatibility_products(c_triples, f_triples, negate):
         f_by_first.setdefault(p, []).append((q, r, v))
         f_by_second.setdefault(q, []).append((p, r, v))
 
+    every = orbits is None
+    unmirrored = orbits != "mirrored"
     for cp, cq, cr, cv in c_triples:
         neg = negate(cv)
         # term 1: + c^{p,q}_r f^r_{s,t}
-        for s, t, fv in f_by_output.get(cr, ()):
-            yield (cp, cq, s, t), cv, fv
+        if every or cp < cq:
+            for s, t, fv in f_by_output.get(cr, ()):
+                if every or s < t and (unmirrored or cp < s or cp == s and cq <= t):
+                    yield (cp, cq, s, t), cv, fv
         # term 2: - c^{p,r}_s f^q_{r,t}  (join r = c upper second = f lower first)
         for t, q, fv in f_by_first.get(cq, ()):
-            yield (cp, q, cr, t), neg, fv
+            if every or cp < q and cr < t and (unmirrored or cp < cr or cp == cr and q <= t):
+                yield (cp, q, cr, t), neg, fv
         # term 3: - c^{r,q}_s f^p_{r,t}  (join r = c upper first = f lower first)
         for t, p, fv in f_by_first.get(cp, ()):
-            yield (p, cq, cr, t), neg, fv
+            if every or p < cq and cr < t and (unmirrored or p < cr or p == cr and cq <= t):
+                yield (p, cq, cr, t), neg, fv
         # term 4: - c^{p,r}_t f^q_{s,r}  (join r = c upper second = f lower second)
         for s, q, fv in f_by_second.get(cq, ()):
-            yield (cp, q, s, cr), neg, fv
+            if every or cp < q and s < cr and (unmirrored or cp < s or cp == s and q <= cr):
+                yield (cp, q, s, cr), neg, fv
         # term 5: - c^{r,q}_t f^p_{s,r}  (join r = c upper first = f lower second)
         for s, p, fv in f_by_second.get(cp, ()):
-            yield (p, cq, s, cr), neg, fv
+            if every or p < cq and s < cr and (unmirrored or p < s or p == s and cq <= cr):
+                yield (p, cq, s, cr), neg, fv
 
 
 def _monomial(value: Scalar):
@@ -118,10 +129,13 @@ def _monomial(value: Scalar):
 def _monomial_triples(triples):
     """The triples with each value as (u, n, d), or None if some value is not a monomial."""
     out = []
+    units: dict = {}  # id -> (u, n, d): the halves share a few value objects, kept alive here
     for p, q, r, v in triples:
-        unit = _monomial(v)
+        unit = units.get(id(v))
         if unit is None:
-            return None
+            unit = units[id(v)] = _monomial(v)
+            if unit is None:
+                return None
         out.append((p, q, r, unit))
     return out
 
@@ -135,26 +149,43 @@ def _negate_monomial(value):
 _NO_PART = Fraction(0)
 
 
-def _monomial_residuals(c_units, f_units) -> dict:
+def _mirrored(c_units, f_units) -> bool:
+    """True when c = -f index by index, compared exactly on the (u, n, d) values.
+
+    Then R(p, q, s, t) = R(s, t, p, q): with c^{p,q}_r = -f^r_{p,q}, the swap
+    maps terms 1, 3 and 4 each onto itself and exchanges terms 2 and 5.
+    """
+    return len(c_units) == len(f_units) and all(
+        cp == fp and cq == fq and cr == fr and cu == fu and cn == -fn and cd == fd
+        for (cp, cq, cr, (cu, cn, cd)), (fp, fq, fr, (fu, fn, fd)) in zip(c_units, f_units)
+    )
+
+
+def _monomial_residuals(c_units, f_units, mirrored: bool) -> dict:
     """The nonzero residuals from (u, n, d) values: one integer product per term.
 
     Both tensors are antisymmetric, so the residuals at (q, p, s, t) and
     (p, q, t, s) are minus the one at (p, q, s, t), and one with p = q or
-    s = t is 0: only the products on keys p < q, s < t are summed, and each
-    nonzero sum is written onto the other three keys of its orbit with its
-    sign.  Numerators are summed as integers per (key, unit, product
-    denominator), so no product needs a gcd, and coprime denominators of
-    many digits never meet in one integer over the whole tensor.  The
-    groups of one (key, unit) are then brought over the lcm of their own
-    denominators; a nonzero sum becomes one Fraction and its negation
-    another, and a key becomes a Scalar once its units are summed.
+    s = t is 0: only the products on keys p < q, s < t are formed, and
+    each nonzero sum is written onto the other three keys of its orbit
+    with its sign.  ``mirrored`` (c = -f, see :func:`_mirrored`) also
+    forms only the keys with (p, q) <= (s, t) and writes each sum onto
+    the four swapped keys (s, t, p, q) too.  Numerators are summed as
+    integers per (key, unit, product denominator), so no product needs a
+    gcd, and coprime denominators of many digits never meet in one
+    integer over the whole tensor.  The groups of one (key, unit) are then
+    brought over the lcm of their own denominators; a nonzero sum becomes
+    one Fraction and its negation another, and a key becomes a Scalar once
+    its units are summed.
     """
     sums: dict = {}
-    for key, (u, xn, xd), (v, yn, yd) in _compatibility_products(c_units, f_units, _negate_monomial):
-        if key[0] < key[1] and key[2] < key[3]:
-            s, w = _UNIT_PRODUCTS[u][v]
-            slot = (key, w, xd * yd)
-            sums[slot] = sums.get(slot, 0) + (xn * yn if s == 1 else s * xn * yn)
+    orbits = "mirrored" if mirrored else "sorted"
+    for key, (u, xn, xd), (v, yn, yd) in _compatibility_products(
+        c_units, f_units, _negate_monomial, orbits
+    ):
+        s, w = _UNIT_PRODUCTS[u][v]
+        slot = (key, w, xd * yd)
+        sums[slot] = sums.get(slot, 0) + (xn * yn if s == 1 else s * xn * yn)
     groups: dict = {}
     for (key, w, den), total in sums.items():
         if total:
@@ -168,8 +199,12 @@ def _monomial_residuals(c_units, f_units) -> dict:
             parts[w], negated[w] = Fraction(total, den), Fraction(-total, den)
     residual = {}
     for (p, q, s, t), (parts, negated) in components.items():
-        residual[(p, q, s, t)] = residual[(q, p, t, s)] = Scalar(*parts)
-        residual[(q, p, s, t)] = residual[(p, q, t, s)] = Scalar(*negated)
+        value, minus = Scalar(*parts), Scalar(*negated)
+        residual[(p, q, s, t)] = residual[(q, p, t, s)] = value
+        residual[(q, p, s, t)] = residual[(p, q, t, s)] = minus
+        if mirrored:
+            residual[(s, t, p, q)] = residual[(t, s, q, p)] = value
+            residual[(t, s, p, q)] = residual[(s, t, q, p)] = minus
     return residual
 
 
@@ -195,17 +230,20 @@ def check_compatibility(f: StructureTensor, c: StructureTensor) -> ViolationRepo
 
     When every coefficient of both tensors is a rational multiple of one
     unit (the gl(n) halves are), each product is one integer product of
-    numerators times a fixed unit product, and one residual per
-    antisymmetric orbit is summed.  Otherwise the products are Scalar
-    ones, summed for every key: the orbit filter waits there until the
-    benchmark keeps no op output (ROADMAP item 1).
+    numerators times a fixed unit product, and the join forms the products
+    of one key per antisymmetric orbit (p < q, s < t).  When c = -f index
+    by index (the gl(n) halves are mirrored so), an orbit also holds the
+    swapped keys (s, t, p, q), and one key in up to eight is formed.
+    Otherwise the products are Scalar ones, summed for every key: the
+    orbit filter waits there until the benchmark keeps no op output
+    (ROADMAP item 1).
     """
     c_triples = _tensor_triples(c)
     f_triples = _tensor_triples(f)
     c_units = _monomial_triples(c_triples)
     f_units = _monomial_triples(f_triples) if c_units is not None else None
     if f_units is not None:
-        residual = _monomial_residuals(c_units, f_units)
+        residual = _monomial_residuals(c_units, f_units, _mirrored(c_units, f_units))
     else:
         residual = _scalar_residuals(c_triples, f_triples)
 

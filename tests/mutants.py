@@ -43,6 +43,7 @@ class Mutant(NamedTuple):
 BIALG = "src/liedouble/bialg.py"
 LIEALG = "src/liedouble/liealg.py"
 MANIN = "src/liedouble/manin.py"
+GLNFACTORY = "src/liedouble/glnfactory.py"
 KERNELS = "tests/test_kernels.py::"
 STORAGE = "tests/test_cocommutator_storage.py::"
 COMPAT = "tests/test_manin.py::"
@@ -245,7 +246,7 @@ MUTANTS = (
     ),
     Mutant(
         "self-duality: the root sign s dropped",
-        "src/liedouble/glnfactory.py",
+        GLNFACTORY,
         "(-1) ** (j - i - 1)",
         "1",
         (
@@ -256,8 +257,8 @@ MUTANTS = (
     Mutant(
         "self-duality certificate: the first stored pair skipped",
         BIALG,
-        "for (a, b), coeffs in alg.tensor.stored():",
-        "for (a, b), coeffs in alg.tensor.stored()[1:]:",
+        "for (a, b), coeffs in stored:",
+        "for (a, b), coeffs in stored[1:]:",
         (
             THETA + "test_the_certificate_rejects_a_break_on_a_pair_theta_maps_onto_itself",
             THETA + "test_the_certificate_accepts_exactly_the_theta_symmetric_algebras",
@@ -279,6 +280,28 @@ MUTANTS = (
         "p < image[q]",
         (
             THETA + "test_cocycle_representatives_are_one_pair_per_orbit",
+        ),
+    ),
+    Mutant(
+        "self-duality certificate: the stored brackets not counted",
+        BIALG,
+        """    if count != len(stored):
+        return None
+""",
+        "",
+        (
+            THETA + "test_the_certificate_counts_the_items_it_checks_from_their_image",
+        ),
+    ),
+    Mutant(
+        "self-duality certificate: the r terms not counted",
+        BIALG,
+        """    if count != len(terms):
+        return None
+""",
+        "",
+        (
+            THETA + "test_the_certificate_counts_the_items_it_checks_from_their_image",
         ),
     ),
     Mutant(
@@ -338,15 +361,25 @@ MUTANTS = (
     Mutant(
         "self-duality certificate: the pairing's signs dropped",
         BIALG,
-        "(neg(w) if flip[p] ^ flip[q] else w)",
-        "w",
+        "{image[q]: neg(w) if flip[p] ^ flip[q] else w for",
+        "{image[q]: w for",
         (
             THETA + "test_the_certificate_rejects_each_kind_of_break",
         ),
     ),
     Mutant(
+        "trusted commutator table: a two-term bracket left unsorted",
+        GLNFACTORY,
+        "dict(sorted(terms.items())) if len(terms) == 2 else terms",
+        "terms",
+        (
+            "tests/test_glnfactory.py::"
+            "test_the_commutator_table_sorts_a_two_term_bracket_that_arrives_unsorted",
+        ),
+    ),
+    Mutant(
         "closed-form inverse: the I rows of T^-1 with the wrong sign",
-        "src/liedouble/glnfactory.py",
+        GLNFACTORY,
         "[{X: _I_HALF_SQRT2, x: _MINUS_I_HALF_SQRT2} for X, x in cartan]",
         "[{X: _MINUS_I_HALF_SQRT2, x: _I_HALF_SQRT2} for X, x in cartan]",
         (
@@ -377,8 +410,8 @@ MUTANTS = (
     Mutant(
         "integer compatibility: the orbit filter without its s < t test",
         MANIN,
-        "if key[0] < key[1] and key[2] < key[3]:",
-        "if key[0] < key[1]:",
+        "if every or s < t and (unmirrored or cp < s or cp == s and cq <= t):",
+        "if every or (unmirrored or cp < s or cp == s and cq <= t):",
         (
             COMPAT + "test_the_integer_path_multiplies_only_the_products_of_sorted_keys",
         ),
@@ -386,11 +419,40 @@ MUTANTS = (
     Mutant(
         "integer compatibility: a mirrored key written with the unnegated value",
         MANIN,
-        "residual[(q, p, s, t)] = residual[(p, q, t, s)] = Scalar(*negated)",
-        "residual[(q, p, s, t)] = residual[(p, q, t, s)] = Scalar(*parts)",
+        "residual[(q, p, s, t)] = residual[(p, q, t, s)] = minus",
+        "residual[(q, p, s, t)] = residual[(p, q, t, s)] = value",
         (
             COMPAT + "test_monomial_path_matches_scalar_path_and_brute_force",
             COMPAT + "test_orbit_residuals_match_brute_force_on_perturbed_monomial_pairs",
+        ),
+    ),
+    Mutant(
+        "mirrored compatibility: the swap tie-break (s == p, t < q) dropped",
+        MANIN,
+        "cp < cr or cp == cr and q <= t",
+        "cp <= cr",
+        (
+            COMPAT + "test_the_join_filter_keeps_exactly_the_representative_keys_on_seeded_pairs",
+            COMPAT + "test_mirrored_pairs_match_brute_force",
+        ),
+    ),
+    Mutant(
+        "mirrored compatibility: the c = -f test ignores denominators",
+        MANIN,
+        " and cd == fd",
+        "",
+        (
+            COMPAT + "test_mirrored_pairs_match_brute_force",
+        ),
+    ),
+    Mutant(
+        "mirrored compatibility: a swapped key written with the unnegated value",
+        MANIN,
+        "residual[(t, s, p, q)] = residual[(s, t, q, p)] = minus",
+        "residual[(t, s, p, q)] = residual[(s, t, q, p)] = value",
+        (
+            COMPAT + "test_mirrored_pairs_match_brute_force",
+            COMPAT + "test_the_kappa_one_halves_fail_on_their_orbits_of_eight",
         ),
     ),
     Mutant(

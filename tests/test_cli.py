@@ -327,6 +327,33 @@ def test_gln_report_at_n_11_passes():
     assert out.count("[PASS]") == 15
 
 
+def test_one_process_parses_every_command_with_one_parser(monkeypatch, capsys, algebra_files):
+    plus, minus, broken = algebra_files
+    argvs = [
+        ["check-jacobi", str(plus)],
+        ["compat", "--plus", str(plus), "--minus", str(broken), "--json"],
+        ["double", "--plus", str(plus), "--minus", str(minus)],
+        ["gln", "--n", "2", "--emit", "delta"],
+        ["verify"],
+        ["gln", "--n", "2", "--emit", "nonsense"],
+        ["--version"],
+        ["verify", "--n", "2", "--json"],
+        ["verify", "--help"],
+        ["verify", "--n", "3"],
+    ]
+    cached = [(code, mask_millis(out), err) for code, out, err in map(run, argvs)]
+    assert cli._parser() is cli._parser()
+    # the same commands, each through a parser of its own
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [(code, mask_millis(out), err) for code, out, err in map(run, argvs)]
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 1, 0, 0, 2, 2, 0, 0, 0, 0]
+    assert "the following arguments are required: --n" in cached[4][2]
+    assert "invalid choice: 'nonsense'" in cached[5][2]
+    assert cached[6][1].startswith("liedouble ") and cached[8][1].startswith("usage: liedouble verify")
+    assert capsys.readouterr() == ("", "")
+
+
 def test_exit_code_2_on_usage_error():
     code, _, _ = run(["gln", "--n", "2", "--emit", "nonsense"])
     assert code == 2
@@ -343,9 +370,11 @@ def test_n_takes_ascii_digits_only(monkeypatch, capsys, command, size):
         raise AssertionError("nothing may be built for a malformed --n")
 
     monkeypatch.setattr(suite, "build_s_plus", fail)
-    code, out, _ = run([*command, "--n", size])
+    code, out, err = run([*command, "--n", size])
     assert (code, out) == (2, "")
-    assert "argument --n: invalid size" in capsys.readouterr().err
+    assert "argument --n: invalid size" in err
+    # the usage error goes to run_command's stderr, not to sys.stderr
+    assert capsys.readouterr() == ("", "")
 
 
 def test_jacobi_failure_exits_1(tmp_path):

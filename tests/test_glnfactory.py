@@ -502,6 +502,85 @@ def test_chain_embedding_reports_a_bracket_held_on_one_side_only(monkeypatch):
     ]
 
 
+def _row_order(tensor):
+    """Every row of a bracket table with its coefficients, in stored order."""
+    return [(x, [(s, list(coeffs.items())) for s, coeffs in row.items()])
+            for x, row in tensor._rows.items()]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_trusted_factory_tables_are_what_the_constructor_stores(n):
+    # the commutator tables go in through StructureTensor._of_sorted; the
+    # validating constructor must store the same rows, in the same order
+    for algebra in (build_s_plus(n), build_s_minus(n), build_gln_tn(n),
+                    build_s_plus(n, ONE), build_s_minus(n, Scalar(2, 1)), build_s_plus(n, ZERO)):
+        checked = StructureTensor({key: dict(coeffs) for key, coeffs in algebra.tensor.stored()})
+        assert _row_order(algebra.tensor) == _row_order(checked)
+        assert all(value for _, coeffs in algebra.tensor.oriented() for value in coeffs.values())
+
+
+def test_the_commutator_table_sorts_a_two_term_bracket_that_arrives_unsorted():
+    # gl(2) with E_21 before E_12: [E_21, E_12] = E_22 - E_11 arrives as
+    # {E_22: 1, E_11: -1}, out of index order; the factories' own orders
+    # bring E_ii before E_jj whenever E_ij comes before E_ji
+    index = {(1, 1): 0, (2, 2): 1, (2, 1): 2, (1, 2): 3}
+    table = glnfactory._commutator_table(index, lambda i, j, k, l: ONE)
+    assert table.pair(2, 3) == {0: MINUS_ONE, 1: ONE}
+    checked = StructureTensor({key: dict(coeffs) for key, coeffs in table.stored()})
+    assert _row_order(table) == _row_order(checked)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_the_chain_embedding_keeps_the_index_order(m):
+    # so the chain check compares each pushed sorted half with a sorted half
+    emb = glnfactory._embedding_map(m)
+    small = sorted(emb)
+    assert small == list(range(gln_dim(m)))
+    assert [emb[p] for p in small] == sorted(emb.values())
+
+
+def _chain_cocommutator_mismatches(m, small_delta, big_delta):
+    """The chain check's cocommutator violations from whole two-tensors: the slow form."""
+    emb = glnfactory._embedding_map(m)
+    labels = gln_labels(m + 1)
+    out = []
+    for p in range(gln_dim(m)):
+        pushed = TwoTensor({(emb[a], emb[b]): v for (a, b), v in small_delta.get(p).items()})
+        target = big_delta.get(emb[p])
+        if pushed != target:
+            out.append(((p,), f"cocommutator mismatch: {(target - pushed).format(labels)}"))
+    return out
+
+
+@pytest.mark.parametrize("change", ["scale", "drop", "add"])
+def test_chain_cocommutator_mismatches_match_the_whole_tensor_comparison(monkeypatch, change):
+    delta_in_gln_basis = glnfactory.delta_in_gln_basis
+    deltas = {}
+
+    def doctored_delta(n, triple=None):
+        delta = delta_in_gln_basis(n, triple)
+        if n == 3:
+            values = {p: dict(value.items()) for p, value in delta.items()}
+            for p in (f_index(3, 1, 2), f_index(3, 2, 1), i_index(3, 1)):
+                terms = values.setdefault(p, {})
+                (a, b), v = min(terms.items()) if terms else ((0, 1), ONE)
+                if change == "scale":
+                    terms[(a, b)], terms[(b, a)] = v * 3, -v * 3
+                elif change == "drop" and terms:
+                    del terms[(a, b)], terms[(b, a)]
+                else:
+                    terms[(0, f_index(3, 1, 3))], terms[(f_index(3, 1, 3), 0)] = ONE, -ONE
+            delta = Cocommutator(delta.dim, {p: TwoTensor(t) for p, t in values.items() if t})
+        deltas[n] = delta
+        return delta
+
+    monkeypatch.setattr(glnfactory, "delta_in_gln_basis", doctored_delta)
+    report = check_chain_embedding(2)
+    got = [(v.indices, v.residual) for v in report.violations]
+    assert got == _chain_cocommutator_mismatches(2, deltas[2], deltas[3])
+    assert len(got) >= 2
+
+
 def test_normalization_is_load_bearing():
     # with the 1/sqrt2 replaced by 1 the crossed compatibility breaks at
     # n = 3 (the root ladder forces 2*kappa^2 = 1) ...

@@ -1572,7 +1572,7 @@ def test_gln_4_compatibility_makes_a_fraction_only_per_residual_unit(monkeypatch
     calls = counted_methods(monkeypatch, Fraction, FRACTION_RESULTS)
     assert check_compatibility(plus.tensor, minus.tensor).ok
     assert calls == {}
-    residual = manin._monomial_residuals(c_units, f_units)
+    residual = manin._monomial_residuals(c_units, f_units, manin._mirrored(c_units, f_units))
     units = sum(1 for value in residual.values() for part in (value.a, value.b, value.c, value.d) if part)
     assert residual and units % 4 == 0
     assert sum(calls.values()) == calls["__new__"] == units // 2

@@ -677,7 +677,7 @@ def assert_integer_path_matches(plus, minus):
     f_triples = manin._tensor_triples(plus.tensor)
     c_units, f_units = manin._monomial_triples(c_triples), manin._monomial_triples(f_triples)
     assert c_units is not None and f_units is not None
-    residual = manin._monomial_residuals(c_units, f_units)
+    residual = manin._monomial_residuals(c_units, f_units, manin._mirrored(c_units, f_units))
     assert residual == manin._scalar_residuals(c_triples, f_triples)
     brute = brute_force_compatibility(plus.tensor, minus.tensor, plus.dim)
     assert residual == brute
@@ -823,7 +823,13 @@ class _CountedRows(tuple):
         return tuple.__getitem__(self, u)
 
 
-@pytest.mark.parametrize("n, moved", [(4, False), (4, True), (6, False)])
+def _representative(key, mirrored):
+    """Whether the integer path forms the products of ``key``: the slow form of the join's filter."""
+    p, q, s, t = key
+    return p < q and s < t and (not mirrored or (p, q) <= (s, t))
+
+
+@pytest.mark.parametrize("n, moved", [(4, False), (4, True), (6, False), (7, False)])
 def test_the_integer_path_multiplies_only_the_products_of_sorted_keys(monkeypatch, n, moved):
     plus, minus = build_s_plus(n), build_s_minus(n)
     if moved:
@@ -833,12 +839,152 @@ def test_the_integer_path_multiplies_only_the_products_of_sorted_keys(monkeypatc
         minus = LieAlgebra.from_brackets(minus.labels, brackets)
     c_units = manin._monomial_triples(manin._tensor_triples(minus.tensor))
     f_units = manin._monomial_triples(manin._tensor_triples(plus.tensor))
+    # the factory's halves are mirrored, c = -f, until one entry moves
+    mirrored = manin._mirrored(c_units, f_units)
+    assert mirrored == (not moved)
     keys = [key for key, _, _ in manin._compatibility_products(c_units, f_units, manin._negate_monomial)]
-    sorted_keys = sum(1 for p, q, s, t in keys if p < q and s < t)
+    sorted_keys = sum(1 for key in keys if _representative(key, False))
+    formed = sum(1 for key in keys if _representative(key, mirrored))
     monkeypatch.setattr(manin, "_UNIT_PRODUCTS", _CountedRows(manin._UNIT_PRODUCTS))
     _CountedRows.reads = 0
-    residual = manin._monomial_residuals(c_units, f_units)
-    assert _CountedRows.reads == sorted_keys < len(keys) / 3
+    residual = manin._monomial_residuals(c_units, f_units, mirrored)
+    assert _CountedRows.reads == formed <= sorted_keys < len(keys) / 3
     assert bool(residual) == moved
     if n == 6:
-        assert (sorted_keys, len(keys)) == (660, 2760)
+        assert (formed, sorted_keys, len(keys)) == (450, 660, 2760)
+    if n == 7:
+        assert (formed, sorted_keys, len(keys)) == (791, 1183, 4900)
+
+
+def _filtered_joins(plus, minus):
+    """The integer join under each filter, and the full join filtered afterwards."""
+    c_units = manin._monomial_triples(manin._tensor_triples(minus.tensor))
+    f_units = manin._monomial_triples(manin._tensor_triples(plus.tensor))
+    negate = manin._negate_monomial
+    full = list(manin._compatibility_products(c_units, f_units, negate))
+    for orbits, mirrored in (("sorted", False), ("mirrored", True)):
+        joined = list(manin._compatibility_products(c_units, f_units, negate, orbits))
+        yield joined, [row for row in full if _representative(row[0], mirrored)]
+
+
+@settings(deadline=None, max_examples=40)
+@given(perturbed_monomial_pairs())
+def test_the_join_filter_keeps_exactly_the_representative_keys(pair):
+    for joined, wanted in _filtered_joins(*pair):
+        assert joined == wanted
+
+
+def test_the_join_filter_keeps_exactly_the_representative_keys_on_seeded_pairs():
+    # seeded random pairs whose products land on every kind of key, ties
+    # p = s with q > t and q < t included
+    rng = random.Random(2929)
+    ties = set()
+    for _ in range(30):
+        dim = rng.randint(3, 5)
+        pair = (_random_monomial_algebra(rng, dim), _random_monomial_algebra(rng, dim))
+        for joined, wanted in _filtered_joins(*pair):
+            assert joined == wanted
+        full = manin._compatibility_products(
+            *(manin._monomial_triples(manin._tensor_triples(h.tensor)) for h in reversed(pair)),
+            manin._negate_monomial,
+        )
+        ties.update((q > t) - (q < t) for (p, q, s, t), _, _ in full if p == s and p < q and s < t)
+    assert ties == {-1, 0, 1}
+
+
+# The mirrored halves: c = -f index by index makes R(p, q, s, t) = R(s, t, p, q),
+# and the integer path forms one key per orbit of eight.
+
+
+@st.composite
+def mirrored_monomial_pairs(draw):
+    """(plus, minus, mirrored): minus is plus negated entry by entry, unless one
+    entry of minus then has its denominator, numerator sign or unit changed."""
+    dim = draw(st.integers(2, 5))
+    pairs = list(itertools.combinations(range(dim), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1, max_size=len(pairs)))
+    brackets = {pair: draw(st.dictionaries(st.integers(0, dim - 1), small_monomials(),
+                                           min_size=1, max_size=2)) for pair in chosen}
+    labels = tuple(f"e{k}" for k in range(dim))
+    negated = {key: {r: -v for r, v in vec.items()} for key, vec in brackets.items()}
+    change = draw(st.sampled_from((None, None, "denominator", "sign", "unit")))
+    if change is not None:
+        key = draw(st.sampled_from(sorted(negated)))
+        r = draw(st.sampled_from(sorted(negated[key])))
+        value = negated[key][r]
+        if change == "denominator":
+            (u, n, d), = [(u, x.numerator, x.denominator) for u, x in
+                          enumerate((value.a, value.b, value.c, value.d)) if x]
+            value = Fraction(n, d * 5) * UNITS[u]
+        elif change == "sign":
+            value = -value
+        else:
+            value = value * I_UNIT
+        negated[key] = {**negated[key], r: value}
+    plus = LieAlgebra.from_brackets(labels, brackets)
+    return plus, LieAlgebra.from_brackets(labels, negated), change is None
+
+
+@settings(deadline=None, max_examples=80)
+@given(mirrored_monomial_pairs())
+def test_mirrored_pairs_match_brute_force(case):
+    plus, minus, mirrored = case
+    c_units = manin._monomial_triples(manin._tensor_triples(minus.tensor))
+    f_units = manin._monomial_triples(manin._tensor_triples(plus.tensor))
+    assert manin._mirrored(c_units, f_units) == mirrored
+    report = check_compatibility(plus.tensor, minus.tensor)
+    brute = brute_force_compatibility(plus.tensor, minus.tensor, plus.dim)
+    assert _reported(report) == [(key, str(brute[key])) for key in sorted(brute)]
+    if mirrored:
+        assert all(brute[(s, t, p, q)] == value for (p, q, s, t), value in brute.items())
+
+
+def test_mirrored_pairs_are_mostly_incompatible():
+    # the premise of the test above: its random brackets rarely satisfy Jacobi
+    rng = random.Random(8)
+    failing = 0
+    for _ in range(20):
+        plus = _random_monomial_algebra(rng, 4)
+        minus = _scaled(plus, -ONE)
+        failing += not check_compatibility(plus.tensor, minus.tensor).ok
+    assert failing >= 15
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_the_kappa_one_halves_fail_on_their_orbits_of_eight(n):
+    plus, minus = build_s_plus(n, ONE), build_s_minus(n, ONE)
+    c_triples = manin._tensor_triples(minus.tensor)
+    f_triples = manin._tensor_triples(plus.tensor)
+    c_units, f_units = manin._monomial_triples(c_triples), manin._monomial_triples(f_triples)
+    assert manin._mirrored(c_units, f_units)
+    report = check_compatibility(plus.tensor, minus.tensor)
+    assert not report.ok
+    # the dense loop up to n = 4; from n = 5 the full Scalar join, which
+    # the tests above check against it
+    if n <= 4:
+        reference = brute_force_compatibility(plus.tensor, minus.tensor, plus.dim)
+    else:
+        reference = manin._scalar_residuals(c_triples, f_triples)
+    assert _reported(report) == [(key, str(reference[key])) for key in sorted(reference)]
+    orbits = {key for key in reference if _representative(key, True)}
+    assert len(reference) == sum(4 if (p, q) == (s, t) else 8 for p, q, s, t in orbits)
+
+
+def test_halves_of_two_scales_are_not_mirrored_and_take_the_four_key_path(monkeypatch):
+    calls = []
+    monomial_residuals = manin._monomial_residuals
+
+    def spy(c_units, f_units, mirrored):
+        calls.append(mirrored)
+        return monomial_residuals(c_units, f_units, mirrored)
+
+    monkeypatch.setattr(manin, "_monomial_residuals", spy)
+    for n in (2, 3):
+        for alpha, beta in ((ONE, HALF_SQRT2), (HALF_SQRT2, 2 * ONE), (ONE, ONE)):
+            plus, minus = build_s_plus(n, alpha), build_s_minus(n, beta)
+            report = check_compatibility(plus.tensor, minus.tensor)
+            brute = brute_force_compatibility(plus.tensor, minus.tensor, plus.dim)
+            assert _reported(report) == [(key, str(brute[key])) for key in sorted(brute)]
+            assert calls.pop() == (alpha == beta)
+            # at n = 2 every pair of scales is compatible; from n = 3 none of these is
+            assert report.ok == (n == 2)

@@ -211,6 +211,33 @@ def test_the_certificate_rejects_a_break_on_a_pair_theta_maps_onto_itself():
     assert certify(broken, delta, r_skew, self_duality(2)) is None
 
 
+def test_the_certificate_counts_the_items_it_checks_from_their_image():
+    # the certificate checks one member of each orbit, so an item whose image
+    # is missing passes unless the stored items are counted: add, on the
+    # unchecked side only, a bracket and an r wedge in the upper half
+    n = 3
+    alg, delta, r_skew = gln_objects(n)
+    theta = self_duality(n)
+    image = [q for q, _ in theta]
+    m = solvable_dim(n)
+    brackets = dict(alg.tensor.stored())
+    a, b = next((a, b) for a in range(m, 2 * m) for b in range(a + 1, 2 * m)
+                if (a, b) not in brackets and orbit_partner((a, b), image) not in brackets)
+    assert a > image[b]  # not a representative: its orbit is checked from its image
+    brackets[(a, b)] = {a: ONE}
+    assert certify(with_brackets(alg, brackets), delta, r_skew, theta) is None
+    terms = dict(r_skew.items())
+    assert (m + 1, m + 2) not in terms and (1, 2) not in terms
+    terms[(m + 1, m + 2)], terms[(m + 2, m + 1)] = ONE, -ONE
+    assert certify(alg, delta, TwoTensor(terms), theta) is None
+    # a wedge added with its image, with the sign s_Y12 s_Y13 = -1, is accepted
+    Y12, Y13 = root_index(n, 1, 2), root_index(n, 1, 3)
+    terms = dict(r_skew.items())
+    terms[(m + Y12, m + Y13)], terms[(m + Y13, m + Y12)] = ONE, -ONE
+    terms[(Y12, Y13)], terms[(Y13, Y12)] = ONE, -ONE
+    assert certify(alg, delta, TwoTensor(terms), theta) is not None
+
+
 # --- one representative per orbit ---------------------------------------------------
 
 
